@@ -1,10 +1,13 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from survmix.classifiers import ClassifierSpec, fit, save_model
-from survmix.dataset import load_csv
+from survmix.cli import main as cli_main
+from survmix.dataset import (SyntheticSpec, generate_synthetic, load_csv,
+                             write_csv, write_schema)
 from survmix.errors import DomainError, ParseError
 from survmix.pipeline import (
     PipelineConfig,
@@ -269,3 +272,107 @@ class TestHelpers:
         payload["schema_version"] = 99
         with pytest.raises(DomainError, match="schema_version"):
             validate_report(payload)
+
+
+# -- golden run: the pipeline's artifacts, and the subcommands that re-run them --
+
+GOLDEN_ALGORITHMS = ("rpart", "logit", "nb")
+
+# The first 16 hex digits of the sha256 of every artifact of `golden_run`,
+# recorded before the stage code was shared between `run_pipeline` and the
+# CLI (Python 3.11, numpy 2.4, x86-64).  report.json is hashed without its
+# timings and output dir.
+GOLDEN_DIGESTS = {
+    "cleaned.csv": "540dfb36ccdcba58",
+    "cleaned.schema": "a58736a4e57f2563",
+    "cox.json": "574a6dab17d70d14",
+    "cox_summary.txt": "a10934345bffa8df",
+    "km.csv": "630491e02fdcd7aa",
+    "km.svg": "d4017eeda13c55f5",
+    "labels.csv": "9edfa91f9d5f63d5",
+    "logrank.json": "4975a481e7829976",
+    "metrics.json": "4e8100d26fec5413",
+    "mixture.json": "d3d82ec186d79a56",
+    "model_logit.json": "329b4b996ca1ac44",
+    "model_nb.json": "0ad04049b90f7f0a",
+    "model_rpart.json": "6b6eded60f859c3a",
+    "mva_report.json": "183988039331554e",
+    "report.json": "5f38a623a01874cc",
+    "roc_logit.csv": "6a2042d53c1c8af3",
+    "roc_nb.csv": "84f05b7bda0815e9",
+    "roc_rpart.csv": "d775c68f23b37ca4",
+    "test.csv": "5bbce84240f51a3a",
+    "test.schema": "a58736a4e57f2563",
+    "train.csv": "63c126a6d4912d89",
+    "train.schema": "a58736a4e57f2563",
+    "train_balanced.csv": "4b038be77c5b7754",
+    "train_balanced.schema": "a58736a4e57f2563",
+}
+
+
+def artifact_digests(out_dir) -> dict:
+    digests = {}
+    for path in sorted(out_dir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "report.json":
+            report = json.loads(data)
+            report["config"].pop("output_dir")
+            for stage in report["stages"]:
+                stage.pop("seconds")
+                stage.pop("seconds_per_model", None)
+            data = json.dumps(report, sort_keys=True).encode("utf-8")
+        digests[path.name] = hashlib.sha256(data).hexdigest()[:16]
+    return digests
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """A seeded run from CSV inputs on both eras, with relative paths only."""
+    root = tmp_path_factory.mktemp("golden")
+    for stem, rows, seed in (("train", 600, 5), ("predict", 400, 6)):
+        data = generate_synthetic(SyntheticSpec(
+            n_rows=rows, n_numeric=4, n_categorical=2, minority_fraction=0.2,
+            class_separation=1.5, hazard_ratio_true=2.0, seed=seed))
+        write_csv(data, root / f"{stem}.csv")
+        write_schema(data.specs, root / f"{stem}.schema")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(root)
+        report = run_pipeline(PipelineConfig(
+            output_dir="out", train_path="train.csv", predict_path="predict.csv",
+            algorithms=GOLDEN_ALGORITHMS, seed=5))
+    assert report.error is None
+    return root
+
+
+class TestGoldenRun:
+    def test_artifact_digests_unchanged(self, golden_run):
+        assert artifact_digests(golden_run / "out") == GOLDEN_DIGESTS
+
+    def test_subcommands_reproduce_pipeline_artifacts(self, golden_run, tmp_path):
+        out = golden_run / "out"
+        mixture = json.loads((out / "mixture.json").read_text())
+        a, b = mixture["component_a"], mixture["component_b"]
+        steps = [
+            ["evaluate", "--data", out / "test.csv", "--out-dir", tmp_path,
+             *[arg for algo in GOLDEN_ALGORITHMS
+               for arg in ("--model", out / f"model_{algo}.json")]],
+            ["mix", "--data", out / "test.csv", "--model-a", out / f"model_{a}.json",
+             "--model-b", out / f"model_{b}.json", "--out-dir", tmp_path / "mix"],
+            ["predict", "--data", golden_run / "predict.csv",
+             "--mixture", tmp_path / "mix" / "mixture.json",
+             "--model-a", out / f"model_{a}.json",
+             "--model-b", out / f"model_{b}.json", "--out", tmp_path / "labels.csv"],
+            ["km", "--data", golden_run / "predict.csv",
+             "--labels", tmp_path / "labels.csv", "--out-dir", tmp_path],
+            ["cox", "--data", golden_run / "predict.csv",
+             "--labels", tmp_path / "labels.csv", "--out-dir", tmp_path],
+        ]
+        for argv in steps:
+            assert cli_main([str(arg) for arg in argv]) == 0, argv[0]
+        compared = ["metrics.json", *[f"roc_{algo}.csv" for algo in GOLDEN_ALGORITHMS],
+                    "labels.csv", "km.csv", "km.svg", "logrank.json", "cox.json",
+                    "cox_summary.txt"]
+        for name in compared:
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+        assert (tmp_path / "mix" / "mixture.json").read_bytes() == \
+            (out / "mixture.json").read_bytes()
