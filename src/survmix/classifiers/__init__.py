@@ -14,13 +14,16 @@ ann       single-hidden-layer backpropagation network
 
 ``fit(train, ClassifierSpec(...))`` returns a model object exposing
 ``predict_proba(data)``; ``save_model``/``load_model`` round-trip any model
-through a versioned JSON document.
+through a versioned JSON document.  Each algorithm is one entry of
+``_REGISTRY`` (parameter class, fit function, model class, loader), which is
+all that the functions here consult.
 """
 
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import partial
+from typing import Callable, Mapping
 
 from ..dataset import Dataset
 from ..errors import DataError, DomainError
@@ -33,22 +36,51 @@ from .neural import AnnModel, AnnParams, fit_ann
 from .trees import (CtreeParams, DecisionTreeModel, TreeParams, fit_cart,
                     fit_ctree, fit_tree)
 
-ALGORITHMS = ("rpart", "tree", "ctree", "bag", "logit", "nb", "ann")
+
+@dataclass(frozen=True)
+class _Algorithm:
+    params: type        # parameter dataclass; nested ones are flattened
+    fit: Callable       # (train, params[, seed=]) -> model
+    seeded: bool        # whether `fit` draws random numbers from `seed`
+    model: type         # fitted model class
+    load: Callable      # model state -> model
+
+
+_REGISTRY = {
+    "rpart": _Algorithm(TreeParams, fit_cart, False, DecisionTreeModel,
+                        partial(DecisionTreeModel.from_state, "rpart")),
+    "tree": _Algorithm(TreeParams, fit_tree, False, DecisionTreeModel,
+                       partial(DecisionTreeModel.from_state, "tree")),
+    "ctree": _Algorithm(CtreeParams, fit_ctree, True, DecisionTreeModel,
+                        partial(DecisionTreeModel.from_state, "ctree")),
+    "bag": _Algorithm(BagParams, fit_bagging, True, BaggingModel,
+                      BaggingModel.from_state),
+    "logit": _Algorithm(LogitParams, fit_logit, False, LogitModel,
+                        LogitModel.from_state),
+    "nb": _Algorithm(NbParams, fit_naive_bayes, False, NaiveBayesModel,
+                     NaiveBayesModel.from_state),
+    "ann": _Algorithm(AnnParams, fit_ann, True, AnnModel, AnnModel.from_state),
+}
+
+ALGORITHMS = tuple(_REGISTRY)
 
 _FORMAT = "survmix-classifier"
 _VERSION = 1
 
-# flat parameter-name -> dataclass field, per algorithm
-_PARAM_FIELDS = {
-    "rpart": {f.name: f for f in dataclasses.fields(TreeParams)},
-    "tree": {f.name: f for f in dataclasses.fields(TreeParams)},
-    "ctree": {f.name: f for f in dataclasses.fields(CtreeParams)},
-    "bag": {**{f.name: f for f in dataclasses.fields(BagParams) if f.name != "tree"},
-            **{f.name: f for f in dataclasses.fields(TreeParams)}},
-    "logit": {f.name: f for f in dataclasses.fields(LogitParams)},
-    "nb": {f.name: f for f in dataclasses.fields(NbParams)},
-    "ann": {f.name: f for f in dataclasses.fields(AnnParams)},
-}
+
+def _flat_fields(params_cls) -> dict:
+    """Flat parameter name -> dataclass field; a nested parameter object
+    (the bag's member tree) contributes its own fields."""
+    out = {}
+    for f in dataclasses.fields(params_cls):
+        if dataclasses.is_dataclass(f.type):
+            out.update(_flat_fields(f.type))
+        else:
+            out[f.name] = f
+    return out
+
+
+_PARAM_FIELDS = {name: _flat_fields(entry.params) for name, entry in _REGISTRY.items()}
 
 
 @dataclass(frozen=True)
@@ -86,64 +118,39 @@ def _coerce(value, kind):
         raise DomainError(f"expected {kind.__name__}, got {value!r}") from None
 
 
-def _field_type(field_obj):
-    if isinstance(field_obj.type, type):
-        return field_obj.type
-    return {"int": int, "float": float, "bool": bool}[field_obj.type]
+def _instantiate(params_cls, values: dict):
+    """`params_cls` from flat values; nested parameter objects take theirs."""
+    kwargs = {}
+    for f in dataclasses.fields(params_cls):
+        if dataclasses.is_dataclass(f.type):
+            kwargs[f.name] = _instantiate(f.type, values)
+        elif f.name in values:
+            kwargs[f.name] = values[f.name]
+    return params_cls(**kwargs)
 
 
 def build_params(spec: ClassifierSpec):
     """The per-algorithm parameter object for a spec, defaults filled in."""
     fields = _PARAM_FIELDS[spec.algorithm]
-    values = {name: _coerce(raw, _field_type(fields[name]))
-              for name, raw in spec.params.items()}
-    if spec.algorithm in ("rpart", "tree"):
-        return TreeParams(**values)
-    if spec.algorithm == "ctree":
-        return CtreeParams(**values)
-    if spec.algorithm == "bag":
-        tree_keys = {f.name for f in dataclasses.fields(TreeParams)}
-        tree = TreeParams(**{k: v for k, v in values.items() if k in tree_keys})
-        rest = {k: v for k, v in values.items() if k not in tree_keys}
-        return BagParams(tree=tree, **rest)
-    if spec.algorithm == "logit":
-        return LogitParams(**values)
-    if spec.algorithm == "nb":
-        return NbParams(**values)
-    return AnnParams(**values)
+    values = {name: _coerce(raw, fields[name].type) for name, raw in spec.params.items()}
+    return _instantiate(_REGISTRY[spec.algorithm].params, values)
 
 
 def fit(train: Dataset, spec: ClassifierSpec):
     """Fit the requested classifier on a complete training dataset."""
+    entry = _REGISTRY[spec.algorithm]
     params = build_params(spec)
-    if spec.algorithm == "rpart":
-        return fit_cart(train, params)
-    if spec.algorithm == "tree":
-        return fit_tree(train, params)
-    if spec.algorithm == "ctree":
-        return fit_ctree(train, params, seed=spec.seed)
-    if spec.algorithm == "bag":
-        return fit_bagging(train, params, seed=spec.seed)
-    if spec.algorithm == "logit":
-        return fit_logit(train, params)
-    if spec.algorithm == "nb":
-        return fit_naive_bayes(train, params)
-    return fit_ann(train, params, seed=spec.seed)
+    if entry.seeded:
+        return entry.fit(train, params, seed=spec.seed)
+    return entry.fit(train, params)
 
 
 def algorithm_of(model) -> str:
     """The algorithm name a fitted model belongs to."""
-    if isinstance(model, DecisionTreeModel):
-        return model.algorithm
-    if isinstance(model, BaggingModel):
-        return "bag"
-    if isinstance(model, LogitModel):
-        return "logit"
-    if isinstance(model, NaiveBayesModel):
-        return "nb"
-    if isinstance(model, AnnModel):
-        return "ann"
-    raise DomainError(f"not a classifier model: {type(model).__name__}")
+    name = getattr(model, "algorithm", None)
+    if name not in ALGORITHMS or not isinstance(model, _REGISTRY[name].model):
+        raise DomainError(f"not a classifier model: {type(model).__name__}")
+    return name
 
 
 def save_model(model, path) -> None:
@@ -163,20 +170,6 @@ def load_model(path):
         raise DataError(f"model file {path} has unsupported version "
                         f"{document.get('version')!r} (expected {_VERSION})")
     algorithm = document.get("algorithm")
-    state = document.get("state")
-    if algorithm in ("rpart", "tree", "ctree"):
-        return DecisionTreeModel.from_state(algorithm, state)
-    if algorithm == "bag":
-        return BaggingModel.from_state(state)
-    if algorithm == "logit":
-        return LogitModel.from_state(state)
-    if algorithm == "nb":
-        return NaiveBayesModel.from_state(state)
-    if algorithm == "ann":
-        return AnnModel.from_state(state)
-    raise DataError(f"model file {path} names unknown algorithm {algorithm!r}")
-
-
-def predict_proba(model, data: Dataset):
-    """Probability of the positive class, one value per row."""
-    return model.predict_proba(data)
+    if algorithm not in ALGORITHMS:
+        raise DataError(f"model file {path} names unknown algorithm {algorithm!r}")
+    return _REGISTRY[algorithm].load(document.get("state"))

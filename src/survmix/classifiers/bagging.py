@@ -34,13 +34,11 @@ def bootstrap_indices(seed: int, member: int, n_rows: int) -> np.ndarray:
 
 
 class BaggingModel:
+    algorithm = "bag"
+
     def __init__(self, trees, seed):
         self.trees = list(trees)
         self.seed = seed
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.full(len(self.trees), 1.0 / len(self.trees))
 
     def predict_proba(self, data: Dataset) -> np.ndarray:
         member = np.vstack([tree.predict_proba(data) for tree in self.trees])

@@ -108,6 +108,8 @@ def _raise_separated(beta, names):
 
 
 class LogitModel:
+    algorithm = "logit"
+
     def __init__(self, encoder, intercept, coefficients, loglik):
         self.encoder = encoder
         self.intercept = float(intercept)

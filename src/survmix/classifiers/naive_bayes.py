@@ -29,6 +29,8 @@ class NbParams:
 
 
 class NaiveBayesModel:
+    algorithm = "nb"
+
     def __init__(self, schema, priors, numeric_stats, level_logprob):
         self.schema = schema
         self.priors = tuple(float(p) for p in priors)

@@ -81,6 +81,8 @@ def loss_and_gradients(x, y, w1, b1, w2, b2, weight_decay):
 
 
 class AnnModel:
+    algorithm = "ann"
+
     def __init__(self, encoder, w1, b1, w2, b2):
         self.encoder = encoder
         self.w1 = np.asarray(w1, dtype=float)

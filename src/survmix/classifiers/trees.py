@@ -300,10 +300,6 @@ class DecisionTreeModel:
         return out
 
     @property
-    def n_leaves(self) -> int:
-        return sum(1 for node in self.nodes if node["leaf"])
-
-    @property
     def depth(self) -> int:
         depths = [0] * len(self.nodes)
         deepest = 0

@@ -4,7 +4,10 @@ One subcommand per pipeline stage (simulate, clean, split, smote, train,
 evaluate, mix, predict, km, cox) plus `pipeline`, which runs everything from a
 config file.  Stages exchange data through the on-disk serialization formats
 (CSV + schema sidecar for datasets, versioned JSON for models), so a pipeline
-run can be reproduced stage by stage.
+run can be reproduced stage by stage.  The evaluate, mix, predict, km and cox
+subcommands only load their inputs and write files: the work is done by the
+pipeline's own stage functions (`survmix.pipeline.evaluate_stage` ...
+`cox_stage`), so they write the same bytes as the pipeline does.
 
 Exit codes: 0 success, 1 usage error, 2 data/domain error (bad files, bad
 values), 3 numerical failure (non-convergence, separation, divergence).
@@ -21,21 +24,20 @@ import numpy as np
 
 from . import __version__
 from .classifiers import (ALGORITHMS, ClassifierSpec, algorithm_of, fit,
-                          load_model, predict_proba, save_model)
+                          load_model, save_model)
 from .cleansing import clean
 from .cox import parse_formula
-from .dataset import (ColumnSpec, Dataset, SyntheticSpec, generate_synthetic,
-                      load_csv, write_csv, write_schema)
+from .dataset import Dataset, SyntheticSpec, generate_synthetic, load_csv
 from .errors import (DataError, DomainError, NumericError, ParseError,
                      SurvmixError)
-from .evaluation import roc_curve, score_histogram
-from .fileio import atomic_write_text, read_text, write_json
-from .mixture import ABSTENTION_LABELS, MixtureModel, optimize_weight
-from .pipeline import (PREDICTED_COLUMN, PipelineConfig, _json_text, _py,
-                       _row_ids, cox_suite_formulas, cox_summary_text,
-                       evaluate_models, km_by_group, km_csv, km_svg,
-                       labels_csv, rank_algorithms, roc_csv, run_cox_suite,
-                       run_pipeline)
+from .evaluation import score_histogram
+from .fileio import atomic_write_text, json_text, read_text, write_json
+from .mixture import ABSTENTION_LABELS, MixtureModel
+from .pipeline import (PipelineConfig, classified_rows, cox_stage,
+                       evaluate_stage, km_stage, mix_stage, parse_config,
+                       predict_stage, row_ids, run_pipeline, write_artifacts,
+                       write_dataset)
+from .resampling import SmoteSpec, SplitSpec, smote, split
 
 
 class _UsageError(Exception):
@@ -57,11 +59,6 @@ def _load(args) -> Dataset:
     if not Path(args.data).exists():  # name the flag's own path, not the sidecar
         raise DataError(f"input file not found: {args.data}")
     return load_csv(args.data, _schema_path(args.data, args.schema))
-
-
-def _write_dataset(data: Dataset, path) -> None:
-    write_csv(data, path)
-    write_schema(data.specs, Path(path).with_suffix(".schema"))
 
 
 def _parse_pairs(pairs, flag) -> dict:
@@ -93,6 +90,9 @@ def _read_labels(path, data: Dataset) -> np.ndarray:
     rows = list(csv.reader(io.StringIO(read_text(path))))
     if not rows or rows[0] != ["id", "probability", "label"]:
         raise ParseError(f"{path}: expected header id,probability,label")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
     ids = [r[0] for r in rows[1:]]
     labels = [r[2] for r in rows[1:]]
     unknown = set(labels) - set(ABSTENTION_LABELS)
@@ -101,17 +101,9 @@ def _read_labels(path, data: Dataset) -> np.ndarray:
     if len(labels) != data.n_rows:
         raise DomainError(f"{path}: {len(labels)} label rows "
                           f"for {data.n_rows} data rows")
-    if [str(i) for i in _row_ids(data)] != ids:
+    if [str(i) for i in row_ids(data)] != ids:
         raise DomainError(f"{path}: row ids do not match the dataset")
     return np.asarray(labels, dtype=object)
-
-
-def _survival_columns(data: Dataset):
-    duration_col = data.role_column("duration")
-    event_col = data.role_column("event")
-    if duration_col is None or event_col is None:
-        raise DomainError("dataset needs duration and event columns")
-    return data.column(duration_col), data.column(event_col).astype(int)
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -123,26 +115,24 @@ def _cmd_simulate(args):
                          class_separation=args.separation,
                          hazard_ratio_true=args.hazard_ratio,
                          censoring_horizon=args.horizon, seed=args.seed)
-    _write_dataset(generate_synthetic(spec), args.out)
+    write_dataset(generate_synthetic(spec), args.out)
 
 
 def _cmd_clean(args):
     cleaned, report = clean(_load(args))
-    _write_dataset(cleaned, args.out)
-    write_json(args.report, _py(report.to_dict()))
+    write_dataset(cleaned, args.out)
+    write_json(args.report, report.to_dict())
 
 
 def _cmd_split(args):
-    from .resampling import SplitSpec, split
     train, test = split(_load(args), SplitSpec(args.train_fraction, args.seed))
-    _write_dataset(train, args.train_out)
-    _write_dataset(test, args.test_out)
+    write_dataset(train, args.train_out)
+    write_dataset(test, args.test_out)
 
 
 def _cmd_smote(args):
-    from .resampling import SmoteSpec, smote
     spec = SmoteSpec(args.smote_k, args.smote_over, args.smote_under, args.seed)
-    _write_dataset(smote(_load(args), spec), args.out)
+    write_dataset(smote(_load(args), spec), args.out)
 
 
 def _cmd_train(args):
@@ -157,43 +147,24 @@ def _cmd_evaluate(args):
     for path in args.model:
         model = load_model(path)
         models[algorithm_of(model)] = model
-    metrics = evaluate_models(models, data)
-    ranking = rank_algorithms(metrics)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, m in metrics.items():
-        suffix = "" if len(models) == 1 else f"_{name}"
-        atomic_write_text(out / f"roc{suffix}.csv", roc_csv(m["curve"]))
-    histogram = {name: score_histogram(m["scores"], data.label_values())
-                 for name, m in metrics.items()}
-    public = {a: {k: v for k, v in m.items() if k not in ("curve", "scores")}
-              for a, m in metrics.items()}
-    write_json(out / "metrics.json", _py({"algorithms": public, "ranking": ranking}))
-    write_json(out / "histogram.json", _py(histogram))
+    metrics, artifacts, _ = evaluate_stage(models, data)
+    if len(models) == 1:  # one model's curve goes to plain roc.csv
+        (name,) = models
+        artifacts["roc.csv"] = artifacts.pop(f"roc_{name}.csv")
+    artifacts["histogram.json"] = json_text(
+        {name: score_histogram(m["scores"], data.label_values())
+         for name, m in metrics.items()})
+    write_artifacts(args.out_dir, artifacts)
 
 
 def _cmd_mix(args):
     data = _load(args)
     model_a, model_b = load_model(args.model_a), load_model(args.model_b)
-    labels = data.label_values()
-    scores_a, scores_b = predict_proba(model_a, data), predict_proba(model_b, data)
-    alpha, trace = optimize_weight(scores_a, scores_b, labels,
-                                   args.alpha_grid_step)
-    mixture = MixtureModel(alpha, model_a, model_b,
-                           args.cutoff_low, args.cutoff_high)
-    result = mixture.classify(data)
-    mixed = mixture.predict_proba(data)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "mixture.json", _py({
-        "component_a": algorithm_of(model_a), "component_b": algorithm_of(model_b),
-        "alpha": alpha, "cutoff_low": args.cutoff_low,
-        "cutoff_high": args.cutoff_high, "grid_step": args.alpha_grid_step,
-        "objective": max(gp.objective for gp in trace),
-        "test_auc": roc_curve(mixed, labels).auc,
-        "trace": [gp.to_dict() for gp in trace]}))
-    atomic_write_text(out / "labels.csv",
-                      labels_csv(_row_ids(data), result.probabilities, result.labels))
+    _, mixed, artifacts, _ = mix_stage(
+        model_a, model_b, model_a.predict_proba(data), model_b.predict_proba(data),
+        data.label_values(), args.alpha_grid_step, args.cutoff_low, args.cutoff_high)
+    _, labelled, _ = predict_stage(data, mixed, args.cutoff_low, args.cutoff_high)
+    write_artifacts(args.out_dir, {**artifacts, **labelled})
 
 
 def _cmd_predict(args):
@@ -207,69 +178,43 @@ def _cmd_predict(args):
     mixture = MixtureModel(document["alpha"], model_a, model_b,
                            document["cutoff_low"], document["cutoff_high"])
     data = _load(args)
-    result = mixture.classify(data)
-    atomic_write_text(args.out, labels_csv(_row_ids(data),
-                                           result.probabilities, result.labels))
+    _, artifacts, _ = predict_stage(data, mixture.predict_proba(data),
+                                    mixture.cutoff_low, mixture.cutoff_high)
+    atomic_write_text(args.out, artifacts["labels.csv"])
 
 
-def _group_values(args, data: Dataset) -> np.ndarray:
+def _cmd_km(args):
+    data = _load(args)
     if args.labels:
-        groups = _read_labels(args.labels, data)
-        keep = groups != "unclassified"
+        data, groups = classified_rows(data, _read_labels(args.labels, data))
     elif args.group_column:
-        spec = data.spec(args.group_column)
-        if spec.kind == "categorical":
+        if data.spec(args.group_column).kind == "categorical":
             groups = data.strings(args.group_column)
         else:
             groups = np.asarray([str(v) for v in data.column(args.group_column)],
                                 dtype=object)
         keep = ~data.missing_mask(args.group_column)
+        if not keep.any():
+            raise DomainError("no rows left to group")
+        data, groups = data.take_rows(np.flatnonzero(keep)), groups[keep]
     else:
         raise DomainError("km needs --labels or --group-column")
-    if not keep.any():
-        raise DomainError("no rows left to group")
-    return groups, keep
-
-
-def _cmd_km(args):
-    data = _load(args)
-    groups, keep = _group_values(args, data)
-    durations, events = _survival_columns(data)
-    durations, events, groups = durations[keep], events[keep], groups[keep]
-    curves = km_by_group(durations, events, groups, args.confidence)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "km.csv", km_csv(curves))
-    atomic_write_text(out / "km.svg", km_svg(curves))
-    if len(curves) == 2 and events.sum() > 0:
-        from .survival import logrank_test
-        payload = logrank_test(durations, events, groups).to_dict()
-    else:
-        payload = {"error": "log-rank needs two groups with at least one event"}
-    write_json(out / "logrank.json", _py(payload))
+    artifacts, _ = km_stage(data, groups, args.confidence)
+    write_artifacts(args.out_dir, artifacts)
 
 
 def _cmd_cox(args):
     data = _load(args)
     if args.labels:
-        labels = _read_labels(args.labels, data)
-        keep = labels != "unclassified"
-        if not keep.any():
-            raise DomainError("every row was unclassified")
-        data = data.take_rows(np.flatnonzero(keep)).with_column(
-            ColumnSpec(PREDICTED_COLUMN, "numeric", "feature"),
-            (labels[keep] == "positive").astype(float))
-    formulas = args.formula or (cox_suite_formulas(data) if args.labels else None)
-    if not formulas:
+        data, _ = classified_rows(data, _read_labels(args.labels, data))
+    elif not args.formula:
         raise DomainError("cox needs --formula (or --labels for the default suite)")
+    formulas = args.formula or ()
     for formula in formulas:
         parse_formula(formula)  # reject malformed formulas before fitting any
     references = _read_references(args.references) if args.references else {}
-    suite = run_cox_suite(data, formulas, args.ties, references)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "cox.json", _py({"ties": args.ties, "models": suite}))
-    atomic_write_text(out / "cox_summary.txt", cox_summary_text(suite, args.ties))
+    suite, artifacts, _ = cox_stage(data, formulas, args.ties, references)
+    write_artifacts(args.out_dir, artifacts)
     failures = [m for m in suite if m.get("error_kind") == "numeric"]
     if failures:
         raise NumericError("; ".join(
@@ -279,7 +224,6 @@ def _cmd_cox(args):
 def _cmd_pipeline(args):
     mapping = {}
     if args.config:
-        from .pipeline import parse_config
         mapping = parse_config(read_text(args.config), source=str(args.config))
     mapping.update(_parse_pairs(args.set, "--set"))  # flags win over the file
     if args.out:

@@ -8,6 +8,8 @@ errors exit 2, numerical failures exit 3 (see `survmix.cli`).
 class SurvmixError(Exception):
     """Base class for all errors raised by this package."""
 
+    kind = "data"   # what run reports and Cox suite entries call the failure
+
 
 class DataError(SurvmixError):
     """Malformed or out-of-domain input data (exit code 2)."""
@@ -23,6 +25,8 @@ class DomainError(DataError):
 
 class NumericError(SurvmixError):
     """Numerical failure of an iterative procedure (exit code 3)."""
+
+    kind = "numeric"
 
 
 class ConvergenceError(NumericError):

@@ -83,6 +83,9 @@ def mix_scores(alpha, scores_a, scores_b) -> np.ndarray:
     scores_b = np.asarray(scores_b, dtype=float)
     if scores_a.shape != scores_b.shape:
         raise DomainError("component score vectors must have equal length")
+    # checked before mixing, which would warn on 0 * inf
+    if not (np.isfinite(scores_a).all() and np.isfinite(scores_b).all()):
+        raise DomainError("scores must lie in [0, 1]")
     return alpha * scores_a + (1.0 - alpha) * scores_b
 
 

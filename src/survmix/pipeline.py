@@ -2,11 +2,17 @@
 evaluate, blend the best two, predict with abstention on second-era data, then
 Kaplan-Meier and a Cox model suite on the predicted groups.
 
-Every stage persists its intermediate in the module serialization format
-(datasets as CSV+schema, models as their versioned JSON), so each stage can be
-re-run standalone from the previous stage's files and yields the same result
-as the one-shot pipeline.  The run report is self-contained: config echo,
-seed, per-stage counts, and artifact inventory.
+`run_pipeline` runs its ten stages from one table (`_STAGES`) through one
+loop, which alone times each stage, records its detail in the report and
+names the stage of a failure.  The evaluate, mix, predict, km and cox stages
+are functions of in-memory inputs (`evaluate_stage` ... `cox_stage`) that
+return their artifacts as {file name: text} plus the stage's detail; the
+matching CLI subcommands run these same functions on files.  Every stage
+persists its intermediate in the module serialization format (datasets as
+CSV+schema, models as their versioned JSON), so each stage can be re-run
+standalone from the previous stage's files and yields the same bytes as the
+one-shot pipeline.  The run report is self-contained: config echo, seed,
+per-stage counts, and artifact inventory.
 """
 
 import copy
@@ -15,21 +21,22 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from .classifiers import ALGORITHMS, ClassifierSpec, fit, predict_proba, save_model
+from .classifiers import ALGORITHMS, ClassifierSpec, algorithm_of, fit, save_model
 from .cleansing import clean
 from .cox import (build_design, cox_fit, cox_tests, detect_separation,
                   hazard_ratios, parse_formula)
 from .dataset import (ColumnSpec, Dataset, SyntheticSpec, format_cell,
                       generate_synthetic, load_csv, write_csv, write_schema)
-from .errors import DomainError, NumericError, ParseError, SurvmixError
+from .errors import DomainError, ParseError, SurvmixError
 from .evaluation import (CUTOFF_CRITERIA, confusion, roc_curve, select_cutoff,
                          separation_score)
-from .fileio import read_text, write_json
-from .mixture import MixtureModel, optimize_weight
+from .fileio import atomic_write_text, csv_text, json_text, write_json
+from .mixture import MixtureModel, classify_scores, mix_scores, optimize_weight
 from .resampling import SmoteSpec, SplitSpec, smote, split
 from .survival import greenwood_variance, km_confidence, km_fit, logrank_test
 from .svg import render_svg
@@ -67,8 +74,7 @@ def parse_config(text: str, source: str = "<config>") -> dict:
 
 
 def _csv_list(value: str) -> tuple:
-    items = tuple(part.strip() for part in value.split(",") if part.strip())
-    return items
+    return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
 @dataclass(frozen=True)
@@ -181,12 +187,6 @@ class PipelineConfig:
                 raise DomainError(f"config key {key!r}: cannot parse {raw!r}")
         return cls(**values)
 
-    @classmethod
-    def from_file(cls, path, overrides=None) -> "PipelineConfig":
-        mapping = parse_config(read_text(path), source=str(path))
-        mapping.update(overrides or {})
-        return cls.from_mapping(mapping)
-
     def to_dict(self) -> dict:
         out = {}
         for f in fields(self):
@@ -250,62 +250,26 @@ def validate_report(obj) -> None:
         seen.add(stage["name"])
 
 
-def _py(obj):
-    """Recursively convert numpy scalars/arrays for JSON serialization."""
-    if isinstance(obj, dict):
-        return {str(k): _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_py(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    return obj
+def emit_report(report: RunReport, out_dir) -> None:
+    """Write every collected artifact, then report.json."""
+    write_artifacts(out_dir, report.artifacts)
+    write_json(Path(out_dir) / "report.json", report.to_dict())
 
 
-def emit_report(report: RunReport, out_dir) -> list:
-    """Write report.json and every collected artifact; returns written paths."""
+# -- file helpers ------------------------------------------------------------------
+
+def write_artifacts(out_dir, artifacts: dict) -> None:
+    """Write {file name: text} into `out_dir`, creating the directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in sorted(report.artifacts):
-        path = out / name
-        from .fileio import atomic_write_text
-        atomic_write_text(path, report.artifacts[name])
-        written.append(str(path))
-    report_path = out / "report.json"
-    write_json(report_path, _py(report.to_dict()))
-    written.append(str(report_path))
-    return written
+    for name in sorted(artifacts):
+        atomic_write_text(out / name, artifacts[name])
 
 
-# -- csv helpers for analysis artifacts -----------------------------------------
-
-def _csv_text(header, rows) -> str:
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return "" if math.isnan(v) else repr(float(v))
-        return str(v)
-
-    lines = [",".join(header)]
-    lines += [",".join(cell(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def roc_csv(curve) -> str:
-    rows = zip(curve.thresholds.tolist(), curve.fpr.tolist(), curve.tpr.tolist())
-    return _csv_text(("threshold", "fpr", "tpr"), rows)
-
-
-def labels_csv(ids, probabilities, labels) -> str:
-    return _csv_text(("id", "probability", "label"),
-                     zip(ids, probabilities.tolist(), labels))
+def write_dataset(data: Dataset, path) -> None:
+    """A dataset CSV plus its schema sidecar (the same path with .schema)."""
+    write_csv(data, path)
+    write_schema(data.specs, Path(path).with_suffix(".schema"))
 
 
 def km_csv(curves: dict) -> str:
@@ -319,31 +283,49 @@ def km_csv(curves: dict) -> str:
             hi = c.ci_upper[i] if c.ci_defined[i] else None
             rows.append((group, float(c.times[i]), int(c.at_risk[i]),
                          int(c.deaths[i]), float(c.survival[i]), sd, lo, hi))
-    return _csv_text(("group", "time", "at_risk", "deaths", "survival",
-                      "sd", "ci_lo", "ci_hi"), rows)
+    return csv_text(("group", "time", "at_risk", "deaths", "survival",
+                     "sd", "ci_lo", "ci_hi"), rows)
 
 
-# -- stage implementations -------------------------------------------------------
+def row_ids(data: Dataset) -> list:
+    """Values of the id column, or row numbers when there is none."""
+    name = data.role_column("id")
+    if name is None:
+        return list(range(data.n_rows))
+    if data.spec(name).kind == "categorical":
+        return [v if v is not None else f"row{i}"
+                for i, v in enumerate(data.strings(name))]
+    values = data.column(name)
+    return [format_cell(data.spec(name), v) for v in values]
 
-def evaluate_models(models: dict, data: Dataset) -> dict:
-    """Per-algorithm AUC, separation, optimal cutoffs, and ROC curves."""
-    labels = data.label_values()
-    out = {}
-    for name, model in models.items():
-        scores = predict_proba(model, data)
-        curve = roc_curve(scores, labels)
-        cutoffs, matrices = {}, {}
-        for criterion in CUTOFF_CRITERIA:
-            best = select_cutoff(curve, criterion)
-            cutoffs[criterion] = {"cutoff": best.cutoff, "tpr": best.tpr,
-                                  "fpr": best.fpr, "value": best.value}
-            matrices[criterion] = confusion(scores, labels, best.cutoff).to_dict()
-        out[name] = {"auc": curve.auc,
-                     "separation": separation_score(scores, labels),
-                     "cutoffs": cutoffs, "confusion": matrices,
-                     "curve": curve, "scores": scores}
-    return out
 
+def survival_columns(data: Dataset) -> tuple:
+    """(durations, events as int) from the dataset's duration and event roles."""
+    duration_col = data.role_column("duration")
+    event_col = data.role_column("event")
+    if duration_col is None or event_col is None:
+        raise DomainError("dataset needs duration and event columns")
+    return data.column(duration_col), data.column(event_col).astype(int)
+
+
+def classified_rows(data: Dataset, labels) -> tuple:
+    """The rows given a predicted group, and those groups.
+
+    The rows gain the group as the 0/1 column `predicted_label` (1 for
+    positive), which the Cox suite uses as its main effect.
+    """
+    labels = np.asarray(labels)
+    keep = labels != "unclassified"
+    if not keep.any():
+        raise DomainError("every row was unclassified")
+    groups = labels[keep]
+    kept = data.take_rows(np.flatnonzero(keep)).with_column(
+        ColumnSpec(PREDICTED_COLUMN, "numeric", "feature"),
+        (groups == "positive").astype(float))
+    return kept, groups
+
+
+# -- analyses -----------------------------------------------------------------------
 
 def rank_algorithms(metrics: dict) -> list:
     """Algorithm names by descending test AUC; vocabulary order breaks ties."""
@@ -362,10 +344,7 @@ def cox_suite_formulas(data: Dataset) -> list:
 
 def run_cox_suite(data: Dataset, formulas, ties: str, references: dict) -> list:
     """Fit each model independently; an error in one model never blocks the rest."""
-    duration_col = data.role_column("duration")
-    event_col = data.role_column("event")
-    if duration_col is None or event_col is None:
-        raise DomainError("cox stage needs duration and event columns")
+    all_durations, all_events = survival_columns(data)
     models = []
     for formula in formulas:
         entry = {"formula": formula}
@@ -374,8 +353,8 @@ def run_cox_suite(data: Dataset, formulas, ties: str, references: dict) -> list:
             refs = {k: v for k, v in references.items()
                     if any(k in t.split(":") for t in terms)}
             design = build_design(data, terms, references=refs)
-            durations = data.column(duration_col)[design.row_index]
-            events = data.column(event_col)[design.row_index].astype(int)
+            durations = all_durations[design.row_index]
+            events = all_events[design.row_index]
             flags = detect_separation(design, durations, events)
             fit_ = cox_fit(design, durations, events, ties=ties)
             tests = cox_tests(fit_, design, durations, events)
@@ -398,8 +377,7 @@ def run_cox_suite(data: Dataset, formulas, ties: str, references: dict) -> list:
             })
         except SurvmixError as exc:
             entry["error"] = str(exc)
-            entry["error_kind"] = ("numeric" if isinstance(exc, NumericError)
-                                   else "data")
+            entry["error_kind"] = exc.kind
         models.append(entry)
     return models
 
@@ -439,16 +417,6 @@ def cox_summary_text(suite: list, ties: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def km_by_group(durations, events, groups, confidence: float) -> dict:
-    """Fitted+banded KM curve per distinct group value."""
-    curves = {}
-    for value in np.unique(groups):
-        mask = groups == value
-        curve = km_fit(durations[mask], events[mask])
-        curves[str(value)] = km_confidence(greenwood_variance(curve), confidence)
-    return curves
-
-
 def km_svg(curves: dict) -> str:
     series = []
     for group in sorted(curves):
@@ -460,41 +428,132 @@ def km_svg(curves: dict) -> str:
                       x_label="time", y_label="survival")
 
 
+# -- stage bodies shared with the CLI subcommands -----------------------------------
+#
+# Each takes in-memory inputs and returns the values that later stages need,
+# then its artifacts as {file name: text}, then the detail dict that the run
+# report records for the stage.
+
+def evaluate_stage(models: dict, data: Dataset) -> tuple:
+    """(metrics, artifacts, detail): per-model AUC, separation, optimal
+    cutoffs and their confusion matrices in metrics.json, and one
+    roc_<algorithm>.csv per model; `metrics` holds each model's scores too."""
+    labels = data.label_values()
+    metrics, artifacts = {}, {}
+    for name, model in models.items():
+        scores = model.predict_proba(data)
+        curve = roc_curve(scores, labels)
+        cutoffs, matrices = {}, {}
+        for criterion in CUTOFF_CRITERIA:
+            best = select_cutoff(curve, criterion)
+            cutoffs[criterion] = {"cutoff": best.cutoff, "tpr": best.tpr,
+                                  "fpr": best.fpr, "value": best.value}
+            matrices[criterion] = confusion(scores, labels, best.cutoff).to_dict()
+        metrics[name] = {"auc": curve.auc,
+                         "separation": separation_score(scores, labels),
+                         "cutoffs": cutoffs, "confusion": matrices, "scores": scores}
+        artifacts[f"roc_{name}.csv"] = csv_text(("threshold", "fpr", "tpr"), zip(
+            curve.thresholds.tolist(), curve.fpr.tolist(), curve.tpr.tolist()))
+    ranking = rank_algorithms(metrics)
+    public = {a: {k: v for k, v in m.items() if k != "scores"}
+              for a, m in metrics.items()}
+    artifacts["metrics.json"] = json_text({"algorithms": public, "ranking": ranking})
+    detail = {"ranking": ranking,
+              "auc": {a: metrics[a]["auc"] for a in ranking},
+              "cutoffs": {a: public[a]["cutoffs"] for a in ranking}}
+    return metrics, artifacts, detail
+
+
+def mix_stage(model_a, model_b, scores_a, scores_b, labels, grid_step,
+              cutoff_low, cutoff_high) -> tuple:
+    """(mixture, mixed scores, artifacts, detail) for mixture.json.
+
+    `scores_a` and `scores_b` are the components' scores on the labelled
+    rows, so no model is run here.
+    """
+    alpha, trace = optimize_weight(scores_a, scores_b, labels, grid_step)
+    mixture = MixtureModel(alpha, model_a, model_b, cutoff_low, cutoff_high)
+    mixed = mix_scores(alpha, scores_a, scores_b)
+    test_auc = roc_curve(mixed, labels).auc
+    best = max(gp.objective for gp in trace)
+    components = [algorithm_of(model_a), algorithm_of(model_b)]
+    artifacts = {"mixture.json": json_text({
+        "component_a": components[0], "component_b": components[1],
+        "alpha": alpha, "cutoff_low": cutoff_low, "cutoff_high": cutoff_high,
+        "grid_step": grid_step, "objective": best, "test_auc": test_auc,
+        "trace": [gp.to_dict() for gp in trace]})}
+    detail = {"components": components, "alpha": alpha, "objective": best,
+              "test_auc": test_auc}
+    return mixture, mixed, artifacts, detail
+
+
+def predict_stage(data: Dataset, scores, cutoff_low, cutoff_high) -> tuple:
+    """(abstention result, artifacts, detail) for labels.csv."""
+    result = classify_scores(scores, cutoff_low, cutoff_high)
+    artifacts = {"labels.csv": csv_text(("id", "probability", "label"), zip(
+        row_ids(data), result.probabilities.tolist(), result.labels))}
+    detail = {"rows": data.n_rows, "counts": dict(result.counts),
+              "fractions": dict(result.fractions)}
+    return result, artifacts, detail
+
+
+def km_stage(data: Dataset, groups, confidence: float) -> tuple:
+    """(artifacts, detail) for km.csv, km.svg and logrank.json; `groups`
+    holds one group value per row of `data`."""
+    durations, events = survival_columns(data)
+    curves = {}
+    for value in np.unique(groups):
+        mask = groups == value
+        curve = km_fit(durations[mask], events[mask])
+        curves[str(value)] = km_confidence(greenwood_variance(curve), confidence)
+    if len(curves) == 2 and events.sum() > 0:
+        logrank = logrank_test(durations, events, groups).to_dict()
+    else:
+        logrank = {"error": "log-rank needs two groups with at least one event"}
+    artifacts = {"km.csv": km_csv(curves), "km.svg": km_svg(curves),
+                 "logrank.json": json_text(logrank)}
+    detail = {"groups": {g: {"n": int((groups == g).sum()),
+                             "events": int(events[groups == g].sum()),
+                             "final_survival": (float(c.survival[-1])
+                                                if len(c.times) else 1.0)}
+                         for g, c in curves.items()},
+              "logrank": logrank, "confidence": confidence}
+    return artifacts, detail
+
+
+def cox_stage(data: Dataset, formulas, ties: str, references: dict) -> tuple:
+    """(suite, artifacts, detail) for cox.json and cox_summary.txt; no
+    formulas means the default suite (`cox_suite_formulas`)."""
+    suite = run_cox_suite(data, list(formulas) or cox_suite_formulas(data),
+                          ties, references)
+    artifacts = {"cox.json": json_text({"ties": ties, "models": suite}),
+                 "cox_summary.txt": cox_summary_text(suite, ties)}
+    detail = {"models": [{k: m.get(k) for k in ("formula", "n", "converged", "error")
+                          if k in m} for m in suite]}
+    return suite, artifacts, detail
+
+
 # -- the pipeline ----------------------------------------------------------------
+#
+# Each stage reads the config and earlier stages' values from `run`, stores
+# its own values there, and returns (artifacts, detail).
 
-def _load_train_era(config: PipelineConfig) -> Dataset:
-    if config.synthetic_rows > 0:
-        return generate_synthetic(_synthetic_spec(config, era="train"))
-    schema = config.train_schema or str(Path(config.train_path).with_suffix(".schema"))
-    return load_csv(config.train_path, schema)
-
-
-def _load_predict_era(config: PipelineConfig) -> Dataset:
-    if config.synthetic_rows > 0:
-        return generate_synthetic(_synthetic_spec(config, era="predict"))
-    schema = config.predict_schema or str(
-        Path(config.predict_path).with_suffix(".schema"))
-    return load_csv(config.predict_path, schema)
-
-
-def _synthetic_spec(config: PipelineConfig, era: str) -> SyntheticSpec:
-    rows = config.synthetic_rows
-    seed = config.seed
+def _load_era(config: PipelineConfig, era: str) -> Dataset:
+    if config.synthetic_rows <= 0:
+        path, schema = ((config.train_path, config.train_schema) if era == "train"
+                        else (config.predict_path, config.predict_schema))
+        return load_csv(path, schema or str(Path(path).with_suffix(".schema")))
+    rows, seed = config.synthetic_rows, config.seed
     if era == "predict":
         rows = config.synthetic_predict_rows or config.synthetic_rows
         seed = config.seed + 1   # a distinct draw plays the second era
-    return SyntheticSpec(
+    return generate_synthetic(SyntheticSpec(
         n_rows=rows, n_numeric=config.synthetic_numeric,
         n_categorical=config.synthetic_categorical,
         minority_fraction=config.synthetic_minority,
         class_separation=config.synthetic_separation,
         hazard_ratio_true=config.synthetic_hazard_ratio,
-        censoring_horizon=config.synthetic_horizon, seed=seed)
-
-
-def _write_dataset(data: Dataset, out_dir: Path, stem: str) -> None:
-    write_csv(data, out_dir / f"{stem}.csv")
-    write_schema(data.specs, out_dir / f"{stem}.schema")
+        censoring_horizon=config.synthetic_horizon, seed=seed))
 
 
 def _class_balance(data: Dataset) -> dict:
@@ -508,180 +567,118 @@ def _train_one(train: Dataset, algorithm: str, seed: int) -> tuple:
     return model, round(time.perf_counter() - t0, 6)
 
 
-def _row_ids(data: Dataset) -> list:
-    """Values of the id column, or row numbers when there is none."""
-    name = data.role_column("id")
-    if name is None:
-        return list(range(data.n_rows))
-    if data.spec(name).kind == "categorical":
-        return [v if v is not None else f"row{i}"
-                for i, v in enumerate(data.strings(name))]
-    values = data.column(name)
-    return [format_cell(data.spec(name), v) for v in values]
+def _load(run) -> tuple:
+    run.raw = _load_era(run.config, "train")
+    run.era = _load_era(run.config, "predict")
+    return {}, {"train_rows": run.raw.n_rows, "predict_rows": run.era.n_rows}
+
+
+def _clean(run) -> tuple:
+    run.cleaned, cleaning = clean(run.raw)
+    write_dataset(run.cleaned, run.out / "cleaned.csv")
+    mva = cleaning.to_dict()
+    return {"mva_report.json": json_text(mva)}, {
+        "rows_in": run.raw.n_rows, "rows_out": run.cleaned.n_rows,
+        "stages": mva["stages"]}
+
+
+def _split(run) -> tuple:
+    config = run.config
+    run.train, run.test = split(run.cleaned,
+                                SplitSpec(config.train_fraction, config.seed))
+    write_dataset(run.train, run.out / "train.csv")
+    write_dataset(run.test, run.out / "test.csv")
+    return {}, {"train_rows": run.train.n_rows, "test_rows": run.test.n_rows,
+                "train_balance": _class_balance(run.train),
+                "test_balance": _class_balance(run.test)}
+
+
+def _smote(run) -> tuple:
+    config = run.config
+    run.balanced = smote(run.train, SmoteSpec(config.smote_k, config.smote_over,
+                                              config.smote_under, config.seed))
+    write_dataset(run.balanced, run.out / "train_balanced.csv")
+    return {}, {"rows_in": run.train.n_rows, "rows_out": run.balanced.n_rows,
+                "balance_before": _class_balance(run.train),
+                "balance_after": _class_balance(run.balanced)}
+
+
+def _train(run) -> tuple:
+    algorithms = run.config.algorithms
+    # Fits are independent and draw only from private seeded substreams,
+    # so concurrent training is deterministic.
+    with ThreadPoolExecutor(max_workers=len(algorithms)) as pool:
+        futures = {algo: pool.submit(_train_one, run.balanced, algo, run.config.seed)
+                   for algo in algorithms}
+        results = {algo: futures[algo].result() for algo in algorithms}
+    run.models = {algo: model for algo, (model, _) in results.items()}
+    for algo in algorithms:
+        save_model(run.models[algo], run.out / f"model_{algo}.json")
+    return {}, {"algorithms": list(algorithms),
+                "seconds_per_model": {algo: seconds
+                                      for algo, (_, seconds) in results.items()}}
+
+
+def _evaluate(run) -> tuple:
+    run.metrics, artifacts, detail = evaluate_stage(run.models, run.test)
+    run.ranking = detail["ranking"]
+    return artifacts, detail
+
+
+def _mix(run) -> tuple:
+    config = run.config
+    a, b = config.mix_components or run.ranking[:2]
+    run.mixture, _, artifacts, detail = mix_stage(
+        run.models[a], run.models[b], run.metrics[a]["scores"],
+        run.metrics[b]["scores"], run.test.label_values(),
+        config.alpha_grid_step, config.cutoff_low, config.cutoff_high)
+    return artifacts, detail
+
+
+def _predict(run) -> tuple:
+    mixture = run.mixture
+    run.result, artifacts, detail = predict_stage(
+        run.era, mixture.predict_proba(run.era),
+        mixture.cutoff_low, mixture.cutoff_high)
+    return artifacts, detail
+
+
+def _km(run) -> tuple:
+    run.classified, groups = classified_rows(run.era, run.result.labels)
+    return km_stage(run.classified, groups, run.config.km_confidence)
+
+
+def _cox(run) -> tuple:
+    config = run.config
+    _, artifacts, detail = cox_stage(run.classified, config.cox_formulas,
+                                     config.cox_ties, config.cox_references)
+    return artifacts, detail
+
+
+_STAGES = (("load", _load), ("clean", _clean), ("split", _split),
+           ("smote", _smote), ("train", _train), ("evaluate", _evaluate),
+           ("mix", _mix), ("predict", _predict), ("km", _km), ("cox", _cox))
 
 
 def run_pipeline(config: PipelineConfig) -> RunReport:
     """Execute every stage; emit artifacts and report.json into the output dir.
 
     Any stage failure stops the run, records {stage, message, kind} in the
-    report's error field, and still emits the partial report.
+    report's error field, and still emits the partial report.  The failed
+    stage's own artifacts are not emitted.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = RunReport(seed=config.seed, config=config.to_dict())
-    stage_name = "load"
-    try:
-        clock = time.perf_counter
-        t0 = clock()
-        raw = _load_train_era(config)
-        predict_era = _load_predict_era(config)
-        report.add_stage("load", clock() - t0, {
-            "train_rows": raw.n_rows, "predict_rows": predict_era.n_rows})
-
-        stage_name = "clean"
-        t0 = clock()
-        cleaned, cleaning = clean(raw)
-        _write_dataset(cleaned, out_dir, "cleaned")
-        report.artifacts["mva_report.json"] = _json_text(cleaning.to_dict())
-        report.add_stage("clean", clock() - t0, {
-            "rows_in": raw.n_rows, "rows_out": cleaned.n_rows,
-            "stages": cleaning.to_dict()["stages"]})
-
-        stage_name = "split"
-        t0 = clock()
-        train, test = split(cleaned, SplitSpec(config.train_fraction, config.seed))
-        _write_dataset(train, out_dir, "train")
-        _write_dataset(test, out_dir, "test")
-        report.add_stage("split", clock() - t0, {
-            "train_rows": train.n_rows, "test_rows": test.n_rows,
-            "train_balance": _class_balance(train),
-            "test_balance": _class_balance(test)})
-
-        stage_name = "smote"
-        t0 = clock()
-        balanced = smote(train, SmoteSpec(config.smote_k, config.smote_over,
-                                          config.smote_under, config.seed))
-        _write_dataset(balanced, out_dir, "train_balanced")
-        report.add_stage("smote", clock() - t0, {
-            "rows_in": train.n_rows, "rows_out": balanced.n_rows,
-            "balance_before": _class_balance(train),
-            "balance_after": _class_balance(balanced)})
-
-        stage_name = "train"
-        t0 = clock()
-        # Fits are independent and draw only from private seeded substreams,
-        # so concurrent training is deterministic.
-        with ThreadPoolExecutor(max_workers=len(config.algorithms)) as pool:
-            futures = {algo: pool.submit(_train_one, balanced, algo, config.seed)
-                       for algo in config.algorithms}
-            results = {algo: futures[algo].result() for algo in config.algorithms}
-        models = {algo: model for algo, (model, _) in results.items()}
-        timing = {algo: seconds for algo, (_, seconds) in results.items()}
-        for algo in config.algorithms:
-            save_model(models[algo], out_dir / f"model_{algo}.json")
-        report.add_stage("train", clock() - t0, {
-            "algorithms": list(config.algorithms), "seconds_per_model": timing})
-
-        stage_name = "evaluate"
-        t0 = clock()
-        metrics = evaluate_models(models, test)
-        ranking = rank_algorithms(metrics)
-        for algo in config.algorithms:
-            report.artifacts[f"roc_{algo}.csv"] = roc_csv(metrics[algo]["curve"])
-        public = {a: {k: v for k, v in m.items() if k not in ("curve", "scores")}
-                  for a, m in metrics.items()}
-        report.artifacts["metrics.json"] = _json_text(
-            {"algorithms": public, "ranking": ranking})
-        report.add_stage("evaluate", clock() - t0, {
-            "ranking": ranking,
-            "auc": {a: metrics[a]["auc"] for a in ranking},
-            "cutoffs": {a: public[a]["cutoffs"] for a in ranking}})
-
-        stage_name = "mix"
-        t0 = clock()
-        pair = tuple(config.mix_components) or tuple(ranking[:2])
-        labels = test.label_values()
-        alpha, trace = optimize_weight(metrics[pair[0]]["scores"],
-                                       metrics[pair[1]]["scores"],
-                                       labels, config.alpha_grid_step)
-        mixture = MixtureModel(alpha, models[pair[0]], models[pair[1]],
-                               config.cutoff_low, config.cutoff_high)
-        mixed_test = mixture.predict_proba(test)
-        mix_auc = roc_curve(mixed_test, labels).auc
-        best = max(gp.objective for gp in trace)
-        report.artifacts["mixture.json"] = _json_text({
-            "component_a": pair[0], "component_b": pair[1], "alpha": alpha,
-            "cutoff_low": config.cutoff_low, "cutoff_high": config.cutoff_high,
-            "grid_step": config.alpha_grid_step, "objective": best,
-            "test_auc": mix_auc, "trace": [gp.to_dict() for gp in trace]})
-        report.add_stage("mix", clock() - t0, {
-            "components": list(pair), "alpha": alpha, "objective": best,
-            "test_auc": mix_auc})
-
-        stage_name = "predict"
-        t0 = clock()
-        result = mixture.classify(predict_era)
-        report.artifacts["labels.csv"] = labels_csv(
-            _row_ids(predict_era), result.probabilities, result.labels)
-        report.add_stage("predict", clock() - t0, {
-            "rows": predict_era.n_rows, "counts": dict(result.counts),
-            "fractions": dict(result.fractions)})
-
-        stage_name = "km"
-        t0 = clock()
-        duration_col = predict_era.role_column("duration")
-        event_col = predict_era.role_column("event")
-        if duration_col is None or event_col is None:
-            raise DomainError("km stage needs duration and event columns "
-                              "in the prediction-era data")
-        labels_arr = np.asarray(result.labels)
-        classified = labels_arr != "unclassified"
-        if not classified.any():
-            raise DomainError("km stage: every row was unclassified")
-        durations = predict_era.column(duration_col)[classified]
-        events = predict_era.column(event_col)[classified].astype(int)
-        groups = labels_arr[classified]
-        curves = km_by_group(durations, events, groups, config.km_confidence)
-        report.artifacts["km.csv"] = km_csv(curves)
-        report.artifacts["km.svg"] = km_svg(curves)
-        km_detail = {g: {"n": int((groups == g).sum()),
-                         "events": int(events[groups == g].sum()),
-                         "final_survival": (float(c.survival[-1])
-                                            if len(c.times) else 1.0)}
-                     for g, c in curves.items()}
-        if len(curves) == 2 and events.sum() > 0:
-            lr = logrank_test(durations, events, groups)
-            logrank_payload = lr.to_dict()
-        else:
-            logrank_payload = {"error": "log-rank needs two predicted groups "
-                                        "with at least one event"}
-        report.artifacts["logrank.json"] = _json_text(logrank_payload)
-        report.add_stage("km", clock() - t0, {
-            "groups": km_detail, "logrank": logrank_payload,
-            "confidence": config.km_confidence})
-
-        stage_name = "cox"
-        t0 = clock()
-        kept = predict_era.take_rows(np.flatnonzero(classified))
-        with_pred = kept.with_column(
-            ColumnSpec(PREDICTED_COLUMN, "numeric", "feature"),
-            (groups == "positive").astype(float))
-        formulas = list(config.cox_formulas) or cox_suite_formulas(predict_era)
-        suite = run_cox_suite(with_pred, formulas, config.cox_ties,
-                              config.cox_references)
-        report.artifacts["cox.json"] = _json_text(
-            {"ties": config.cox_ties, "models": suite})
-        report.artifacts["cox_summary.txt"] = cox_summary_text(suite, config.cox_ties)
-        report.add_stage("cox", clock() - t0, {
-            "models": [{k: m.get(k) for k in ("formula", "n", "converged", "error")
-                        if k in m} for m in suite]})
-    except SurvmixError as exc:
-        report.error = {"stage": stage_name, "message": str(exc),
-                        "kind": "numeric" if isinstance(exc, NumericError) else "data"}
+    run = SimpleNamespace(config=config, out=out_dir)
+    for name, stage in _STAGES:
+        t0 = time.perf_counter()
+        try:
+            artifacts, detail = stage(run)
+        except SurvmixError as exc:
+            report.error = {"stage": name, "message": str(exc), "kind": exc.kind}
+            break
+        report.artifacts.update(artifacts)
+        report.add_stage(name, time.perf_counter() - t0, detail)
     emit_report(report, out_dir)
     return report
-
-
-def _json_text(obj) -> str:
-    import json
-    return json.dumps(_py(obj), indent=2, sort_keys=True) + "\n"

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 
@@ -185,6 +186,14 @@ class TestStageFlow:
                             "--out-dir", tmp_path)
         assert code == 2
 
+    def test_labels_short_row_rejected(self, staged, tmp_path):
+        (tmp_path / "labels.csv").write_text("id,probability,label\nr1,0.5\n")
+        code, _, err = call("km", "--data", staged / "clean.csv",
+                            "--labels", tmp_path / "labels.csv",
+                            "--out-dir", tmp_path)
+        assert code == 2
+        assert "labels.csv:2: expected 3 fields, got 2" in err
+
     def test_train_param_override(self, staged, tmp_path):
         code, _, err = call("train", "--data", staged / "bal.csv", "--algo", "rpart",
                             "--seed", 4, "--param", "max_depth=2",
@@ -226,3 +235,47 @@ class TestPipelineCommand:
         assert code == 2
         assert "stage" in err
         assert (tmp_path / "report.json").exists()
+
+
+def with_vocabulary(data, column, rename):
+    """`data` with every level of a categorical column renamed."""
+    spec = data.spec(column)
+    renamed = ColumnSpec(column, spec.kind, spec.role,
+                         tuple(rename(v) for v in spec.vocabulary))
+    return Dataset([renamed if s.name == column else s for s in data.specs],
+                   {name: data.column(name) for name in data.names})
+
+
+def read_csv_rows(path):
+    return list(csv.reader(io.StringIO(path.read_text())))
+
+
+class TestArtifactCsvRoundTrip:
+    def test_ids_with_comma_and_quote_read_back_from_labels_csv(self, staged, tmp_path):
+        data = with_vocabulary(load_csv(staged / "clean.csv", staged / "clean.schema"),
+                               "id", lambda v: f'{v},"q"')
+        write_dataset(data, tmp_path / "era.csv")
+        models = ["--model-a", staged / "m_bag.json", "--model-b", staged / "m_logit.json"]
+        assert call("mix", "--data", staged / "test.csv", *models,
+                    "--out-dir", tmp_path / "mix")[0] == 0
+        assert call("predict", "--data", tmp_path / "era.csv",
+                    "--mixture", tmp_path / "mix" / "mixture.json", *models,
+                    "--out", tmp_path / "labels.csv")[0] == 0
+        rows = read_csv_rows(tmp_path / "labels.csv")
+        assert {len(row) for row in rows} == {3}
+        assert [row[0] for row in rows[1:]] == list(data.strings("id"))
+        for command in ("km", "cox"):
+            code, _, err = call(command, "--data", tmp_path / "era.csv",
+                                "--labels", tmp_path / "labels.csv",
+                                "--out-dir", tmp_path / command)
+            assert code == 0, err
+
+    def test_group_values_with_comma_read_back_from_km_csv(self, staged, tmp_path):
+        data = with_vocabulary(load_csv(staged / "clean.csv", staged / "clean.schema"),
+                               "cat_00", lambda v: f"{v},x")
+        write_dataset(data, tmp_path / "era.csv")
+        assert call("km", "--data", tmp_path / "era.csv", "--group-column", "cat_00",
+                    "--out-dir", tmp_path)[0] == 0
+        rows = read_csv_rows(tmp_path / "km.csv")
+        assert {len(row) for row in rows} == {8}
+        assert {row[0] for row in rows[1:]} == {"a,x", "b,x", "c,x", "d,x"}

@@ -175,10 +175,11 @@ class TestOptimizeWeight:
         ({"a": 1.5}, "scores must lie in"),
         ({"b": -0.1}, "scores must lie in"),
         ({"labels": 2}, "labels must be 0 or 1"),
-        # alpha 0 mixes 0 * inf into the first row, so scores are named first
+        # mix_scores rejects the inf before any label is checked
         ({"a": np.inf, "labels": 2}, "scores must lie in"),
     ], ids=["nan_a", "nan_b", "above_one_a", "below_zero_b", "label_two",
             "inf_a_and_label_two"])
+    @pytest.mark.filterwarnings("error")
     def test_invalid_input_rejected_as_per_point_reference(self, corrupt, message):
         rng = np.random.default_rng(14)
         inputs = dict(zip(("a", "b", "labels"), random_scores(rng, 30)))
