@@ -299,17 +299,6 @@ class DecisionTreeModel:
             stack.append((node["right"], rows[~go_left]))
         return out
 
-    @property
-    def depth(self) -> int:
-        depths = [0] * len(self.nodes)
-        deepest = 0
-        for i, node in enumerate(self.nodes):
-            deepest = max(deepest, depths[i])
-            if not node["leaf"]:
-                depths[node["left"]] = depths[i] + 1
-                depths[node["right"]] = depths[i] + 1
-        return deepest
-
     def to_state(self) -> dict:
         return {"schema": self.schema.to_state(), "nodes": self.nodes}
 

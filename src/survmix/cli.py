@@ -31,7 +31,8 @@ from .dataset import Dataset, SyntheticSpec, generate_synthetic, load_csv
 from .errors import (DataError, DomainError, NumericError, ParseError,
                      SurvmixError)
 from .evaluation import score_histogram
-from .fileio import atomic_write_text, json_text, read_text, write_json
+from .fileio import (atomic_write_text, json_text, read_text, text_cells,
+                     write_json)
 from .mixture import ABSTENTION_LABELS, MixtureModel
 from .pipeline import (PipelineConfig, classified_rows, cox_stage,
                        evaluate_stage, km_stage, mix_stage, parse_config,
@@ -101,7 +102,7 @@ def _read_labels(path, data: Dataset) -> np.ndarray:
     if len(labels) != data.n_rows:
         raise DomainError(f"{path}: {len(labels)} label rows "
                           f"for {data.n_rows} data rows")
-    if [str(i) for i in row_ids(data)] != ids:
+    if text_cells(row_ids(data)) != ids:
         raise DomainError(f"{path}: row ids do not match the dataset")
     return np.asarray(labels, dtype=object)
 
@@ -146,6 +147,9 @@ def _cmd_evaluate(args):
     models = {}
     for path in args.model:
         model = load_model(path)
+        if algorithm_of(model) in models:
+            raise DomainError(f"two --model files hold algorithm "
+                              f"{algorithm_of(model)!r}; evaluate takes one per algorithm")
         models[algorithm_of(model)] = model
     metrics, artifacts, _ = evaluate_stage(models, data)
     if len(models) == 1:  # one model's curve goes to plain roc.csv
@@ -188,11 +192,7 @@ def _cmd_km(args):
     if args.labels:
         data, groups = classified_rows(data, _read_labels(args.labels, data))
     elif args.group_column:
-        if data.spec(args.group_column).kind == "categorical":
-            groups = data.strings(args.group_column)
-        else:
-            groups = np.asarray([str(v) for v in data.column(args.group_column)],
-                                dtype=object)
+        groups = np.asarray(text_cells(data.values(args.group_column)), dtype=object)
         keep = ~data.missing_mask(args.group_column)
         if not keep.any():
             raise DomainError("no rows left to group")

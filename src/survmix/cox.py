@@ -47,10 +47,6 @@ class DesignMatrix:
     def n_rows(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def n_columns(self) -> int:
-        return self.matrix.shape[1]
-
     def without_columns(self, names, reason: str) -> "DesignMatrix":
         names = set(names)
         unknown = names - set(self.column_names)

@@ -1,4 +1,4 @@
-"""Tabular data model, CSV + schema I/O, synthetic data, column summaries.
+"""Tabular data model, CSV + schema I/O, synthetic data.
 
 A Dataset is an immutable column store.  Numeric columns are float64 arrays
 with NaN marking missing cells; categorical columns are int32 code arrays
@@ -6,15 +6,17 @@ indexing an ordered vocabulary, with -1 marking missing.  Each column carries
 a role: plain model input ("feature"), the binary target ("label"), survival
 time ("duration"), the event indicator ("event"), or a row identifier ("id").
 
-On disk a dataset is a delimited text file (';' by default) with a header row,
-empty or "NA" cells for missing values, plus a schema sidecar with one line
-per column:
+On disk a dataset is a ';'-separated text file with a header row, empty or
+"NA" cells for missing values (written empty), plus a schema sidecar with one
+line per column:
 
     name = kind,role
     name = kind,role,vocab|code1|code2|...
 
 The vocab part is optional for categorical columns; when absent the vocabulary
-is inferred from the data in order of first appearance.
+is inferred from the data in order of first appearance.  `write_csv` hands
+each column's values (`Dataset.values`) to `fileio.csv_text`, the one CSV
+writer; `load_csv` parses the file column by column.
 """
 
 import csv
@@ -26,7 +28,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .fileio import atomic_write_text, read_text
+from .fileio import atomic_write_text, csv_text, read_text
 from .rng import substream
 
 KINDS = ("numeric", "categorical")
@@ -148,12 +150,18 @@ class Dataset:
 
     def strings(self, name: str) -> np.ndarray:
         """Categorical column as an object array of str (None where missing)."""
-        s = self.spec(name)
         codes = self.codes(name)
-        out = np.empty(self._n, dtype=object)
-        for i, c in enumerate(codes):
-            out[i] = s.vocabulary[c] if c >= 0 else None
-        return out
+        vocabulary = self._by_name[name].vocabulary
+        lookup = np.empty(len(vocabulary) + 1, dtype=object)
+        lookup[:-1] = vocabulary   # code -1 picks the trailing None
+        return lookup[codes]
+
+    def values(self, name: str) -> list:
+        """The column as Python values: float (NaN where missing) for numeric
+        columns, str (None where missing) for categorical ones."""
+        if self.spec(name).kind == "numeric":
+            return self._columns[name].tolist()
+        return self.strings(name).tolist()
 
     def missing_mask(self, name: str) -> np.ndarray:
         s = self.spec(name)
@@ -195,11 +203,6 @@ class Dataset:
         keep = [s for s in self._specs if s.name not in drop]
         return Dataset(keep, {s.name: self._columns[s.name] for s in keep})
 
-    def keep_columns(self, names: Iterable[str]) -> "Dataset":
-        keep_set = set(names)
-        keep = [s for s in self._specs if s.name in keep_set]
-        return Dataset(keep, {s.name: self._columns[s.name] for s in keep})
-
     def with_column(self, spec: ColumnSpec, values: np.ndarray) -> "Dataset":
         cols = dict(self._columns)
         cols[spec.name] = values
@@ -225,8 +228,8 @@ class Dataset:
 def quartiles(values: np.ndarray) -> tuple:
     """(Q1, median, Q3) under linear interpolation of order statistics.
 
-    This single convention is shared by column summaries and the missing-value
-    cleansing thresholds, e.g. quartiles({1,2,3,4}) = (1.75, 2.5, 3.25).
+    The missing-value cleansing thresholds use this convention, e.g.
+    quartiles({1,2,3,4}) = (1.75, 2.5, 3.25).
     """
     v = np.asarray(values, dtype=float)
     if v.size == 0:
@@ -286,93 +289,89 @@ def write_schema(specs: Sequence[ColumnSpec], path: "str | Path") -> None:
 
 # -- CSV ----------------------------------------------------------------------
 
-def load_csv(data_path: "str | Path", schema: "Sequence[ColumnSpec] | str | Path",
-             sep: str = ";") -> Dataset:
-    """Load a delimited file against a schema (sidecar path or parsed specs).
+DELIMITER = ";"
+
+
+def load_csv(data_path: "str | Path", schema: "Sequence[ColumnSpec] | str | Path") -> Dataset:
+    """Load a ';'-separated file against a schema (sidecar path or parsed specs).
 
     The header row must match the schema names exactly and in order.  Numeric
     cells must parse as floats; categorical cells must belong to the declared
     vocabulary (when one was declared — otherwise the vocabulary is inferred
-    in order of first appearance).  Empty and "NA" cells are missing.
+    in order of first appearance, and each level must fit in a sidecar: no
+    '|' and no line break).  Empty and "NA" cells are missing.
     """
     if isinstance(schema, (str, Path)):
         schema = read_schema(schema)
     specs = list(schema)
-    text = read_text(data_path)
-    rows = list(csv.reader(io.StringIO(text), delimiter=sep))
+    rows = list(csv.reader(io.StringIO(read_text(data_path)), delimiter=DELIMITER))
     if not rows:
         raise ParseError(f"{data_path}: empty file (missing header row)")
-    header = rows[0]
+    header, body = rows[0], rows[1:]
     if header != [s.name for s in specs]:
         raise ParseError(
             f"{data_path}: header {header!r} does not match schema names "
             f"{[s.name for s in specs]!r}")
-
-    n = len(rows) - 1
-    raw_cols = [[None] * n for _ in specs]
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(specs):
-            raise ParseError(f"{data_path}:{r}: expected {len(specs)} fields, got {len(row)}")
-        for c, token in enumerate(row):
-            raw_cols[c][r - 2] = token
+    if set(map(len, body)) - {len(specs)}:
+        r, row = next((r, row) for r, row in enumerate(body, start=2)
+                      if len(row) != len(specs))
+        raise ParseError(f"{data_path}:{r}: expected {len(specs)} fields, got {len(row)}")
 
     columns = {}
     final_specs = []
-    for c, s in enumerate(specs):
-        tokens = raw_cols[c]
+    for s, tokens in zip(specs, list(zip(*body)) or [()] * len(specs)):
         if s.kind == "numeric":
-            arr = np.empty(n, dtype=np.float64)
-            for i, tok in enumerate(tokens):
-                if tok in MISSING_TOKENS:
-                    arr[i] = np.nan
-                else:
-                    try:
-                        arr[i] = float(tok)
-                    except ValueError:
-                        raise ParseError(
-                            f"{data_path}:{i + 2}: column {s.name!r}: "
-                            f"cannot parse {tok!r} as a number") from None
+            columns[s.name] = _parse_numbers(tokens, data_path, s.name)
             final_specs.append(s)
         else:
-            vocab = list(s.vocabulary)
-            index = {v: i for i, v in enumerate(vocab)}
-            declared = bool(vocab)
-            arr = np.empty(n, dtype=np.int32)
-            for i, tok in enumerate(tokens):
-                if tok in MISSING_TOKENS:
-                    arr[i] = MISSING_CODE
-                    continue
-                code = index.get(tok)
-                if code is None:
-                    if declared:
-                        raise DomainError(
-                            f"{data_path}:{i + 2}: column {s.name!r}: value {tok!r} "
-                            f"is not in the declared vocabulary")
-                    index[tok] = code = len(vocab)
-                    vocab.append(tok)
-                arr[i] = code
-            final_specs.append(ColumnSpec(s.name, s.kind, s.role, tuple(vocab)))
-        columns[s.name] = arr
+            codes, vocab = _parse_levels(tokens, data_path, s)
+            columns[s.name] = codes
+            final_specs.append(ColumnSpec(s.name, s.kind, s.role, vocab))
     return Dataset(final_specs, columns)
 
 
-def format_cell(spec: ColumnSpec, value) -> str:
-    if spec.kind == "numeric":
-        return "" if np.isnan(value) else repr(float(value))
-    return "" if value == MISSING_CODE else spec.vocabulary[value]
+def _parse_numbers(tokens, data_path, name) -> np.ndarray:
+    try:
+        return np.array([np.nan if tok in MISSING_TOKENS else float(tok) for tok in tokens],
+                        dtype=np.float64)
+    except ValueError:
+        for i, tok in enumerate(tokens):  # the first bad cell names the row
+            if tok not in MISSING_TOKENS:
+                try:
+                    float(tok)
+                except ValueError:
+                    raise ParseError(f"{data_path}:{i + 2}: column {name!r}: "
+                                     f"cannot parse {tok!r} as a number") from None
+        raise
 
 
-def write_csv(data: Dataset, path: "str | Path", sep: str = ";") -> None:
-    """Write a dataset; numeric cells use shortest round-trip float formatting,
-    missing cells are emitted as empty fields."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=sep, lineterminator="\n")
-    writer.writerow(data.names)
-    cols = [data.column(n) for n in data.names]
-    specs = data.specs
-    for i in range(data.n_rows):
-        writer.writerow([format_cell(s, col[i]) for s, col in zip(specs, cols)])
-    atomic_write_text(path, buf.getvalue())
+def _parse_levels(tokens, data_path, spec: ColumnSpec) -> tuple:
+    """(int32 codes, vocabulary); new levels are appended in order of first
+    appearance and rejected when a vocabulary was declared."""
+    index = {v: i for i, v in enumerate(spec.vocabulary)}
+    codes = np.array([MISSING_CODE if tok in MISSING_TOKENS
+                      else index.setdefault(tok, len(index)) for tok in tokens],
+                     dtype=np.int32)
+    vocab = tuple(index)
+    declared = len(spec.vocabulary)
+    if declared and len(vocab) > declared:
+        i = int(np.argmax(codes >= declared))
+        raise DomainError(f"{data_path}:{i + 2}: column {spec.name!r}: value {tokens[i]!r} "
+                          f"is not in the declared vocabulary")
+    for code, level in enumerate(vocab[declared:], start=declared):
+        if "|" in level or level.splitlines() != [level]:
+            i = int(np.argmax(codes == code))
+            raise DomainError(f"{data_path}:{i + 2}: column {spec.name!r}: value {level!r} "
+                              f"holds '|' or a line break, which a schema sidecar "
+                              f"cannot store")
+    return codes, vocab
+
+
+def write_csv(data: Dataset, path: "str | Path") -> None:
+    """Write a dataset as ';'-separated text through `fileio.csv_text`:
+    numeric cells in shortest round-trip float form, missing cells empty."""
+    atomic_write_text(path, csv_text(data.names, [data.values(n) for n in data.names],
+                                     DELIMITER))
 
 
 # -- synthetic data -----------------------------------------------------------
@@ -449,57 +448,3 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     specs.append(ColumnSpec("event", "numeric", "event"))
     columns["event"] = event
     return Dataset(specs, columns)
-
-
-# -- summaries ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NumericSummary:
-    count: int
-    missing: int
-    defined: bool
-    minimum: Optional[float] = None
-    q1: Optional[float] = None
-    median: Optional[float] = None
-    q3: Optional[float] = None
-    mean: Optional[float] = None
-    maximum: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class CategoricalSummary:
-    count: int
-    missing: int
-    frequencies: dict
-
-
-@dataclass(frozen=True)
-class DatasetSummary:
-    n_rows: int
-    columns: dict
-
-
-def summarize(data: Dataset) -> DatasetSummary:
-    """Per-column missing counts plus numeric five-point stats / categorical
-    frequencies.  An all-missing numeric column is flagged undefined rather
-    than reported as NaN statistics."""
-    out = {}
-    for s in data.specs:
-        miss = int(data.missing_mask(s.name).sum())
-        count = data.n_rows - miss
-        if s.kind == "numeric":
-            present = data.numeric(s.name)
-            present = present[~np.isnan(present)]
-            if present.size == 0:
-                out[s.name] = NumericSummary(count=0, missing=miss, defined=False)
-            else:
-                q1, med, q3 = quartiles(present)
-                out[s.name] = NumericSummary(
-                    count=count, missing=miss, defined=True,
-                    minimum=float(present.min()), q1=q1, median=med, q3=q3,
-                    mean=float(present.mean()), maximum=float(present.max()))
-        else:
-            codes = data.codes(s.name)
-            freqs = {v: int((codes == i).sum()) for i, v in enumerate(s.vocabulary)}
-            out[s.name] = CategoricalSummary(count=count, missing=miss, frequencies=freqs)
-    return DatasetSummary(n_rows=data.n_rows, columns=out)

@@ -1,23 +1,17 @@
 """Probability distribution functions implemented from first principles.
 
-The statistical modules (Welch test, log-rank, Cox tests, confidence bands)
-need tail probabilities and quantiles for the normal, Student-t and chi-square
-families.  Rather than depending on a statistics library, everything here is
-built on two classical special functions:
-
-* regularized lower/upper incomplete gamma  P(a, x), Q(a, x)
-  (power series / continued fraction, Numerical Recipes 6.2), and
-* regularized incomplete beta  I_x(a, b)
-  (modified Lentz continued fraction, Numerical Recipes 6.4),
-
-both iterated to relative machine tolerance (absolute error well below 1e-12),
-plus Wichura's AS 241 (PPND16) rational approximation for the normal quantile
-(absolute error below 1e-9; in practice ~1e-15).
+The statistical modules (log-rank, Cox tests, confidence bands) need tail
+probabilities and quantiles for the normal and chi-square families.  Rather
+than depending on a statistics library, they are built on the regularized
+lower/upper incomplete gamma P(a, x), Q(a, x) (power series / continued
+fraction, Numerical Recipes 6.2, iterated to relative machine tolerance:
+absolute error well below 1e-12), plus Wichura's AS 241 (PPND16) rational
+approximation for the normal quantile (absolute error below 1e-9; in
+practice ~1e-15).
 
 Identities used:
 
     chi-square survival:   sf(x; k) = Q(k/2, x/2)
-    Student-t two-sided p: p = I_{df/(df+t^2)}(df/2, 1/2)
     normal cdf:            Phi(x) = erfc(-x/sqrt(2)) / 2
 """
 
@@ -88,60 +82,6 @@ def reg_upper_gamma(a: float, x: float) -> float:
     return _gamma_q_contfrac(a, x)
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    # Modified Lentz evaluation of the incomplete-beta continued fraction.
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise ConvergenceError(f"incomplete beta fraction failed for a={a}, b={b}, x={x}")
-
-
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b), a, b > 0, 0 <= x <= 1."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
-    if x < 0.0 or x > 1.0:
-        raise ValueError(f"reg_inc_beta requires 0 <= x <= 1, got x={x}")
-    if x == 0.0 or x == 1.0:
-        return x
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    # Use the fraction on the side where it converges fastest.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def normal_cdf(x: float) -> float:
     """Standard normal cumulative distribution function."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
@@ -190,16 +130,6 @@ def normal_quantile(p: float) -> float:
                 + 5.99832206555887937690e-1) * r + 1.0)
     z = num / den
     return -z if q < 0.0 else z
-
-
-def student_t_two_sided_p(t: float, df: float) -> float:
-    """Two-sided tail probability P(|T| >= |t|) for Student-t with df > 0."""
-    if df <= 0.0:
-        raise ValueError(f"student_t_two_sided_p requires df > 0, got df={df}")
-    if t == 0.0:
-        return 1.0
-    x = df / (df + t * t)
-    return reg_inc_beta(df / 2.0, 0.5, x)
 
 
 def chi_square_sf(x: float, df: float) -> float:

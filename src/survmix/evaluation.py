@@ -1,5 +1,5 @@
 """Scoring diagnostics: ROC curves, AUC, confusion matrices, cutoff selection,
-class-separation score, Welch's t test and score histograms.
+class-separation score and score histograms.
 
 Classification is closed on the positive side everywhere: a row is predicted
 positive iff score >= cutoff.  With that rule a cutoff of 1 classifies
@@ -8,16 +8,13 @@ behavior of degenerate all-negative scorers.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import student_t_two_sided_p
 from .errors import DomainError
 
 CUTOFF_CRITERIA = ("youden", "closest01", "product")
-_WELCH_SE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -168,45 +165,6 @@ def separation_score(scores, labels) -> float:
     """Absolute gap between the mean scores of the two classes, in [0, 1]."""
     scores, labels = _check_scores_labels(scores, labels)
     return float(abs(scores[labels == 1].mean() - scores[labels == 0].mean()))
-
-
-@dataclass(frozen=True)
-class WelchResult:
-    statistic: float
-    df: float
-    p_value: float
-    mean_a: float
-    mean_b: float
-
-
-def welch_t_test(a, b) -> WelchResult:
-    """Welch's unequal-variance t test with Satterthwaite degrees of freedom.
-
-    Two all-constant samples with equal means give t = 0, p = 1; other
-    zero-variance situations are handled by flooring the squared standard
-    error at 1e-12 (with a warning) so the statistic stays finite.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size < 2 or b.size < 2:
-        raise DomainError("welch_t_test needs at least two observations per sample")
-    if np.isnan(a).any() or np.isnan(b).any():
-        raise DomainError("welch_t_test does not accept missing values")
-    ma, mb = a.mean(), b.mean()
-    va, vb = a.var(ddof=1), b.var(ddof=1)
-    na, nb = a.size, b.size
-    if va == 0.0 and vb == 0.0 and ma == mb:
-        return WelchResult(0.0, float(na + nb - 2), 1.0, float(ma), float(mb))
-    se2 = va / na + vb / nb
-    if se2 < _WELCH_SE_FLOOR:
-        warnings.warn("welch_t_test: zero-variance samples; flooring the standard error")
-        se2 = _WELCH_SE_FLOOR
-        df = float(na + nb - 2)
-    else:
-        df = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    t = (ma - mb) / math.sqrt(se2)
-    return WelchResult(float(t), float(df), student_t_two_sided_p(t, df),
-                       float(ma), float(mb))
 
 
 def score_histogram(scores, labels, bins: int = 20) -> dict:

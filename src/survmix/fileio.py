@@ -4,13 +4,15 @@ Every file the package emits is written to a uniquely named temporary sibling
 and renamed into place, so a crash never leaves a half-written artifact
 behind, and a failed write removes its temporary file.  JSON is serialized
 with sorted keys and a fixed layout to keep outputs byte-stable across runs.
+`csv_text` is the one CSV writer: datasets (';'-separated) and the CSV
+artifacts (','-separated) both pass it their columns, and `text_cells` is the
+one place a cell becomes text.
 """
 
 import contextlib
 import csv
 import io
 import json
-import math
 import os
 import secrets
 from pathlib import Path
@@ -19,6 +21,8 @@ from typing import Any
 import numpy as np
 
 from .errors import DataError
+
+_float_repr = float.__repr__   # repr(np.float64) would read 'np.float64(...)'
 
 
 def atomic_write_text(path: "str | Path", text: str) -> None:
@@ -61,20 +65,21 @@ def write_json(path: "str | Path", obj: Any) -> None:
     atomic_write_text(path, json_text(obj))
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return "" if math.isnan(value) else repr(float(value))
-    return str(value)
+def text_cells(values) -> list:
+    """One column's cells as CSV text: None and NaN become an empty cell, a
+    float its shortest round-trip repr (numpy floats included), anything else
+    its str."""
+    return ["" if v is None or v != v else _float_repr(v) if isinstance(v, float)
+            else str(v) for v in values]
 
 
-def csv_text(header, rows) -> str:
-    """Comma-separated text; None and NaN cells are left empty."""
+def csv_text(header, columns, delimiter: str) -> str:
+    """Delimited text with one header row; `columns` holds one sequence of
+    values per header name, each rendered by `text_cells`."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    writer.writerows(zip(*[text_cells(col) for col in columns]))
     return buf.getvalue()
 
 

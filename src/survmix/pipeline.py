@@ -16,7 +16,6 @@ per-stage counts, and artifact inventory.
 """
 
 import copy
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -30,8 +29,8 @@ from .classifiers import ALGORITHMS, ClassifierSpec, algorithm_of, fit, save_mod
 from .cleansing import clean
 from .cox import (build_design, cox_fit, cox_tests, detect_separation,
                   hazard_ratios, parse_formula)
-from .dataset import (ColumnSpec, Dataset, SyntheticSpec, format_cell,
-                      generate_synthetic, load_csv, write_csv, write_schema)
+from .dataset import (ColumnSpec, Dataset, SyntheticSpec, generate_synthetic,
+                      load_csv, write_csv, write_schema)
 from .errors import DomainError, ParseError, SurvmixError
 from .evaluation import (CUTOFF_CRITERIA, confusion, roc_curve, select_cutoff,
                          separation_score)
@@ -274,29 +273,30 @@ def write_dataset(data: Dataset, path) -> None:
 
 def km_csv(curves: dict) -> str:
     """One row per distinct event time per group; undefined cells left empty."""
-    rows = []
+    columns = [[] for _ in range(8)]
     for group in sorted(curves):
         c = curves[group]
-        for i in range(len(c.times)):
-            sd = math.sqrt(c.variance[i]) if c.variance_defined[i] else None
-            lo = c.ci_lower[i] if c.ci_defined[i] else None
-            hi = c.ci_upper[i] if c.ci_defined[i] else None
-            rows.append((group, float(c.times[i]), int(c.at_risk[i]),
-                         int(c.deaths[i]), float(c.survival[i]), sd, lo, hi))
+        sd = np.sqrt(np.where(c.variance_defined, c.variance, np.nan))
+        lo = np.where(c.ci_defined, c.ci_lower, np.nan)
+        hi = np.where(c.ci_defined, c.ci_upper, np.nan)
+        columns[0].extend([group] * len(c.times))
+        for column, values in zip(columns[1:], (c.times, c.at_risk, c.deaths,
+                                                c.survival, sd, lo, hi)):
+            column.extend(values.tolist())
     return csv_text(("group", "time", "at_risk", "deaths", "survival",
-                     "sd", "ci_lo", "ci_hi"), rows)
+                     "sd", "ci_lo", "ci_hi"), columns, ",")
 
 
 def row_ids(data: Dataset) -> list:
-    """Values of the id column, or row numbers when there is none."""
+    """Values of the id column (`Dataset.values`; a missing categorical id
+    becomes "row<i>"), or row numbers when there is none."""
     name = data.role_column("id")
     if name is None:
         return list(range(data.n_rows))
+    values = data.values(name)
     if data.spec(name).kind == "categorical":
-        return [v if v is not None else f"row{i}"
-                for i, v in enumerate(data.strings(name))]
-    values = data.column(name)
-    return [format_cell(data.spec(name), v) for v in values]
+        return [v if v is not None else f"row{i}" for i, v in enumerate(values)]
+    return values
 
 
 def survival_columns(data: Dataset) -> tuple:
@@ -452,8 +452,8 @@ def evaluate_stage(models: dict, data: Dataset) -> tuple:
         metrics[name] = {"auc": curve.auc,
                          "separation": separation_score(scores, labels),
                          "cutoffs": cutoffs, "confusion": matrices, "scores": scores}
-        artifacts[f"roc_{name}.csv"] = csv_text(("threshold", "fpr", "tpr"), zip(
-            curve.thresholds.tolist(), curve.fpr.tolist(), curve.tpr.tolist()))
+        artifacts[f"roc_{name}.csv"] = csv_text(("threshold", "fpr", "tpr"), (
+            curve.thresholds.tolist(), curve.fpr.tolist(), curve.tpr.tolist()), ",")
     ranking = rank_algorithms(metrics)
     public = {a: {k: v for k, v in m.items() if k != "scores"}
               for a, m in metrics.items()}
@@ -490,8 +490,8 @@ def mix_stage(model_a, model_b, scores_a, scores_b, labels, grid_step,
 def predict_stage(data: Dataset, scores, cutoff_low, cutoff_high) -> tuple:
     """(abstention result, artifacts, detail) for labels.csv."""
     result = classify_scores(scores, cutoff_low, cutoff_high)
-    artifacts = {"labels.csv": csv_text(("id", "probability", "label"), zip(
-        row_ids(data), result.probabilities.tolist(), result.labels))}
+    artifacts = {"labels.csv": csv_text(("id", "probability", "label"), (
+        row_ids(data), result.probabilities.tolist(), result.labels), ",")}
     detail = {"rows": data.n_rows, "counts": dict(result.counts),
               "fractions": dict(result.fractions)}
     return result, artifacts, detail

@@ -204,7 +204,11 @@ class TestGreedyTrees:
         rng = np.random.default_rng(5)
         data = random_dataset(rng, 200, signal=2.0)
         model = fit_cart(data, TreeParams(min_node_size=1, max_depth=2, cp=0.0))
-        assert model.depth <= 2
+        depths = {0: 0}  # node index -> depth; children come after their parent
+        for i, node in enumerate(model.nodes):
+            if not node["leaf"]:
+                depths[node["left"]] = depths[node["right"]] = depths[i] + 1
+        assert max(depths.values()) <= 2
 
     def test_leaf_probabilities_are_class_frequencies(self):
         rng = np.random.default_rng(6)

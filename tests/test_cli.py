@@ -90,6 +90,28 @@ class TestExitCodes:
                             "--test-out", tmp_path / "b.csv")
         assert code == 2
 
+    def test_evaluate_two_models_of_one_algorithm_is_exit_two(self, staged, tmp_path):
+        code, _, err = call("evaluate", "--data", staged / "test.csv",
+                            "--model", staged / "m_logit.json",
+                            "--model", staged / "m_bag.json",
+                            "--model", staged / "m_logit.json",
+                            "--out-dir", tmp_path / "out")
+        assert code == 2
+        assert "'logit'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("level", ["a|b", "two\nlines"])
+    def test_clean_rejects_level_the_sidecar_cannot_store(self, tmp_path, level):
+        with open(tmp_path / "in.csv", "w", newline="") as fh:
+            csv.writer(fh, delimiter=";", lineterminator="\n").writerows(
+                [["x", "c"], ["1.0", "a"], ["2.0", level]])
+        (tmp_path / "in.schema").write_text("x = numeric,feature\nc = categorical,feature\n")
+        code, _, err = call("clean", "--data", tmp_path / "in.csv",
+                            "--out", tmp_path / "out.csv", "--report", tmp_path / "mva.json")
+        assert code == 2
+        assert "in.csv:3: column 'c'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "in.schema"]
+
     def test_separable_cox_is_exit_three_with_diagnostics(self, tmp_path):
         path = separable_fixture(tmp_path)
         code, _, err = call("cox", "--data", path, "--formula", "x",

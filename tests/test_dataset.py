@@ -1,8 +1,12 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from survmix.dataset import (
     CATEGORY_VOCAB,
+    MISSING_CODE,
     ColumnSpec,
     Dataset,
     SyntheticSpec,
@@ -11,7 +15,6 @@ from survmix.dataset import (
     load_csv,
     parse_schema,
     quartiles,
-    summarize,
     write_csv,
     write_schema,
 )
@@ -154,12 +157,6 @@ class TestCsvRoundTrip:
             else:
                 assert np.array_equal(a, b)
 
-    def test_comma_separator(self, tmp_path):
-        d = small_dataset()
-        write_csv(d, tmp_path / "d.csv", sep=",")
-        back = load_csv(tmp_path / "d.csv", d.specs, sep=",")
-        assert back.equals(d)
-
     def test_missing_cell_encodings(self, tmp_path):
         (tmp_path / "m.csv").write_text("x;c\n;\nNA;NA\n1.5;yes\n")
         specs = (ColumnSpec("x", "numeric"), ColumnSpec("c", "categorical", "feature", ("yes",)))
@@ -196,10 +193,114 @@ class TestCsvRoundTrip:
         d = load_csv(tmp_path / "i.csv", (ColumnSpec("c", "categorical"),))
         assert d.spec("c").vocabulary == ("z", "a", "m")
 
+    # str.splitlines, which reads the sidecar, also breaks at \x0c and \u2028
+    @pytest.mark.parametrize("level", ["a|b", "x\ny", "x\x0cy", "x\u2028y"])
+    def test_inferred_level_the_sidecar_cannot_store_rejected(self, tmp_path, level):
+        with open(tmp_path / "s.csv", "w", newline="") as fh:
+            csv.writer(fh, delimiter=";", lineterminator="\n").writerows(
+                [["x", "c"], ["1.0", "ok"], ["2.0", level], ["3.0", level]])
+        with pytest.raises(DomainError) as info:
+            load_csv(tmp_path / "s.csv", (ColumnSpec("x", "numeric"), ColumnSpec("c", "categorical")))
+        message = str(info.value)
+        assert message.startswith(f"{tmp_path / 's.csv'}:3: column 'c': value ")
+        assert "sidecar" in message
+
+    def test_first_bad_number_reported_after_missing_cells(self, tmp_path):
+        (tmp_path / "b.csv").write_text("x;y\n1;NA\n;oops\n2;bad\n")
+        with pytest.raises(ParseError, match=r"b.csv:3: column 'y': cannot parse 'oops'"):
+            load_csv(tmp_path / "b.csv", (ColumnSpec("x", "numeric"), ColumnSpec("y", "numeric")))
+
+    def test_first_ragged_row_reported(self, tmp_path):
+        (tmp_path / "r.csv").write_text("x;y\n1;2\n3;4\n5\n6;7;8\n")
+        with pytest.raises(ParseError, match=r"r.csv:4: expected 2 fields, got 1"):
+            load_csv(tmp_path / "r.csv", (ColumnSpec("x", "numeric"), ColumnSpec("y", "numeric")))
+
+    def test_first_undeclared_level_reported(self, tmp_path):
+        (tmp_path / "u.csv").write_text("c\na\nNA\nz\nq\n")
+        with pytest.raises(DomainError, match=r"u.csv:4: column 'c': value 'z' is not"):
+            load_csv(tmp_path / "u.csv", (ColumnSpec("c", "categorical", "feature", ("a",)),))
+
     def test_missing_input_path(self, tmp_path):
         from survmix.errors import DataError
         with pytest.raises(DataError, match="not found"):
             load_csv(tmp_path / "absent.csv", (ColumnSpec("x", "numeric"),))
+
+
+# -- reference oracle: the row-by-row writer that `write_csv` replaced ---------
+
+def reference_format_cell(spec, value) -> str:
+    if spec.kind == "numeric":
+        return "" if np.isnan(value) else repr(float(value))
+    return "" if value == MISSING_CODE else spec.vocabulary[value]
+
+
+def reference_csv_text(data) -> str:
+    """One csv.writer row per dataset row, one formatted cell at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=";", lineterminator="\n")
+    writer.writerow(data.names)
+    cols = [data.column(n) for n in data.names]
+    for i in range(data.n_rows):
+        writer.writerow([reference_format_cell(s, col[i]) for s, col in zip(data.specs, cols)])
+    return buf.getvalue()
+
+
+AWKWARD_LEVELS = ("plain", "semi;colon", 'say "hi"', "com,ma", "ünïcødé €", "NAN",
+                  " padded", "0.5", '"', ";")
+
+
+def awkward_dataset(rng, n):
+    """Numeric cells spanning NaN, -0.0, +-inf, subnormals and huge or tiny
+    magnitudes; categorical cells holding delimiters, quotes and non-ASCII."""
+    specs, cols = [], {}
+    for j in range(4):
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, size=n)
+        pick = rng.random(n)
+        v[pick < 0.1] = np.nan
+        v[(pick >= 0.1) & (pick < 0.15)] = -0.0
+        v[(pick >= 0.15) & (pick < 0.18)] = np.inf
+        v[(pick >= 0.18) & (pick < 0.2)] = -np.inf
+        v[(pick >= 0.2) & (pick < 0.25)] = np.round(v[(pick >= 0.2) & (pick < 0.25)])
+        specs.append(ColumnSpec(f"n{j}", "numeric", "feature"))
+        cols[f"n{j}"] = v
+    for j in range(3):
+        order = rng.permutation(len(AWKWARD_LEVELS))[:rng.integers(1, len(AWKWARD_LEVELS))]
+        vocab = tuple(AWKWARD_LEVELS[k] for k in order)
+        specs.append(ColumnSpec(f"c;{j}", "categorical", "feature", vocab))
+        cols[f"c;{j}"] = rng.integers(-1, len(vocab), size=n)
+    specs.append(ColumnSpec("label", "numeric", "label"))
+    cols["label"] = rng.integers(0, 2, size=n).astype(float)
+    return Dataset(specs, cols)
+
+
+ORACLE_INPUTS = {
+    "awkward": lambda: awkward_dataset(np.random.default_rng(17), 400),
+    "awkward_zero_rows": lambda: awkward_dataset(np.random.default_rng(18), 0),
+    "awkward_one_row": lambda: awkward_dataset(np.random.default_rng(19), 1),
+    "small": small_dataset,
+    "synthetic": lambda: generate_synthetic(SyntheticSpec(n_rows=300, seed=2)),
+    "all_missing": lambda: Dataset(
+        [ColumnSpec("x", "numeric"), ColumnSpec("c", "categorical", "feature", ("a",))],
+        {"x": np.full(5, np.nan), "c": np.full(5, MISSING_CODE)}),
+}
+
+
+class TestWriterMatchesReference:
+    @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+    def test_bytes_and_round_trip(self, tmp_path, name):
+        d = ORACLE_INPUTS[name]()
+        write_csv(d, tmp_path / "d.csv")
+        write_schema(d.specs, tmp_path / "d.schema")
+        written = (tmp_path / "d.csv").read_bytes()
+        assert written == reference_csv_text(d).encode("utf-8")
+        assert load_csv(tmp_path / "d.csv", d.specs).equals(d)
+        assert load_csv(tmp_path / "d.csv", tmp_path / "d.schema").equals(d)
+
+    def test_values_are_python_objects(self):
+        d = awkward_dataset(np.random.default_rng(3), 50)
+        for name in d.names:
+            assert all(v is None or type(v) in (float, str) for v in d.values(name))
+        assert list(d.strings("c;0")) == d.values("c;0")
 
 
 class TestSyntheticGenerator:
@@ -268,22 +369,3 @@ class TestSyntheticGenerator:
             SyntheticSpec(n_rows=10, hazard_ratio_true=0.0)
         with pytest.raises(DomainError):
             SyntheticSpec(n_rows=10, class_separation=-1.0)
-
-
-class TestSummarize:
-    def test_numeric_and_categorical_summaries(self):
-        d = small_dataset()
-        s = summarize(d)
-        assert s.n_rows == 4
-        x = s.columns["x"]
-        assert x.missing == 1 and x.count == 3 and x.defined
-        assert x.minimum == -2.0 and x.maximum == 3.5
-        assert (x.q1, x.median, x.q3) == quartiles(np.array([1.0, 3.5, -2.0]))
-        sec = s.columns["sector"]
-        assert sec.missing == 1
-        assert sec.frequencies == {"mfg": 2, "svc": 1}
-
-    def test_all_missing_numeric_flagged(self):
-        d = Dataset([ColumnSpec("x", "numeric")], {"x": np.array([np.nan, np.nan])})
-        s = summarize(d).columns["x"]
-        assert not s.defined and s.missing == 2 and s.mean is None

@@ -11,7 +11,6 @@ from survmix.evaluation import (
     score_histogram,
     select_cutoff,
     separation_score,
-    welch_t_test,
 )
 
 
@@ -158,38 +157,6 @@ class TestSeparation:
     def test_single_class_rejected(self):
         with pytest.raises(DomainError):
             separation_score([0.2, 0.4], [0, 0])
-
-
-class TestWelch:
-    def test_hand_arithmetic(self):
-        res = welch_t_test([1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0])
-        # plain-float oracle: var_a = 5/3, var_b = 20/3, se2 = 25/12
-        se2 = (5.0 / 3.0) / 4.0 + (20.0 / 3.0) / 4.0
-        t = (2.5 - 5.0) / math.sqrt(se2)
-        df = se2 ** 2 / (((5.0 / 3.0) / 4.0) ** 2 / 3.0 + ((20.0 / 3.0) / 4.0) ** 2 / 3.0)
-        assert res.statistic == pytest.approx(t, abs=1e-10)
-        assert res.df == pytest.approx(df, abs=1e-10)
-        # mpmath-frozen two-sided p for (|t|, df)
-        assert res.p_value == pytest.approx(0.15158050484530395, abs=1e-12)
-
-    def test_large_shift_is_significant(self):
-        res = welch_t_test([1.0, 2.0, 3.0], [11.0, 12.0, 13.0])
-        assert abs(res.statistic) > 10.0
-        assert res.p_value < 0.01
-
-    def test_constant_equal_samples(self):
-        res = welch_t_test([2.0, 2.0, 2.0], [2.0, 2.0])
-        assert res.statistic == 0.0 and res.p_value == 1.0
-
-    def test_constant_unequal_samples_floored(self):
-        with pytest.warns(UserWarning, match="flooring"):
-            res = welch_t_test([1.0, 1.0, 1.0], [2.0, 2.0, 2.0])
-        assert math.isfinite(res.statistic)
-        assert res.p_value < 1e-6
-
-    def test_too_small_samples_rejected(self):
-        with pytest.raises(DomainError):
-            welch_t_test([1.0], [2.0, 3.0])
 
 
 class TestHistogram:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from survmix.errors import DataError
-from survmix.fileio import atomic_write_text, csv_text, json_text
+from survmix.fileio import atomic_write_text, csv_text, json_text, text_cells
 
 
 class TestAtomicWriteText:
@@ -31,17 +31,22 @@ class TestAtomicWriteText:
 
 class TestCsvText:
     def test_plain_cells_unquoted(self):
-        text = csv_text(("id", "p", "label"), [("r1", 0.25, "negative"), (7, 1.0, "x")])
+        text = csv_text(("id", "p", "label"), [("r1", 7), (0.25, 1.0), ("negative", "x")], ",")
         assert text == "id,p,label\nr1,0.25,negative\n7,1.0,x\n"
 
     def test_none_and_nan_cells_empty(self):
-        assert csv_text(("a", "b", "c"), [(None, math.nan, np.float64(0.5))]) == \
-            "a,b,c\n,,0.5\n"
+        assert csv_text(("a", "b", "c"), [[None], [math.nan], [np.float64(0.5)]], ";") == \
+            "a;b;c\n;;0.5\n"
+
+    def test_floats_as_shortest_repr_whatever_their_type(self):
+        values = [0.1, -0.0, math.inf, 1e16, 5e-324, np.float64(1e-5), np.float32(0.5), 3, True]
+        assert text_cells(values) == ["0.1", "-0.0", "inf", "1e+16", "5e-324", "1e-05",
+                                      "0.5", "3", "True"]
 
     def test_cells_with_delimiter_or_quote_round_trip(self):
-        rows = [('x,1', 'say "hi"', "line\nbreak")]
-        text = csv_text(("a", "b", "c"), rows)
-        assert list(csv.reader(io.StringIO(text)))[1] == list(rows[0])
+        row = ['x,1', 'say "hi"', "line\nbreak"]
+        text = csv_text(("a", "b", "c"), [[cell] for cell in row], ",")
+        assert list(csv.reader(io.StringIO(text)))[1] == row
 
 
 def test_json_text_converts_numpy_values():
