@@ -309,6 +309,14 @@ GOLDEN_DIGESTS = {
     "train_balanced.schema": "a58736a4e57f2563",
 }
 
+# The same for the tree models the golden run leaves out, fitted directly on
+# its train_balanced.csv with its seed.
+GOLDEN_TREE_DIGESTS = {
+    "model_tree.json": "dd4b8a252ab2a4f7",
+    "model_ctree.json": "9cda42e8f3f723ca",
+    "model_bag.json": "dcab471bb348f24f",
+}
+
 
 def artifact_digests(out_dir) -> dict:
     digests = {}
@@ -347,6 +355,14 @@ def golden_run(tmp_path_factory):
 class TestGoldenRun:
     def test_artifact_digests_unchanged(self, golden_run):
         assert artifact_digests(golden_run / "out") == GOLDEN_DIGESTS
+
+    def test_tree_model_digests_unchanged(self, golden_run, tmp_path):
+        out = golden_run / "out"
+        balanced = load_csv(out / "train_balanced.csv", out / "train_balanced.schema")
+        for name in GOLDEN_TREE_DIGESTS:
+            algorithm = name[len("model_"):-len(".json")]
+            save_model(fit(balanced, ClassifierSpec(algorithm, seed=5)), tmp_path / name)
+        assert artifact_digests(tmp_path) == GOLDEN_TREE_DIGESTS
 
     def test_subcommands_reproduce_pipeline_artifacts(self, golden_run, tmp_path):
         out = golden_run / "out"
