@@ -2,7 +2,9 @@
 
 A fitted model remembers the training feature columns (name, kind), each
 categorical feature's observed levels, and a reference level (the most
-frequent training level, ties broken by vocabulary order).  At prediction
+frequent training level, ties broken by vocabulary order).  A weighted
+training sample (a bagging member) gets the schema of the sample it stands
+for from `FeatureSchema.weighted`.  At prediction
 time columns are matched by name, categorical cells by level string, and any
 level never observed in training is mapped to the reference level with a
 warning.  Missing feature cells are rejected — models require complete rows.
@@ -14,6 +16,16 @@ import numpy as np
 
 from ..dataset import Dataset
 from ..errors import DomainError
+
+
+def _observed_levels(levels, counts) -> tuple:
+    """The levels with a positive count, in their given order, and the one
+    with the largest count (ties to the earliest; None when none is left)."""
+    present = np.flatnonzero(counts > 0)
+    observed = tuple(levels[i] for i in present)
+    if not observed:
+        return observed, None
+    return observed, observed[int(np.argmax(counts[present]))]
 
 
 class FeatureSchema:
@@ -42,20 +54,30 @@ class FeatureSchema:
             if spec.kind == "categorical":
                 codes = data.codes(name)
                 counts = np.bincount(codes[codes >= 0], minlength=len(spec.vocabulary))
-                observed = [lv for lv, c in zip(spec.vocabulary, counts) if c > 0]
+                observed, heaviest = _observed_levels(spec.vocabulary, counts)
                 if not observed:
                     raise DomainError(f"feature {name!r} has no observed levels")
-                levels[name] = tuple(observed)
+                levels[name] = observed
                 if name in overrides:
                     if overrides[name] not in observed:
                         raise DomainError(
                             f"reference level {overrides[name]!r} not observed in {name!r}")
                     refs[name] = overrides[name]
                 else:
-                    best = int(np.argmax(
-                        [counts[spec.vocabulary.index(lv)] for lv in observed]))
-                    refs[name] = observed[best]
+                    refs[name] = heaviest
         return cls(features, levels, refs)
+
+    def weighted(self, mapped: dict, weights: np.ndarray) -> "FeatureSchema":
+        """The schema `fit` gives on a sample that holds training row i
+        `weights[i]` times, from the training columns `mapped` by this schema:
+        each categorical feature keeps its levels of positive weight, and the
+        heaviest of them is the reference."""
+        levels, refs = {}, {}
+        for name, train_levels in self.levels.items():
+            counts = np.bincount(mapped[name], weights=weights,
+                                 minlength=len(train_levels))
+            levels[name], refs[name] = _observed_levels(train_levels, counts)
+        return FeatureSchema(self.features, levels, refs)
 
     def map_columns(self, data: Dataset) -> dict:
         """Feature columns of `data` aligned to this schema.

@@ -3,8 +3,14 @@
 Member ``t`` is a full Gini-tree fit on the bootstrap sample (n rows drawn
 with replacement) produced by the substream tagged ``"bag:t"`` of the model
 seed, so any member can be reproduced in isolation from (data, seed, t).
-The ensemble probability is the unweighted mean of the member tree
-probabilities — exactly, not a rounded vote.
+The sample is never copied: the training set is encoded and presorted once,
+and member ``t`` grows on it with row weights, the number of times the
+sample draws each row (Breiman 1996).  Its schema is the one the copied
+sample would give (`FeatureSchema.weighted`), and its tree equals
+``fit_cart`` on the copied sample node for node.  Without the bootstrap,
+one Gini tree on the full sample serves every member.  The ensemble
+probability is the unweighted mean of the member tree probabilities —
+exactly, not a rounded vote.
 """
 
 from dataclasses import dataclass, field
@@ -14,14 +20,14 @@ import numpy as np
 from ..dataset import Dataset
 from ..errors import DomainError
 from ..rng import substream
-from .trees import DecisionTreeModel, TreeParams, fit_cart, _labels
+from .trees import DecisionTreeModel, TreeParams, fit_cart, _Encoded, _grow_greedy
 
 
 @dataclass(frozen=True)
 class BagParams:
     members: int = 50
     tree: TreeParams = field(default_factory=TreeParams)
-    bootstrap: bool = True  # False refits every member on the full sample
+    bootstrap: bool = True  # False gives every member the full-sample tree
 
     def __post_init__(self):
         if self.members < 1:
@@ -54,12 +60,14 @@ class BaggingModel:
 
 
 def fit_bagging(train: Dataset, params: BagParams, seed: int = 0) -> BaggingModel:
-    _labels(train)  # zero-row / missing-label checks up front
+    if not params.bootstrap:
+        return BaggingModel([fit_cart(train, params.tree)] * params.members, seed)
+    data = _Encoded(train)
+    n = len(data.y)
     trees = []
     for t in range(params.members):
-        if params.bootstrap:
-            sample = train.take_rows(bootstrap_indices(seed, t, train.n_rows))
-        else:
-            sample = train
-        trees.append(fit_cart(sample, params.tree))
+        weights = np.bincount(bootstrap_indices(seed, t, n), minlength=n).astype(float)
+        nodes = _grow_greedy(data, weights, "gini", params.tree)
+        trees.append(DecisionTreeModel("rpart", data.schema.weighted(data.mapped, weights),
+                                       nodes))
     return BaggingModel(trees, seed)

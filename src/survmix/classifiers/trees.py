@@ -13,6 +13,20 @@ send ``value <= threshold`` left; ties in quality keep the smallest split
 value.  Categorical splits scan prefixes of the node's levels ordered by
 positive-class rate (optimal for concave impurities), and store the left
 subset as level names.  Unseen levels are routed as the reference level.
+
+The partitioner grows on integer row weights: a row of weight k counts as k
+copies of itself and a row of weight 0 is left out.  The single-tree fits
+weight every row 1; bagging passes each member's bootstrap counts.  Every
+numeric feature is sorted once at the root (a stable argsort), and each node
+carries its rows in value order for every numeric feature as one int32
+(features, rows) array, which a split partitions stably (SLIQ presorting:
+Mehta, Agrawal & Rissanen, EDBT 1996).  One kernel scores all numeric
+features of a node at once from weighted cumulative counts and positives, in
+blocks of at most `_BLOCK_ELEMENTS` node cells (one feature at least).
+Categorical features keep their per-feature scan, with weighted counts.
+Splits are scored only at distinct-value boundaries and sums of integer
+weights are exact, so a weighted tree equals, node for node, the tree grown
+on the rows copied as often as their weights say.
 """
 
 from dataclasses import dataclass
@@ -25,6 +39,9 @@ from ..rng import substream
 from ._encoding import FeatureSchema
 
 _PERM_BLOCK = 256
+# Node cells (rows × features) the numeric split kernel scores at once; a
+# fixed bound, not a parameter, that keeps its temporaries small.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -72,60 +89,87 @@ def _impurity(p, criterion):
     return np.where((p <= 0.0) | (p >= 1.0), 0.0, h)
 
 
-def _best_numeric_split(values, y, criterion):
-    order = np.argsort(values, kind="stable")
-    vs, ys = values[order], y[order]
-    n = len(ys)
-    boundaries = np.flatnonzero(np.diff(vs) > 0)
-    if boundaries.size == 0:
-        return None
-    cum_pos = np.cumsum(ys)
-    n_left = boundaries + 1.0
-    pos_left = cum_pos[boundaries]
-    n_right = n - n_left
-    pos_right = cum_pos[-1] - pos_left
-    parent = _impurity(cum_pos[-1] / n, criterion)
-    child = (n_left * _impurity(pos_left / n_left, criterion)
-             + n_right * _impurity(pos_right / n_right, criterion)) / n
-    decrease = parent - child
-    best = int(np.argmax(decrease))  # first maximum: smallest split value
-    threshold = 0.5 * (vs[boundaries[best]] + vs[boundaries[best] + 1])
-    return float(decrease[best]), ("numeric", float(threshold), None)
+def _best_numeric_splits(values, order, weights, positives, criterion):
+    """The best split of every numeric feature of one node.
+
+    `values` holds the numeric columns as rows (features × training rows) and
+    `order` the node's rows in value order, one row per feature; `weights` and
+    `positives` are each training row's weight and weight × label.  Returns
+    the decreases (−inf for a feature constant in the node) and thresholds.
+    Features are scored in blocks of at most `_BLOCK_ELEMENTS` node cells,
+    and of one feature at least.
+    """
+    n_features, m = order.shape
+    gains = np.full(n_features, -np.inf)
+    thresholds = np.zeros(n_features)
+    if m < 2:
+        return gains, thresholds
+    flat = values.ravel()
+    step = max(1, _BLOCK_ELEMENTS // m)
+    for start in range(0, n_features, step):
+        rows = order[start:start + step]
+        features = np.arange(start, start + len(rows))
+        vs = flat[rows + (features * values.shape[1])[:, None]]
+        cum_n = np.cumsum(weights[rows], axis=1)
+        cum_pos = np.cumsum(positives[rows], axis=1)
+        n, pos = cum_n[0, -1], cum_pos[0, -1]
+        n_left, pos_left = cum_n[:, :-1], cum_pos[:, :-1]
+        n_right = n - n_left
+        pos_right = pos - pos_left
+        parent = _impurity(pos / n, criterion)
+        child = (n_left * _impurity(pos_left / n_left, criterion)
+                 + n_right * _impurity(pos_right / n_right, criterion)) / n
+        decrease = np.where(vs[:, 1:] > vs[:, :-1], parent - child, -np.inf)
+        best = np.argmax(decrease, axis=1)  # first maximum: smallest split value
+        local = features - start
+        gains[features] = decrease[local, best]
+        thresholds[features] = 0.5 * (vs[local, best] + vs[local, best + 1])
+    return gains, thresholds
 
 
-def _best_categorical_split(codes, y, n_levels, criterion):
-    totals = np.bincount(codes, minlength=n_levels).astype(float)
-    positives = np.bincount(codes, weights=y, minlength=n_levels)
+def _best_categorical_split(codes, weights, weighted_labels, n_levels, criterion):
+    totals = np.bincount(codes, weights=weights, minlength=n_levels)
+    positives = np.bincount(codes, weights=weighted_labels, minlength=n_levels)
     present = np.flatnonzero(totals > 0)
     if present.size < 2:
         return None
     rates = positives[present] / totals[present]
-    order = present[np.lexsort((present, rates))]
-    n = float(len(codes))
+    order = present[np.argsort(rates, kind="stable")]  # ties: level order
+    n = totals.sum()
+    n_pos = positives[present].sum()
     n_left = np.cumsum(totals[order])[:-1]
     pos_left = np.cumsum(positives[order])[:-1]
     n_right = n - n_left
-    pos_right = positives[present].sum() - pos_left
-    parent = _impurity(positives[present].sum() / n, criterion)
+    pos_right = n_pos - pos_left
+    parent = _impurity(n_pos / n, criterion)
     child = (n_left * _impurity(pos_left / n_left, criterion)
              + n_right * _impurity(pos_right / n_right, criterion)) / n
     decrease = parent - child
     best = int(np.argmax(decrease))
-    subset = tuple(sorted(int(c) for c in order[:best + 1]))
+    subset = tuple(sorted(order[:best + 1].tolist()))
     return float(decrease[best]), ("categorical", None, subset)
 
 
-def _greedy_selector(schema, mapped, y, criterion, cp):
-    def select(rows):
+def _greedy_selector(data, weights, criterion, cp):
+    positives = weights * data.y
+
+    def select(rows, order):
+        gains, thresholds = _best_numeric_splits(
+            data.values, order, weights, positives, criterion)
+        row_weights, row_positives = weights[rows], positives[rows]
         best = None
-        for name, kind in schema.features:
+        for name, kind in data.schema.features:
             if kind == "numeric":
-                found = _best_numeric_split(mapped[name][rows], y[rows], criterion)
+                i = data.numeric[name]
+                if gains[i] == -np.inf:
+                    continue
+                found = float(gains[i]), ("numeric", float(thresholds[i]), None)
             else:
                 found = _best_categorical_split(
-                    mapped[name][rows], y[rows], len(schema.levels[name]), criterion)
-            if found is None:
-                continue
+                    data.mapped[name][rows], row_weights, row_positives,
+                    len(data.schema.levels[name]), criterion)
+                if found is None:
+                    continue
             decrease, split = found
             if best is None or decrease > best[0]:
                 best = (decrease, name, split)
@@ -200,22 +244,28 @@ def _permutation_pvalues(schema, mapped, y, rows, rng, permutations):
     return dict(zip(names, pvalues))
 
 
-def _ctree_selector(schema, mapped, y, params, rng):
-    kinds = dict(schema.features)
+def _ctree_selector(data, params, rng):
+    kinds = dict(data.schema.features)
+    ones = np.ones(len(data.y))
 
-    def select(rows):
-        pvalues = _permutation_pvalues(schema, mapped, y, rows, rng, params.permutations)
+    def select(rows, order):
+        pvalues = _permutation_pvalues(data.schema, data.mapped, data.y, rows, rng,
+                                       params.permutations)
         if pvalues is None:
             return None
         adjusted = {name: min(1.0, p * len(pvalues)) for name, p in pvalues.items()}
-        name = min(adjusted, key=lambda k: (adjusted[k], _feature_rank(schema, k)))
+        name = min(adjusted, key=lambda k: (adjusted[k], _feature_rank(data.schema, k)))
         if adjusted[name] >= params.alpha:
             return None
         if kinds[name] == "numeric":
-            found = _best_numeric_split(mapped[name][rows], y[rows], "gini")
-        else:
-            found = _best_categorical_split(
-                mapped[name][rows], y[rows], len(schema.levels[name]), "gini")
+            i = data.numeric[name]
+            gains, thresholds = _best_numeric_splits(
+                data.values[i:i + 1], order[i:i + 1], ones, data.y, "gini")
+            if gains[0] == -np.inf:
+                return None
+            return name, ("numeric", float(thresholds[0]), None)
+        found = _best_categorical_split(data.mapped[name][rows], ones[rows], data.y[rows],
+                                        len(data.schema.levels[name]), "gini")
         if found is None:
             return None
         return name, found[1]
@@ -229,41 +279,73 @@ def _feature_rank(schema, name):
     raise KeyError(name)
 
 
-def _grow(schema, mapped, y, select, min_node_size, max_depth):
-    nodes = []
+class _Encoded:
+    """A training set encoded once for tree growing: its schema, the mapped
+    columns, the labels, the numeric columns as rows of one matrix and each
+    such row's stable argsort (int32)."""
 
-    def build(rows, depth):
+    def __init__(self, train: Dataset):
+        self.y = _labels(train)
+        self.schema = FeatureSchema.fit(train)
+        self.mapped = self.schema.map_columns(train)
+        names = [name for name, kind in self.schema.features if kind == "numeric"]
+        self.numeric = {name: i for i, name in enumerate(names)}
+        self.values = np.array([self.mapped[name] for name in names],
+                               dtype=float).reshape(len(names), len(self.y))
+        self.order = np.argsort(self.values, axis=1, kind="stable").astype(np.int32)
+
+
+def _grow(data, weights, select, min_node_size, max_depth):
+    """The flat node list of a tree grown on `data` with integer row weights."""
+    nodes = []
+    positives = weights * data.y
+    goes_left = np.zeros(len(weights), dtype=bool)
+
+    def build(rows, order, depth):
         index = len(nodes)
         nodes.append(None)
-        n = rows.size
-        pos = float(y[rows].sum())
+        n = float(weights[rows].sum())
+        pos = float(positives[rows].sum())
         leaf = {"leaf": True, "n": int(n), "prob": pos / n}
         if n <= min_node_size or depth >= max_depth or pos in (0.0, n):
             nodes[index] = leaf
             return index
-        chosen = select(rows)
+        chosen = select(rows, order)
         if chosen is None:
             nodes[index] = leaf
             return index
         name, (kind, threshold, subset) = chosen
         if kind == "numeric":
-            go_left = mapped[name][rows] <= threshold
+            go_left = data.mapped[name][rows] <= threshold
         else:
-            lut = np.zeros(len(schema.levels[name]), dtype=bool)
+            lut = np.zeros(len(data.schema.levels[name]), dtype=bool)
             lut[list(subset)] = True
-            go_left = lut[mapped[name][rows]]
+            go_left = lut[data.mapped[name][rows]]
         node = {"leaf": False, "feature": name, "kind": kind, "n": int(n)}
         if kind == "numeric":
             node["threshold"] = threshold
         else:
-            node["subset"] = [schema.levels[name][c] for c in subset]
-        node["left"] = build(rows[go_left], depth + 1)
-        node["right"] = build(rows[~go_left], depth + 1)
+            node["subset"] = [data.schema.levels[name][c] for c in subset]
+        # Split every feature's value order stably by the side each row takes.
+        goes_left[rows] = go_left
+        in_left = goes_left[order]
+        left, right = rows[go_left], rows[~go_left]
+        left_order = order[in_left].reshape(len(order), left.size)
+        right_order = order[~in_left].reshape(len(order), right.size)
+        node["left"] = build(left, left_order, depth + 1)
+        node["right"] = build(right, right_order, depth + 1)
         nodes[index] = node
         return index
 
-    build(np.arange(len(y)), 0)
+    sampled = weights > 0
+    rows = np.flatnonzero(sampled)
+    build(rows, data.order[sampled[data.order]].reshape(len(data.order), rows.size), 0)
     return nodes
+
+
+def _grow_greedy(data, weights, criterion, params):
+    select = _greedy_selector(data, weights, criterion, params.cp)
+    return _grow(data, weights, select, params.min_node_size, params.max_depth)
 
 
 class DecisionTreeModel:
@@ -322,19 +404,14 @@ def fit_tree(train: Dataset, params: TreeParams) -> DecisionTreeModel:
 
 
 def _fit_greedy(algorithm, criterion, train, params):
-    y = _labels(train)
-    schema = FeatureSchema.fit(train)
-    mapped = schema.map_columns(train)
-    select = _greedy_selector(schema, mapped, y, criterion, params.cp)
-    nodes = _grow(schema, mapped, y, select, params.min_node_size, params.max_depth)
-    return DecisionTreeModel(algorithm, schema, nodes)
+    data = _Encoded(train)
+    nodes = _grow_greedy(data, np.ones(len(data.y)), criterion, params)
+    return DecisionTreeModel(algorithm, data.schema, nodes)
 
 
 def fit_ctree(train: Dataset, params: CtreeParams, seed: int = 0) -> DecisionTreeModel:
-    y = _labels(train)
-    schema = FeatureSchema.fit(train)
-    mapped = schema.map_columns(train)
-    rng = substream(seed, "ctree")
-    select = _ctree_selector(schema, mapped, y, params, rng)
-    nodes = _grow(schema, mapped, y, select, params.min_node_size, params.max_depth)
-    return DecisionTreeModel("ctree", schema, nodes)
+    data = _Encoded(train)
+    select = _ctree_selector(data, params, substream(seed, "ctree"))
+    nodes = _grow(data, np.ones(len(data.y)), select, params.min_node_size,
+                  params.max_depth)
+    return DecisionTreeModel("ctree", data.schema, nodes)

@@ -241,7 +241,11 @@ def quartiles(values: np.ndarray) -> tuple:
 # -- schema sidecar -----------------------------------------------------------
 
 def parse_schema(text: str, path: str = "<schema>") -> tuple:
-    """Parse sidecar text into a tuple of ColumnSpec."""
+    """Parse sidecar text into a tuple of ColumnSpec.
+
+    The vocabulary runs verbatim to the end of its line: a level may end in
+    whitespace.
+    """
     specs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -249,14 +253,14 @@ def parse_schema(text: str, path: str = "<schema>") -> tuple:
             continue
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected 'name = kind,role[,vocab|...]'")
-        name, _, value = line.partition("=")
-        parts = value.strip().split(",", 2)
+        name, _, value = raw.partition("=")
+        parts = value.split(",", 2)
         if len(parts) < 2:
             raise ParseError(f"{path}:{lineno}: expected at least kind and role")
         kind, role = parts[0].strip(), parts[1].strip()
         vocab = ()
         if len(parts) == 3:
-            tail = parts[2].strip()
+            tail = parts[2].lstrip()
             if not tail.startswith("vocab|"):
                 raise ParseError(f"{path}:{lineno}: third field must start with 'vocab|'")
             vocab = tuple(tail.split("|")[1:])

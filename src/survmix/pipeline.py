@@ -17,7 +17,6 @@ per-stage counts, and artifact inventory.
 
 import copy
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -605,12 +604,8 @@ def _smote(run) -> tuple:
 
 def _train(run) -> tuple:
     algorithms = run.config.algorithms
-    # Fits are independent and draw only from private seeded substreams,
-    # so concurrent training is deterministic.
-    with ThreadPoolExecutor(max_workers=len(algorithms)) as pool:
-        futures = {algo: pool.submit(_train_one, run.balanced, algo, run.config.seed)
-                   for algo in algorithms}
-        results = {algo: futures[algo].result() for algo in algorithms}
+    results = {algo: _train_one(run.balanced, algo, run.config.seed)
+               for algo in algorithms}
     run.models = {algo: model for algo, (model, _) in results.items()}
     for algo in algorithms:
         save_model(run.models[algo], run.out / f"model_{algo}.json")

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -24,8 +25,10 @@ from survmix.classifiers.neural import (
     loss_and_gradients,
 )
 from survmix.classifiers.trees import (
+    _BLOCK_ELEMENTS,
     CtreeParams,
     TreeParams,
+    _best_numeric_splits,
     _permutation_pvalues,
     fit_cart,
     fit_ctree,
@@ -262,6 +265,95 @@ class TestGreedyTrees:
         assert probs[0] == probs[1]  # reference level is "a" (most frequent)
 
 
+def reference_impurity(p, criterion):
+    p = np.asarray(p, dtype=float)
+    if criterion == "gini":
+        return 2.0 * p * (1.0 - p)
+    q = 1.0 - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(p * np.log(p) + q * np.log(q))
+    return np.where((p <= 0.0) | (p >= 1.0), 0.0, h)
+
+
+def reference_numeric_split(values, y, criterion):
+    """The per-feature split search that sorted each feature at every node;
+    (decrease, threshold), or None when the feature is constant."""
+    order = np.argsort(values, kind="stable")
+    vs, ys = values[order], y[order]
+    n = len(ys)
+    boundaries = np.flatnonzero(np.diff(vs) > 0)
+    if boundaries.size == 0:
+        return None
+    cum_pos = np.cumsum(ys)
+    n_left = boundaries + 1.0
+    pos_left = cum_pos[boundaries]
+    n_right = n - n_left
+    pos_right = cum_pos[-1] - pos_left
+    parent = reference_impurity(cum_pos[-1] / n, criterion)
+    child = (n_left * reference_impurity(pos_left / n_left, criterion)
+             + n_right * reference_impurity(pos_right / n_right, criterion)) / n
+    decrease = parent - child
+    best = int(np.argmax(decrease))
+    threshold = 0.5 * (vs[boundaries[best]] + vs[boundaries[best] + 1])
+    return float(decrease[best]), float(threshold)
+
+
+def kernel_case(name):
+    """(values as features × rows, labels, the node's rows) for one input."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    shapes = {"ties": (6, 50), "constant_columns": (5, 40), "single_value": (3, 30),
+              "one_row": (3, 1), "two_rows": (4, 2), "many_columns": (40, 2000),
+              "long_columns": (3, 50_000)}
+    n_features, n = shapes[name]
+    values = rng.integers(0, 6, (n_features, n)).astype(float)
+    if name in ("many_columns", "long_columns"):
+        values[1::2] = rng.normal(size=values[1::2].shape)
+    if name == "constant_columns":
+        values[[0, 3]] = -2.5
+    if name == "single_value":
+        values[:] = 7.25
+    if name == "two_rows":
+        values[:2] = [[1.0, 1.0], [3.0, -1.0]]
+    y = rng.integers(0, 2, n).astype(float)
+    node = np.arange(n)
+    if n > 2:  # a node below the root: a subset of the rows
+        node = np.flatnonzero(rng.random(n) < 0.7)
+    return values, y, node
+
+
+KERNEL_CASES = ("ties", "constant_columns", "single_value", "one_row", "two_rows",
+                "many_columns", "long_columns")
+
+
+class TestNumericSplitKernel:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_matches_per_feature_reference(self, case, criterion, weighted):
+        values, y, node = kernel_case(case)
+        weights = np.zeros(len(y))
+        weights[node] = (np.random.default_rng(len(node)).integers(1, 4, len(node))
+                         if weighted else 1.0)
+        order = node[np.argsort(values[:, node], axis=1, kind="stable")].astype(np.int32)
+        gains, thresholds = _best_numeric_splits(values, order, weights, weights * y,
+                                                 criterion)
+        repeats = weights[node].astype(int)
+        for f in range(len(values)):
+            found = reference_numeric_split(np.repeat(values[f, node], repeats),
+                                            np.repeat(y[node], repeats), criterion)
+            if found is None:
+                assert gains[f] == -np.inf, f
+            else:
+                assert (gains[f].hex(), thresholds[f].hex()) == \
+                    (found[0].hex(), found[1].hex()), f
+
+    def test_cases_span_blocks(self):
+        for case in ("many_columns", "long_columns"):
+            values, _, node = kernel_case(case)
+            assert len(values) * len(node) > _BLOCK_ELEMENTS
+        assert len(kernel_case("long_columns")[2]) > _BLOCK_ELEMENTS
+
+
 class TestCtree:
     def pvalues(self, data, seed, permutations):
         schema = FeatureSchema.fit(data)
@@ -350,6 +442,36 @@ class TestBagging:
         cart = fit_cart(data, TreeParams(min_node_size=5))
         assert bag.trees[0].nodes == cart.nodes
         assert np.array_equal(bag.predict_proba(data), cart.predict_proba(data))
+
+    def test_without_bootstrap_one_tree_serves_every_member(self):
+        data = random_dataset(np.random.default_rng(10), 100, signal=1.5)
+        bag = fit_bagging(data, BagParams(members=3, tree=TreeParams(min_node_size=5),
+                                          bootstrap=False), seed=0)
+        assert all(tree is bag.trees[0] for tree in bag.trees)
+        assert bag.trees[0].nodes == fit_cart(data, TreeParams(min_node_size=5)).nodes
+
+    def test_weighted_members_equal_cart_on_copied_samples(self):
+        rng = np.random.default_rng(21)
+        n = 60
+        y = rng.integers(0, 2, n).astype(float)
+        levels = ["a"] * 20 + ["b"] * 20 + ["c"] * 19 + ["d"]  # "d": a rare level
+        train = make_dataset({"x0": rng.normal(size=n) + y,
+                              "x1": rng.integers(0, 6, n).astype(float)},
+                             {"c": rng.permutation(levels).tolist()}, y)
+        params = TreeParams(min_node_size=6, cp=0.0)
+        bag = fit_bagging(train, BagParams(members=25, tree=params), seed=3)
+        codes = train.codes("c")
+        level_missing = reference_tied = node_at_min_size = False
+        for t, tree in enumerate(bag.trees):
+            index = bootstrap_indices(3, t, n)
+            cart = fit_cart(train.take_rows(index), params)
+            assert tree.nodes == cart.nodes, t
+            assert tree.schema.to_state() == cart.schema.to_state(), t
+            counts = collections.Counter(codes[index].tolist())
+            level_missing |= len(counts) < 4
+            reference_tied |= list(counts.values()).count(max(counts.values())) > 1
+            node_at_min_size |= any(node["n"] == params.min_node_size for node in tree.nodes)
+        assert level_missing and reference_tied and node_at_min_size
 
     def test_ensemble_is_mean_of_recomputed_members(self):
         rng = np.random.default_rng(11)

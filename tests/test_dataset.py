@@ -136,6 +136,14 @@ class TestSchemaSidecar:
         specs = parse_schema("# header\n\nx = numeric,feature\n")
         assert specs == (ColumnSpec("x", "numeric", "feature"),)
 
+    @pytest.mark.parametrize("last", ["b ", "b\t", "b\xa0", "  "])
+    def test_last_level_keeps_trailing_whitespace(self, tmp_path, last):
+        specs = [ColumnSpec("x", "numeric"), ColumnSpec("c", "categorical", "feature", ("a", last))]
+        d = Dataset(specs, {"x": np.array([1.0, 2.0]), "c": np.array([0, 1])})
+        write_csv(d, tmp_path / "d.csv")
+        write_schema(d.specs, tmp_path / "d.schema")
+        assert load_csv(tmp_path / "d.csv", tmp_path / "d.schema").equals(d)
+
 
 class TestCsvRoundTrip:
     def test_small_round_trip(self, tmp_path):
