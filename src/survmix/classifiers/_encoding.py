@@ -4,10 +4,10 @@ A fitted model remembers the training feature columns (name, kind), each
 categorical feature's observed levels, and a reference level (the most
 frequent training level, ties broken by vocabulary order).  A weighted
 training sample (a bagging member) gets the schema of the sample it stands
-for from `FeatureSchema.weighted`.  At prediction
-time columns are matched by name, categorical cells by level string, and any
-level never observed in training is mapped to the reference level with a
-warning.  Missing feature cells are rejected — models require complete rows.
+for from `FeatureSchema.weighted`.  At prediction time columns are matched
+by name, categorical cells by level string, and any level never observed in
+training is mapped to the reference level with a warning.  Missing feature
+cells are rejected — models require complete rows.
 """
 
 import warnings
