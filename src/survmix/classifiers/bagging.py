@@ -5,12 +5,14 @@ with replacement) produced by the substream tagged ``"bag:t"`` of the model
 seed, so any member can be reproduced in isolation from (data, seed, t).
 The sample is never copied: the training set is encoded and presorted once,
 and member ``t`` grows on it with row weights, the number of times the
-sample draws each row (Breiman 1996).  Its schema is the one the copied
-sample would give (`FeatureSchema.weighted`), and its tree equals
-``fit_cart`` on the copied sample node for node.  Without the bootstrap,
-one Gini tree on the full sample serves every member.  The ensemble
-probability is the unweighted mean of the member tree probabilities —
-exactly, not a rounded vote.
+sample draws each row (Breiman 1996).  The members grow together, breadth
+first, in the frontier engine of `trees`, as many at a time as keep the
+frontier within its bound; a member's tree does not depend on which others
+grow beside it.  Its schema is the one the copied sample would give
+(`FeatureSchema.weighted`), and its tree equals ``fit_cart`` on the copied
+sample node for node.  Without the bootstrap, one Gini tree on the full
+sample serves every member.  The ensemble probability is the unweighted
+mean of the member tree probabilities — exactly, not a rounded vote.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +22,8 @@ import numpy as np
 from ..dataset import Dataset
 from ..errors import DomainError
 from ..rng import substream
-from .trees import DecisionTreeModel, TreeParams, fit_cart, _Encoded, _grow_greedy
+from .trees import (DecisionTreeModel, TreeParams, fit_cart, _Encoded, _grow_greedy,
+                    _trees_per_frontier)
 
 
 @dataclass(frozen=True)
@@ -64,10 +67,13 @@ def fit_bagging(train: Dataset, params: BagParams, seed: int = 0) -> BaggingMode
         return BaggingModel([fit_cart(train, params.tree)] * params.members, seed)
     data = _Encoded(train)
     n = len(data.y)
+    batch = _trees_per_frontier(data)
     trees = []
-    for t in range(params.members):
-        weights = np.bincount(bootstrap_indices(seed, t, n), minlength=n).astype(float)
-        nodes = _grow_greedy(data, weights, "gini", params.tree)
-        trees.append(DecisionTreeModel("rpart", data.schema.weighted(data.mapped, weights),
-                                       nodes))
+    for first in range(0, params.members, batch):
+        weights = np.array([np.bincount(bootstrap_indices(seed, t, n), minlength=n)
+                            for t in range(first, min(first + batch, params.members))],
+                           dtype=float)
+        for member, nodes in zip(weights, _grow_greedy(data, weights, "gini", params.tree)):
+            trees.append(DecisionTreeModel(
+                "rpart", data.schema.weighted(data.mapped, member), nodes))
     return BaggingModel(trees, seed)

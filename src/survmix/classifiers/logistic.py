@@ -116,10 +116,6 @@ class LogitModel:
         self.coefficients = np.asarray(coefficients, dtype=float)
         self.loglik = float(loglik)
 
-    @property
-    def coefficient_names(self):
-        return list(self.encoder.column_names)
-
     def predict_proba(self, data: Dataset) -> np.ndarray:
         x = self.encoder.transform(data)
         return _sigmoid(self.intercept + x @ self.coefficients)

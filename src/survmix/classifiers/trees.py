@@ -1,6 +1,6 @@
 """Binary classification trees.
 
-Three growth strategies share one recursive partitioner:
+Three growth strategies share one frontier engine (`_grow`):
 
 * ``rpart`` — greedy search over all features maximizing the Gini decrease,
 * ``tree`` — the same search with the entropy (deviance) criterion,
@@ -14,19 +14,30 @@ value.  Categorical splits scan prefixes of the node's levels ordered by
 positive-class rate (optimal for concave impurities), and store the left
 subset as level names.  Unseen levels are routed as the reference level.
 
-The partitioner grows on integer row weights: a row of weight k counts as k
+The engine grows on integer row weights: a row of weight k counts as k
 copies of itself and a row of weight 0 is left out.  The single-tree fits
 weight every row 1; bagging passes each member's bootstrap counts.  Every
-numeric feature is sorted once at the root (a stable argsort), and each node
-carries its rows in value order for every numeric feature as one int32
-(features, rows) array, which a split partitions stably (SLIQ presorting:
-Mehta, Agrawal & Rissanen, EDBT 1996).  One kernel scores all numeric
-features of a node at once from weighted cumulative counts and positives, in
-blocks of at most `_BLOCK_ELEMENTS` node cells (one feature at least).
-Categorical features keep their per-feature scan, with weighted counts.
-Splits are scored only at distinct-value boundaries and sums of integer
-weights are exact, so a weighted tree equals, node for node, the tree grown
-on the rows copied as often as their weights say.
+numeric feature is sorted once at the root (a stable argsort).  A frontier
+is a set of open nodes grown together.  For each numeric feature it keeps
+one integer row that lists every node's rows in value order, node after
+node, and a last row lists them in row order (SLIQ presorting: Mehta, Agrawal &
+Rissanen, EDBT 1996; Shafer, Agrawal & Mehta's SPRINT, VLDB 1996).
+
+The greedy criteria grow breadth first: one frontier holds every open node
+of one depth in every tree grown together, which for bagging is every
+member.  One segmented kernel scores all numeric features of all those
+nodes from weighted cumulative counts and positives; each categorical
+feature is scored from one `bincount` over (node, level) keys; and one
+stable pass per row sends each node's rows to its children.  ctree's node
+order fixes the order of its random draws, so it grows depth first, one
+node per frontier, in preorder.  Each tree's node list is rebuilt in
+preorder from parent links.  The kernels work in blocks of at most
+`_BLOCK_ELEMENTS` cells, and the trees grown together keep their frontier
+within `_FRONTIER_ELEMENTS` entries.  Splits are scored only at
+distinct-value boundaries and sums of integer weights are exact, so a
+weighted tree equals, node for node, the tree grown on the rows copied as
+often as their weights say, and a tree grown among others equals the tree
+grown alone.
 """
 
 from dataclasses import dataclass
@@ -39,9 +50,12 @@ from ..rng import substream
 from ._encoding import FeatureSchema
 
 _PERM_BLOCK = 256
-# Node cells (rows × features) the numeric split kernel scores at once; a
-# fixed bound, not a parameter, that keeps its temporaries small.
+# Cells the split kernels score at once; a fixed bound, not a parameter, that
+# keeps their temporaries small.
 _BLOCK_ELEMENTS = 1 << 15
+# Entries (rows × (numeric features + 1)) of the root frontier of the trees
+# grown together, which bounds the frontier's own arrays in the same way.
+_FRONTIER_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -89,97 +103,199 @@ def _impurity(p, criterion):
     return np.where((p <= 0.0) | (p >= 1.0), 0.0, h)
 
 
-def _best_numeric_splits(values, order, weights, positives, criterion):
-    """The best split of every numeric feature of one node.
+def _segment_blocks(starts, per_segment=0):
+    """Ranges [first, last) of consecutive segments (segment s spans positions
+    `starts[s]:starts[s + 1]`) whose positions, plus `per_segment` cells for
+    each segment, number at most `_BLOCK_ELEMENTS`; one segment at least."""
+    cost = starts + per_segment * np.arange(len(starts))
+    first, n_segments = 0, len(starts) - 1
+    while first < n_segments:
+        last = int(np.searchsorted(cost, cost[first] + _BLOCK_ELEMENTS, "right")) - 1
+        last = min(max(last, first + 1), n_segments)
+        yield first, last
+        first = last
 
-    `values` holds the numeric columns as rows (features × training rows) and
-    `order` the node's rows in value order, one row per feature; `weights` and
-    `positives` are each training row's weight and weight × label.  Returns
-    the decreases (−inf for a feature constant in the node) and thresholds.
-    Features are scored in blocks of at most `_BLOCK_ELEMENTS` node cells,
-    and of one feature at least.
+
+def _best_numeric_splits(values, order, starts, offsets, weights, positives, criterion):
+    """The best split of every numeric feature in every segment of a frontier.
+
+    `values` holds the numeric columns as rows (features × training rows).
+    Row f of `order` lists the segments one after another, segment s at
+    positions `starts[s]:starts[s + 1]` (never empty) holding one node's rows
+    in the value order of feature f, as indices into `weights` and
+    `positives` (each row's weight and weight × label): the row plus
+    `offsets[s]`.  Returns the decreases (−inf for a feature constant in the
+    segment) and thresholds, segments × features.
+
+    Whole segments, at most `_BLOCK_ELEMENTS` positions of them (one segment
+    at least), are scored for as many features as keep the block within
+    `_BLOCK_ELEMENTS` cells (one feature at least).  The weights are integers
+    held in floats, so one running sum over the block, set back at each
+    segment's head by the previous segment's total, gives every node its own
+    cumulative counts exactly.
     """
-    n_features, m = order.shape
-    gains = np.full(n_features, -np.inf)
-    thresholds = np.zeros(n_features)
-    if m < 2:
+    n_features = len(order)
+    gains = np.full((len(starts) - 1, n_features), -np.inf)
+    thresholds = np.zeros(gains.shape)
+    if not n_features:
         return gains, thresholds
-    flat = values.ravel()
-    step = max(1, _BLOCK_ELEMENTS // m)
-    for start in range(0, n_features, step):
-        rows = order[start:start + step]
-        features = np.arange(start, start + len(rows))
-        vs = flat[rows + (features * values.shape[1])[:, None]]
-        cum_n = np.cumsum(weights[rows], axis=1)
-        cum_pos = np.cumsum(positives[rows], axis=1)
-        n, pos = cum_n[0, -1], cum_pos[0, -1]
-        n_left, pos_left = cum_n[:, :-1], cum_pos[:, :-1]
-        n_right = n - n_left
-        pos_right = pos - pos_left
-        parent = _impurity(pos / n, criterion)
-        child = (n_left * _impurity(pos_left / n_left, criterion)
-                 + n_right * _impurity(pos_right / n_right, criterion)) / n
-        decrease = np.where(vs[:, 1:] > vs[:, :-1], parent - child, -np.inf)
-        best = np.argmax(decrease, axis=1)  # first maximum: smallest split value
-        local = features - start
-        gains[features] = decrease[local, best]
-        thresholds[features] = 0.5 * (vs[local, best] + vs[local, best + 1])
+    flat, n_rows = values.ravel(), values.shape[1]
+    pairs = weights + 1j * positives
+    for first, last in _segment_blocks(starts):
+        span = slice(starts[first], starts[last])
+        lengths = np.diff(starts[first:last + 1])
+        heads = starts[first:last] - starts[first]
+        ends = heads + lengths - 1
+        width = len(order[0, span])
+        # What every feature shares: each position's node offset, node totals
+        # and parent impurity.
+        shift = np.repeat(offsets[first:last], lengths)
+        totals = np.add.reduceat(pairs.take(order[0, span]), heads)
+        n, pos = totals.real, totals.imag
+        n_at, pos_at = np.repeat(n, lengths), np.repeat(pos, lengths)
+        segment = np.repeat(np.arange(last - first), lengths)
+        parent = np.repeat(_impurity(pos / n, criterion), lengths)
+        step = max(1, _BLOCK_ELEMENTS // width)
+        for f0 in range(0, n_features, step):
+            ids = order[f0:f0 + step, span]
+            features = slice(f0, f0 + len(ids))
+            cells = np.subtract(ids, shift, dtype=np.intp)
+            cells += (np.arange(f0, f0 + len(ids)) * n_rows)[:, None]
+            vs = flat.take(cells)
+            # Weights and positives run in one complex cumulative sum.
+            cum = pairs.take(ids)
+            cum[:, heads[1:]] -= totals[:-1]
+            np.cumsum(cum, axis=1, out=cum)
+            n_left, pos_left = cum.real, cum.imag
+            n_right = n_at - n_left
+            pos_right = pos_at - pos_left
+            with np.errstate(divide="ignore", invalid="ignore"):  # n_right = 0 at ends
+                child = n_left * _impurity(pos_left / n_left, criterion)
+                child += n_right * _impurity(pos_right / n_right, criterion)
+            child /= n_at
+            decrease = np.subtract(parent, child, out=child)
+            constant = np.ones(ids.shape, dtype=bool)
+            np.less_equal(vs[:, 1:], vs[:, :-1], out=constant[:, :-1])
+            constant[:, ends] = True  # no split past a segment's last row
+            np.copyto(decrease, -np.inf, where=constant)
+            best_gain = np.maximum.reduceat(decrease, heads, axis=1)
+            # The first maximum of each segment, the smallest split value: the
+            # first hit where the (feature, segment) pair changes.
+            hits = np.flatnonzero(decrease == np.repeat(best_gain, lengths, axis=1))
+            pair = hits // width * (last - first) + segment[hits % width]
+            firsts = hits[np.flatnonzero(np.diff(pair, prepend=-1))]
+            best = (firsts % width).reshape(best_gain.shape)
+            local = np.arange(len(ids))[:, None]
+            upper = vs[local, np.minimum(best + 1, width - 1)]
+            gains[first:last, features] = best_gain.T
+            thresholds[first:last, features] = (0.5 * (vs[local, best] + upper)).T
     return gains, thresholds
 
 
-def _best_categorical_split(codes, weights, weighted_labels, n_levels, criterion):
-    totals = np.bincount(codes, weights=weights, minlength=n_levels)
-    positives = np.bincount(codes, weights=weighted_labels, minlength=n_levels)
-    present = np.flatnonzero(totals > 0)
-    if present.size < 2:
-        return None
-    rates = positives[present] / totals[present]
-    order = present[np.argsort(rates, kind="stable")]  # ties: level order
-    n = totals.sum()
-    n_pos = positives[present].sum()
-    n_left = np.cumsum(totals[order])[:-1]
-    pos_left = np.cumsum(positives[order])[:-1]
-    n_right = n - n_left
-    pos_right = n_pos - pos_left
-    parent = _impurity(n_pos / n, criterion)
-    child = (n_left * _impurity(pos_left / n_left, criterion)
-             + n_right * _impurity(pos_right / n_right, criterion)) / n
-    decrease = parent - child
-    best = int(np.argmax(decrease))
-    subset = tuple(sorted(order[:best + 1].tolist()))
-    return float(decrease[best]), ("categorical", None, subset)
+def _best_categorical_splits(codes, n_levels, starts, weights, positives, criterion):
+    """The best split of one categorical feature in every segment.
+
+    `codes`, `weights` and `positives` give each position's level code,
+    weight and weight × label; segment s spans `starts[s]:starts[s + 1]`.  A
+    segment's present levels are ordered by positive rate (ties in level
+    order) and each proper prefix is a candidate left side.  Returns the
+    decreases (−inf where fewer than two levels are present) and whether each
+    level goes left, segments × levels.  Blocks of whole segments keep the
+    positions plus the segments × levels tables within `_BLOCK_ELEMENTS`.
+    """
+    gains = np.full(len(starts) - 1, -np.inf)
+    left = np.zeros((len(gains), n_levels), dtype=bool)
+    if n_levels < 2:
+        return gains, left
+    for first, last in _segment_blocks(starts, n_levels):
+        count, span = last - first, slice(starts[first], starts[last])
+        keys = (np.repeat(np.arange(count), np.diff(starts[first:last + 1])) * n_levels
+                + codes[span])
+        totals = np.bincount(keys, weights=weights[span], minlength=count * n_levels)
+        pos = np.bincount(keys, weights=positives[span], minlength=count * n_levels)
+        totals, pos = totals.reshape(count, n_levels), pos.reshape(count, n_levels)
+        present = totals > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rates = np.where(present, pos / totals, np.inf)
+        order = np.argsort(rates, axis=1, kind="stable")  # absent levels last
+        n = totals.sum(axis=1)[:, None]
+        n_pos = pos.sum(axis=1)[:, None]
+        n_left = np.cumsum(np.take_along_axis(totals, order, axis=1), axis=1)[:, :-1]
+        pos_left = np.cumsum(np.take_along_axis(pos, order, axis=1), axis=1)[:, :-1]
+        n_right = n - n_left
+        pos_right = n_pos - pos_left
+        parent = _impurity(n_pos / n, criterion)
+        with np.errstate(divide="ignore", invalid="ignore"):  # n_right = 0 past them
+            child = (n_left * _impurity(pos_left / n_left, criterion)
+                     + n_right * _impurity(pos_right / n_right, criterion)) / n
+        valid = np.arange(n_levels - 1) < present.sum(axis=1)[:, None] - 1
+        decrease = np.where(valid, parent - child, -np.inf)
+        best = np.argmax(decrease, axis=1)  # first maximum
+        gains[first:last] = decrease[np.arange(count), best]
+        np.put_along_axis(left[first:last], order,
+                          np.arange(n_levels) <= best[:, None], axis=1)
+    return gains, left
 
 
-def _greedy_selector(data, weights, criterion, cp):
-    positives = weights * data.y
+class _Frontier:
+    """Open nodes that are scored and split together.
 
-    def select(rows, order):
+    Row f of `order` (int32 or int64) lists node s at positions
+    `starts[s]:starts[s + 1]`: its rows in the value order of numeric feature
+    f, and in ascending order in the last row.  An entry is a row plus the
+    node's offset, tree × training rows, so that it indexes the flat weights.
+    `nodes` holds the node ids, `rows` and `segment` each position's row and
+    node.
+    """
+
+    def __init__(self, order, starts, offsets, nodes, depth):
+        self.order, self.starts, self.offsets = order, starts, offsets
+        self.nodes, self.depth = nodes, depth
+        self.segment = np.repeat(np.arange(len(nodes)), np.diff(starts))
+        self.rows = order[-1] - offsets[self.segment]
+
+
+# A selector maps (frontier, flat weights, flat weights × labels) to each
+# node's split: the feature's index in the schema (−1: none), the threshold of
+# a numeric split and, per categorical feature, segments × levels masks of the
+# levels sent left.
+_NO_SPLIT = (np.full(1, -1), np.zeros(1), {})
+
+
+def _greedy_selector(data, criterion, cp):
+    """The split of largest impurity decrease of every node: features compared
+    in schema order, a later one only when strictly better; none when the
+    decrease is below `cp` or no feature splits."""
+
+    def select(frontier, weights, positives):
+        order, starts = frontier.order, frontier.starts
         gains, thresholds = _best_numeric_splits(
-            data.values, order, weights, positives, criterion)
-        row_weights, row_positives = weights[rows], positives[rows]
-        best = None
-        for name, kind in data.schema.features:
+            data.values, order[:-1], starts, frontier.offsets, weights, positives,
+            criterion)
+        best = np.full(len(frontier.nodes), -np.inf)
+        feature = np.full(len(best), -1)
+        threshold = np.zeros(len(best))
+        left = {}
+        row_weights, row_positives = weights[order[-1]], positives[order[-1]]
+        for j, (name, kind) in enumerate(data.schema.features):
             if kind == "numeric":
-                i = data.numeric[name]
-                if gains[i] == -np.inf:
-                    continue
-                found = float(gains[i]), ("numeric", float(thresholds[i]), None)
+                gain = gains[:, data.numeric[name]]
             else:
-                found = _best_categorical_split(
-                    data.mapped[name][rows], row_weights, row_positives,
-                    len(data.schema.levels[name]), criterion)
-                if found is None:
-                    continue
-            decrease, split = found
-            if best is None or decrease > best[0]:
-                best = (decrease, name, split)
-        if best is None or best[0] < cp:
-            return None
-        return best[1], best[2]
+                gain, left[name] = _best_categorical_splits(
+                    data.mapped[name][frontier.rows], len(data.schema.levels[name]),
+                    starts, row_weights, row_positives, criterion)
+            better = gain > best
+            best[better] = gain[better]
+            feature[better] = j
+            if kind == "numeric":
+                threshold[better] = thresholds[better, data.numeric[name]]
+        feature[best < cp] = -1
+        return feature, threshold, left
     return select
 
 
 def _permutation_pvalues(schema, mapped, y, rows, rng, permutations):
+
     """One-sided permutation p-values of per-feature association statistics.
 
     Numeric features use the absolute difference of class means, categorical
@@ -235,9 +351,10 @@ def _permutation_pvalues(schema, mapped, y, rows, rng, permutations):
     done = 0
     while done < permutations:
         block = min(_PERM_BLOCK, permutations - done)
-        perms = np.empty((n, block))
-        for j in range(block):
-            perms[:, j] = yb[rng.permutation(n)]
+        # Row j of `idx` is the draw rng.permutation(n) would give as the j-th
+        # call; one gather then fills the whole block.
+        idx = rng.permuted(np.tile(np.arange(n), (block, 1)), axis=1)
+        perms = np.ascontiguousarray(yb[idx].T)
         exceed += (stats(perms) >= observed[:, None]).sum(axis=1)
         done += block
     pvalues = (1.0 + exceed) / (permutations + 1.0)
@@ -245,30 +362,35 @@ def _permutation_pvalues(schema, mapped, y, rows, rng, permutations):
 
 
 def _ctree_selector(data, params, rng):
+    """The split of the node of a one-node frontier (of the one tree, weighted
+    by ones) that the permutation tests choose."""
     kinds = dict(data.schema.features)
-    ones = np.ones(len(data.y))
 
-    def select(rows, order):
+    def select(frontier, weights, positives):
+        rows = frontier.rows
         pvalues = _permutation_pvalues(data.schema, data.mapped, data.y, rows, rng,
                                        params.permutations)
         if pvalues is None:
-            return None
+            return _NO_SPLIT
         adjusted = {name: min(1.0, p * len(pvalues)) for name, p in pvalues.items()}
         name = min(adjusted, key=lambda k: (adjusted[k], _feature_rank(data.schema, k)))
         if adjusted[name] >= params.alpha:
-            return None
+            return _NO_SPLIT
+        feature = np.array([_feature_rank(data.schema, name)])
         if kinds[name] == "numeric":
             i = data.numeric[name]
             gains, thresholds = _best_numeric_splits(
-                data.values[i:i + 1], order[i:i + 1], ones, data.y, "gini")
-            if gains[0] == -np.inf:
-                return None
-            return name, ("numeric", float(thresholds[0]), None)
-        found = _best_categorical_split(data.mapped[name][rows], ones[rows], data.y[rows],
-                                        len(data.schema.levels[name]), "gini")
-        if found is None:
-            return None
-        return name, found[1]
+                data.values[i:i + 1], frontier.order[i:i + 1], frontier.starts,
+                frontier.offsets, weights, positives, "gini")
+            if gains[0, 0] == -np.inf:
+                return _NO_SPLIT
+            return feature, thresholds[:, 0], {}
+        gains, left = _best_categorical_splits(
+            data.mapped[name][rows], len(data.schema.levels[name]), frontier.starts,
+            weights[rows], positives[rows], "gini")
+        if gains[0] == -np.inf:
+            return _NO_SPLIT
+        return feature, np.zeros(1), {name: left}
     return select
 
 
@@ -295,57 +417,152 @@ class _Encoded:
         self.order = np.argsort(self.values, axis=1, kind="stable").astype(np.int32)
 
 
-def _grow(data, weights, select, min_node_size, max_depth):
-    """The flat node list of a tree grown on `data` with integer row weights."""
+def _trees_per_frontier(data):
+    """How many trees `_grow` should grow together on `data`: as many as keep
+    their root frontier within `_FRONTIER_ELEMENTS` entries, one at least."""
+    return max(1, _FRONTIER_ELEMENTS // ((len(data.order) + 1) * len(data.y)))
+
+
+def _goes_left(data, frontier, feature, threshold, left):
+    """Whether each position's row goes left under its node's split."""
+    rows, segment = frontier.rows, frontier.segment
+    chosen = feature[segment]
+    go_left = np.zeros(len(rows), dtype=bool)
+    for j in np.unique(feature[feature >= 0]).tolist():
+        name, kind = data.schema.features[j]
+        at = np.flatnonzero(chosen == j)
+        column = data.mapped[name][rows[at]]
+        if kind == "numeric":
+            go_left[at] = column <= threshold[segment[at]]
+        else:
+            go_left[at] = left[name][segment[at], column]
+    return go_left
+
+
+def _grow(data, weights, select, min_node_size, max_depth, depth_first=False):
+    """The flat node lists of the trees grown on `data`, one per row of
+    `weights`, tree t with the integer row weights `weights[t]`.
+
+    Breadth first, every open node of one depth in every tree forms one
+    frontier: `select` scores all of them at once, and one stable pass per
+    row of the frontier's `order` sends each node's rows to its children.
+    Depth first, a frontier holds one node, taken from the top of a stack
+    that the left child tops next, so nodes are selected in preorder.  A
+    node is a leaf at `min_node_size` weight or less, at `max_depth`, when
+    pure, or when `select` finds no split.  Each tree's node list is put in
+    preorder from the parent links at the end.
+    """
+    n_trees, n_rows = weights.shape
+    flat_weights = weights.ravel()
+    flat_positives = (weights * data.y).ravel()
+    index_type = np.int32 if weights.size <= np.iinfo(np.int32).max else np.int64
+    marks = np.zeros(weights.size, dtype=np.int8)  # 0 drop, 1 left, 2 right
+    node_n = weights.sum(axis=1).tolist()
+    node_pos = (weights * data.y).sum(axis=1).tolist()
+    node_split = [None] * n_trees
+    node_children = [None] * n_trees
+
+    def is_open(n, pos, depth):
+        return ~((n <= min_node_size) | (depth >= max_depth) | (pos == 0.0) | (pos == n))
+
+    grown = np.flatnonzero(is_open(np.array(node_n), np.array(node_pos), 0))
+    sampled = weights[grown] > 0
+    offsets = grown * n_rows
+    order = np.empty((len(data.order) + 1, int(sampled.sum())), dtype=index_type)
+    for f, feature_order in enumerate(data.order):
+        order[f] = (feature_order + offsets[:, None])[sampled[:, feature_order]]
+    order[-1] = (np.arange(n_rows) + offsets[:, None])[sampled]
+    starts = np.concatenate(([0], np.cumsum(sampled.sum(axis=1))))
+    stack = [_Frontier(order, starts, offsets, grown, 0)] if grown.size else []
+    while stack:
+        frontier = stack.pop()
+        feature, threshold, left = select(frontier, flat_weights, flat_positives)
+        split = feature >= 0
+        if not split.any():
+            continue
+        segment, ids = frontier.segment, frontier.order[-1]
+        go_right = ~_goes_left(data, frontier, feature, threshold, left)
+        keys = segment * 2 + go_right
+        size = 2 * len(feature)
+        counts = np.bincount(keys, minlength=size).reshape(-1, 2)
+        child_n = np.bincount(keys, flat_weights[ids], minlength=size).reshape(-1, 2)
+        child_pos = np.bincount(keys, flat_positives[ids], minlength=size).reshape(-1, 2)
+        opened = is_open(child_n, child_pos, frontier.depth + 1) & split[:, None]
+
+        first_child = len(node_n)
+        splits = np.flatnonzero(split)
+        node_n += child_n[splits].ravel().tolist()
+        node_pos += child_pos[splits].ravel().tolist()
+        node_split += [None] * (2 * len(splits))
+        node_children += [None] * (2 * len(splits))
+        children = np.full((len(feature), 2), -1)
+        children[splits] = first_child + np.arange(2 * len(splits)).reshape(-1, 2)
+        thresholds = threshold.tolist()
+        for s in splits.tolist():
+            name, kind = data.schema.features[feature[s]]
+            if kind == "numeric":
+                rule = thresholds[s]
+            else:
+                levels = data.schema.levels[name]
+                rule = [levels[c] for c in np.flatnonzero(left[name][s]).tolist()]
+            node = int(frontier.nodes[s])
+            node_split[node] = (name, kind, rule)
+            node_children[node] = tuple(children[s].tolist())
+
+        # One stable pass per row: the rows of open left children, node by
+        # node, then those of open right children.
+        marks[ids] = np.where(opened[segment, go_right.astype(int)], 1 + go_right, 0)
+        n_left = int(counts[opened[:, 0], 0].sum())
+        n_kept = n_left + int(counts[opened[:, 1], 1].sum())
+        order = np.empty((len(frontier.order), n_kept), dtype=index_type)
+        for row, new_row in zip(frontier.order, order):
+            mark = marks.take(row)
+            np.compress(mark == 1, row, out=new_row[:n_left])
+            np.compress(mark == 2, row, out=new_row[n_left:])
+        lefts, rights = np.flatnonzero(opened[:, 0]), np.flatnonzero(opened[:, 1])
+        starts = np.concatenate(([0], np.cumsum(counts[lefts, 0]),
+                                 n_left + np.cumsum(counts[rights, 1])))
+        offsets = np.concatenate((frontier.offsets[lefts], frontier.offsets[rights]))
+        nodes = np.concatenate((children[lefts, 0], children[rights, 1]))
+        depth = frontier.depth + 1
+        if depth_first:
+            stack += [_Frontier(order[:, starts[s]:starts[s + 1]], starts[s:s + 2] - starts[s],
+                                offsets[s:s + 1], nodes[s:s + 1], depth)
+                      for s in reversed(range(len(nodes)))]
+        elif nodes.size:
+            stack.append(_Frontier(order, starts, offsets, nodes, depth))
+
+    return [_preorder(root, node_n, node_pos, node_split, node_children)
+            for root in range(n_trees)]
+
+
+def _preorder(root, node_n, node_pos, node_split, node_children):
+    """The flat node list of the tree at node id `root`, in preorder, from
+    each node id's weighted count, positives, split and children."""
+    visit, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        visit.append(node)
+        if node_children[node] is not None:
+            stack += reversed(node_children[node])
+    index = {node: i for i, node in enumerate(visit)}
     nodes = []
-    positives = weights * data.y
-    goes_left = np.zeros(len(weights), dtype=bool)
-
-    def build(rows, order, depth):
-        index = len(nodes)
-        nodes.append(None)
-        n = float(weights[rows].sum())
-        pos = float(positives[rows].sum())
-        leaf = {"leaf": True, "n": int(n), "prob": pos / n}
-        if n <= min_node_size or depth >= max_depth or pos in (0.0, n):
-            nodes[index] = leaf
-            return index
-        chosen = select(rows, order)
-        if chosen is None:
-            nodes[index] = leaf
-            return index
-        name, (kind, threshold, subset) = chosen
-        if kind == "numeric":
-            go_left = data.mapped[name][rows] <= threshold
-        else:
-            lut = np.zeros(len(data.schema.levels[name]), dtype=bool)
-            lut[list(subset)] = True
-            go_left = lut[data.mapped[name][rows]]
-        node = {"leaf": False, "feature": name, "kind": kind, "n": int(n)}
-        if kind == "numeric":
-            node["threshold"] = threshold
-        else:
-            node["subset"] = [data.schema.levels[name][c] for c in subset]
-        # Split every feature's value order stably by the side each row takes.
-        goes_left[rows] = go_left
-        in_left = goes_left[order]
-        left, right = rows[go_left], rows[~go_left]
-        left_order = order[in_left].reshape(len(order), left.size)
-        right_order = order[~in_left].reshape(len(order), right.size)
-        node["left"] = build(left, left_order, depth + 1)
-        node["right"] = build(right, right_order, depth + 1)
-        nodes[index] = node
-        return index
-
-    sampled = weights > 0
-    rows = np.flatnonzero(sampled)
-    build(rows, data.order[sampled[data.order]].reshape(len(data.order), rows.size), 0)
+    for node in visit:
+        n, pos = node_n[node], node_pos[node]
+        if node_split[node] is None:
+            nodes.append({"leaf": True, "n": int(n), "prob": pos / n})
+            continue
+        name, kind, rule = node_split[node]
+        entry = {"leaf": False, "feature": name, "kind": kind, "n": int(n),
+                 "threshold" if kind == "numeric" else "subset": rule}
+        entry["left"], entry["right"] = (index[c] for c in node_children[node])
+        nodes.append(entry)
     return nodes
 
 
 def _grow_greedy(data, weights, criterion, params):
-    select = _greedy_selector(data, weights, criterion, params.cp)
-    return _grow(data, weights, select, params.min_node_size, params.max_depth)
+    return _grow(data, weights, _greedy_selector(data, criterion, params.cp),
+                 params.min_node_size, params.max_depth)
 
 
 class DecisionTreeModel:
@@ -405,13 +622,13 @@ def fit_tree(train: Dataset, params: TreeParams) -> DecisionTreeModel:
 
 def _fit_greedy(algorithm, criterion, train, params):
     data = _Encoded(train)
-    nodes = _grow_greedy(data, np.ones(len(data.y)), criterion, params)
+    [nodes] = _grow_greedy(data, np.ones((1, len(data.y))), criterion, params)
     return DecisionTreeModel(algorithm, data.schema, nodes)
 
 
 def fit_ctree(train: Dataset, params: CtreeParams, seed: int = 0) -> DecisionTreeModel:
     data = _Encoded(train)
     select = _ctree_selector(data, params, substream(seed, "ctree"))
-    nodes = _grow(data, np.ones(len(data.y)), select, params.min_node_size,
-                  params.max_depth)
+    [nodes] = _grow(data, np.ones((1, len(data.y))), select, params.min_node_size,
+                    params.max_depth, depth_first=True)
     return DecisionTreeModel("ctree", data.schema, nodes)

@@ -10,7 +10,6 @@ subtracts a fraction k/d (Efron) or 0 (Breslow) of the group's weight from
 the risk-set sums, so with no ties the two methods coincide exactly.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,20 +45,6 @@ class DesignMatrix:
     @property
     def n_rows(self) -> int:
         return self.matrix.shape[0]
-
-    def without_columns(self, names, reason: str) -> "DesignMatrix":
-        names = set(names)
-        unknown = names - set(self.column_names)
-        if unknown:
-            raise DomainError(f"cannot drop unknown design columns: {sorted(unknown)}")
-        keep = [j for j, n in enumerate(self.column_names) if n not in names]
-        return dataclasses.replace(
-            self,
-            column_names=tuple(self.column_names[j] for j in keep),
-            matrix=self.matrix[:, keep],
-            term_map={n: t for n, t in self.term_map.items() if n not in names},
-            dropped_columns=self.dropped_columns
-            + tuple((n, reason) for n in self.column_names if n in names))
 
 
 def parse_formula(text: str) -> list:

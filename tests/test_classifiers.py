@@ -17,9 +17,11 @@ from survmix.classifiers._encoding import DummyEncoder, FeatureSchema
 from survmix.classifiers.bagging import BagParams, bootstrap_indices, fit_bagging
 from survmix.classifiers.logistic import LogitModel, LogitParams, fit_logit
 from survmix.classifiers.naive_bayes import NbParams, fit_naive_bayes
+from survmix.classifiers import trees
 from survmix.classifiers.neural import (
     AnnModel,
     AnnParams,
+    _sigmoid,
     fit_ann,
     forward,
     loss_and_gradients,
@@ -321,6 +323,21 @@ def kernel_case(name):
     return values, y, node
 
 
+def assert_segment_matches_reference(values, y, rows, weights, gains, thresholds,
+                                     criterion):
+    """Each feature's gain and threshold in one node equal, bit for bit, the
+    reference's on the node's rows copied as often as their weights say."""
+    repeats = weights.astype(int)
+    for f in range(len(values)):
+        found = reference_numeric_split(np.repeat(values[f, rows], repeats),
+                                        np.repeat(y[rows], repeats), criterion)
+        if found is None:
+            assert gains[f] == -np.inf, f
+        else:
+            assert (gains[f].hex(), thresholds[f].hex()) == \
+                (found[0].hex(), found[1].hex()), f
+
+
 KERNEL_CASES = ("ties", "constant_columns", "single_value", "one_row", "two_rows",
                 "many_columns", "long_columns")
 
@@ -335,17 +352,45 @@ class TestNumericSplitKernel:
         weights[node] = (np.random.default_rng(len(node)).integers(1, 4, len(node))
                          if weighted else 1.0)
         order = node[np.argsort(values[:, node], axis=1, kind="stable")].astype(np.int32)
-        gains, thresholds = _best_numeric_splits(values, order, weights, weights * y,
-                                                 criterion)
-        repeats = weights[node].astype(int)
-        for f in range(len(values)):
-            found = reference_numeric_split(np.repeat(values[f, node], repeats),
-                                            np.repeat(y[node], repeats), criterion)
-            if found is None:
-                assert gains[f] == -np.inf, f
-            else:
-                assert (gains[f].hex(), thresholds[f].hex()) == \
-                    (found[0].hex(), found[1].hex()), f
+        gains, thresholds = _best_numeric_splits(values, order, np.array([0, len(node)]),
+                                                 np.zeros(1, dtype=int), weights,
+                                                 weights * y, criterion)
+        assert_segment_matches_reference(values, y, node, weights[node], gains[0],
+                                         thresholds[0], criterion)
+
+    @pytest.mark.parametrize("block", [None, 50])
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_segments_match_per_node_reference(self, criterion, block, monkeypatch):
+        # Nodes of two weighted trees side by side, of 1 to 120 rows; with a
+        # 50-cell block the segments fall into many blocks, some longer than one.
+        if block is not None:
+            monkeypatch.setattr(trees, "_BLOCK_ELEMENTS", block)
+        rng = np.random.default_rng(29)
+        n_rows = 400
+        values = rng.integers(0, 5, (4, n_rows)).astype(float)
+        values[1] = rng.normal(size=n_rows)
+        y = rng.integers(0, 2, n_rows).astype(float)
+        weights = rng.integers(0, 4, (2, n_rows)).astype(float)
+        weights[:, :10] = 2.0  # ten rows sampled by both trees
+        values[3, :10] = 1.5  # a feature constant in the first node
+        segments = []  # (tree, rows)
+        for tree in range(2):
+            sampled = np.flatnonzero(weights[tree] > 0)
+            sampled = np.concatenate((sampled[:10], rng.permutation(sampled[10:])))
+            bounds = np.cumsum([10, 1, 2, 120, 37, 3])
+            segments += [(tree, np.sort(rows)) for rows in np.split(sampled, bounds)]
+        order = np.hstack([
+            rows[np.argsort(values[:, rows], axis=1, kind="stable")] + tree * n_rows
+            for tree, rows in segments]).astype(np.int32)
+        starts = np.cumsum([0] + [len(rows) for _, rows in segments])
+        offsets = np.array([tree * n_rows for tree, _ in segments])
+        flat = weights.ravel()
+        gains, thresholds = _best_numeric_splits(values, order, starts, offsets, flat,
+                                                 flat * np.tile(y, 2), criterion)
+        for s, (tree, rows) in enumerate(segments):
+            assert_segment_matches_reference(values, y, rows, weights[tree, rows],
+                                             gains[s], thresholds[s], criterion)
+        assert gains[0, 3] == -np.inf
 
     def test_cases_span_blocks(self):
         for case in ("many_columns", "long_columns"):
@@ -424,6 +469,17 @@ class TestCtree:
         model = fit_ctree(data, CtreeParams(min_node_size=5), seed=0)
         root = model.nodes[0]
         assert root["feature"] == "c" and root["subset"] in (["a"], ["b"])
+
+    @pytest.mark.parametrize("n, block", [(1, 3), (2, 5), (97, 256), (2751, 17)])
+    def test_block_draw_repeats_the_permutation_stream(self, n, block):
+        # The p-values draw each block of permutations with one `permuted`
+        # call; the stream, and the generator state after it, must be those
+        # of one `permutation(n)` call per column.
+        blocked, looped = substream(3, "stream"), substream(3, "stream")
+        idx = blocked.permuted(np.tile(np.arange(n), (block, 1)), axis=1)
+        expected = np.array([looped.permutation(n) for _ in range(block)])
+        assert np.array_equal(idx, expected)
+        assert blocked.bit_generator.state == looped.bit_generator.state
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
@@ -569,7 +625,7 @@ class TestLogit:
         data = make_dataset({"x": x}, {"c": values}, y)
         reference_a = fit_logit(data, LogitParams(), reference={"c": "a"})
         reference_c = fit_logit(data, LogitParams(), reference={"c": "c"})
-        assert reference_a.coefficient_names != reference_c.coefficient_names
+        assert reference_a.encoder.column_names != reference_c.encoder.column_names
         np.testing.assert_allclose(reference_a.predict_proba(data),
                                    reference_c.predict_proba(data), atol=1e-8)
 
@@ -639,7 +695,29 @@ class TestNaiveBayes:
             fit_naive_bayes(data, NbParams())
 
 
+def masked_sigmoid(z):
+    """The masked logistic function `_sigmoid` replaced: the reference."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 class TestAnn:
+    def test_sigmoid_equals_masked_reference_bit_for_bit(self):
+        tiny = np.finfo(float).smallest_subnormal
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0,
+                          tiny, -tiny, 1e3 * tiny, -1e3 * tiny, 1e-300, -1e-300])
+        rng = np.random.default_rng(31)
+        z = np.concatenate((edges, rng.normal(scale=20.0, size=10**6),
+                            rng.uniform(-800.0, 800.0, 1000)))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = _sigmoid(z)
+        assert np.array_equal(got.view(np.int64), masked_sigmoid(z).view(np.int64))
+        assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
+
     def test_zero_weights_predict_half(self):
         data = make_dataset({"x": [0.0, 3.0, -2.0]}, labels=[0, 1, 0])
         encoder = DummyEncoder.fit(data, standardize=True)
