@@ -70,10 +70,10 @@ def fit_bagging(train: Dataset, params: BagParams, seed: int = 0) -> BaggingMode
     batch = _trees_per_frontier(data)
     trees = []
     for first in range(0, params.members, batch):
+        members = range(first, min(first + batch, params.members))
         weights = np.array([np.bincount(bootstrap_indices(seed, t, n), minlength=n)
-                            for t in range(first, min(first + batch, params.members))],
-                           dtype=float)
-        for member, nodes in zip(weights, _grow_greedy(data, weights, "gini", params.tree)):
-            trees.append(DecisionTreeModel(
-                "rpart", data.schema.weighted(data.mapped, member), nodes))
+                            for t in members], dtype=float)
+        grown = _grow_greedy(data, weights, "gini", params.tree)
+        trees += [DecisionTreeModel("rpart", data.schema.weighted(data.mapped, w), nodes)
+                  for w, nodes in zip(weights, grown)]
     return BaggingModel(trees, seed)

@@ -20,20 +20,19 @@ weight every row 1; bagging passes each member's bootstrap counts.  Every
 numeric feature is sorted once at the root (a stable argsort).  A frontier
 is a set of open nodes grown together.  For each numeric feature it keeps
 one integer row that lists every node's rows in value order, node after
-node, and a last row lists them in row order (SLIQ presorting: Mehta, Agrawal &
-Rissanen, EDBT 1996; Shafer, Agrawal & Mehta's SPRINT, VLDB 1996).
+node, and a last row lists them in row order (SLIQ presorting: Mehta,
+Agrawal & Rissanen, EDBT 1996; Shafer, Agrawal & Mehta's SPRINT, VLDB 1996).
 
 The greedy criteria grow breadth first: one frontier holds every open node
-of one depth in every tree grown together, which for bagging is every
-member.  One segmented kernel scores all numeric features of all those
-nodes from weighted cumulative counts and positives; each categorical
-feature is scored from one `bincount` over (node, level) keys; and one
-stable pass per row sends each node's rows to its children.  ctree's node
-order fixes the order of its random draws, so it grows depth first, one
-node per frontier, in preorder.  Each tree's node list is rebuilt in
-preorder from parent links.  The kernels work in blocks of at most
-`_BLOCK_ELEMENTS` cells, and the trees grown together keep their frontier
-within `_FRONTIER_ELEMENTS` entries.  Splits are scored only at
+of one depth in every tree grown together, which for bagging is as many
+members as `_FRONTIER_ELEMENTS` allows.  One segmented kernel scores all
+numeric features of all those nodes from weighted cumulative counts and
+positives; each categorical feature is scored from one `bincount` over
+(node, level) keys; and one stable pass per row sends each node's rows to
+its children.  ctree's node order fixes the order of its random draws, so it
+grows depth first, one node per frontier, in preorder.  Each tree's node
+list is rebuilt in preorder from parent links.  The kernels work in blocks
+of at most `_BLOCK_ELEMENTS` cells.  Splits are scored only at
 distinct-value boundaries and sums of integer weights are exact, so a
 weighted tree equals, node for node, the tree grown on the rows copied as
 often as their weights say, and a tree grown among others equals the tree
@@ -54,8 +53,9 @@ _PERM_BLOCK = 256
 # keeps their temporaries small.
 _BLOCK_ELEMENTS = 1 << 15
 # Entries (rows × (numeric features + 1)) of the root frontier of the trees
-# grown together, which bounds the frontier's own arrays in the same way.
-_FRONTIER_ELEMENTS = 1 << 22
+# grown together: a fixed bound on the frontier's own arrays (4 MB as int32),
+# so that a bag fit adds little to the pipeline's peak memory.
+_FRONTIER_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -525,9 +525,10 @@ def _grow(data, weights, select, min_node_size, max_depth, depth_first=False):
         offsets = np.concatenate((frontier.offsets[lefts], frontier.offsets[rights]))
         nodes = np.concatenate((children[lefts, 0], children[rights, 1]))
         depth = frontier.depth + 1
-        if depth_first:
-            stack += [_Frontier(order[:, starts[s]:starts[s + 1]], starts[s:s + 2] - starts[s],
-                                offsets[s:s + 1], nodes[s:s + 1], depth)
+        if depth_first:  # each child its own frontier, the left one on top
+            stack += [_Frontier(order[:, starts[s]:starts[s + 1]],
+                                starts[s:s + 2] - starts[s], offsets[s:s + 1],
+                                nodes[s:s + 1], depth)
                       for s in reversed(range(len(nodes)))]
         elif nodes.size:
             stack.append(_Frontier(order, starts, offsets, nodes, depth))
