@@ -1,10 +1,11 @@
 """The frontier tree engine against the recursive grower it replaced.
 
 The oracle below is the recursive, one-node-at-a-time `_grow` with its
-selectors and split searches, kept as it was.  Every model the engine grows
-(rpart, tree, ctree and each bag member) must equal the oracle's node for
-node, also with blocks and frontiers small enough that every depth spans
-many of them.
+selectors and split searches, kept as it was apart from an `events` set
+that records which stopping rules and corner cases a fit reached.  Every
+model the engine grows (rpart, tree, ctree and each bag member) must equal
+the oracle's node for node, also with blocks and frontiers small enough
+that every depth spans many of them.
 """
 
 import collections
