@@ -11,6 +11,7 @@ the risk-set sums, so with no ties the two methods coincide exactly.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -27,6 +28,7 @@ _LOGLIK_TOL = 1e-9
 _MAX_ITER = 25
 _MAX_HALVINGS = 30
 _COEF_LIMIT = 15.0
+_BLOCK_ELEMENTS = 1 << 18
 
 
 # -- design matrices -----------------------------------------------------------
@@ -195,21 +197,60 @@ def _suffix_sums(values, starts):
     return rev[starts]
 
 
+def _outer_suffix_sums(xw, x, starts):
+    """`_suffix_sums` of the row outer products xw_i x_iᵀ, built from the
+    end in blocks of rows with the running total added to each block's first
+    row, so every sum accumulates in the order of one whole-array cumsum."""
+    n, p = x.shape
+    out = np.empty((starts.size, p, p))
+    step = max(1, _BLOCK_ELEMENTS // max(1, p * p))
+    carry = None
+    for hi in range(n, 0, -step):
+        lo = max(0, hi - step)
+        block = xw[lo:hi][::-1, :, None] * x[lo:hi][::-1, None, :]   # row hi-1 first
+        if carry is not None:
+            block[0] += carry
+        np.cumsum(block, axis=0, out=block)
+        carry = block[-1].copy()
+        a, b = np.searchsorted(starts, (lo, hi))
+        out[a:b] = block[hi - 1 - starts[a:b]]
+    return out
+
+
+def _group_blocks(d_starts, m, p):
+    """(first, end) group indices of runs of whole death-time groups holding
+    at most `_BLOCK_ELEMENTS` cells of p×p, one group at least."""
+    bounds = np.append(d_starts, m)
+    step = max(1, _BLOCK_ELEMENTS // (p * p))
+    g, k = 0, d_starts.size
+    while g < k:
+        end = max(g + 1, int(np.searchsorted(bounds, bounds[g] + step, side="right")) - 1)
+        yield g, end
+        g = end
+
+
 def _loglik(prep, beta, ties):
-    """(log-likelihood, score vector, observed information) at beta."""
+    """(log-likelihood, score vector, observed information) at beta.
+
+    The p×p terms are summed one block of rows (risk sets) or of whole
+    death-time groups (information) at a time, bit for bit as the unblocked
+    sums.  The information sums each group's rows in order, with the total so
+    far added to a block's first row, which matches numpy's row-by-row sum of
+    an (m, p, p) array over axis 0 for p >= 2.  For p = 1 numpy sums the (m, 1,
+    1) array pairwise instead, so that one-column case is always one block:
+    its terms are no larger than the m-vectors held anyway.
+    """
     x, starts, death_rows, d_starts, d_counts = prep
     n, p = x.shape
     with np.errstate(over="ignore", invalid="ignore"):
         eta = x @ beta
         w = np.exp(eta)
         xw = x * w[:, None]
-        outer = xw[:, :, None] * x[:, None, :]
         s0 = _suffix_sums(w, starts)
         s1 = _suffix_sums(xw, starts)
-        s2 = _suffix_sums(outer, starts)
+        s2 = _outer_suffix_sums(xw, x, starts)
         s0d = np.add.reduceat(w[death_rows], d_starts)
         s1d = np.add.reduceat(xw[death_rows], d_starts, axis=0)
-        s2d = np.add.reduceat(outer[death_rows], d_starts, axis=0)
 
         k = len(d_counts)
         gidx = np.repeat(np.arange(k), d_counts)
@@ -223,8 +264,19 @@ def _loglik(prep, beta, ties):
         loglik = float(eta[death_rows].sum() - np.log(denom).sum())
         mean = (s1[gidx] - frac[:, None] * s1d[gidx]) / denom[:, None]
         score = x[death_rows].sum(axis=0) - mean.sum(axis=0)
-        shaped = (s2[gidx] - frac[:, None, None] * s2d[gidx]) / denom[:, None, None]
-        info = shaped.sum(axis=0) - np.einsum("mi,mj->ij", mean, mean)
+        blocks = _group_blocks(d_starts, m, p) if p > 1 else [(0, k)]
+        total = None
+        for g0, g1 in blocks:
+            a, b = d_starts[g0], (d_starts[g1] if g1 < k else m)
+            rows = death_rows[a:b]
+            s2d = np.add.reduceat(xw[rows][:, :, None] * x[rows][:, None, :],
+                                  d_starts[g0:g1] - a, axis=0)
+            shaped = ((s2[gidx[a:b]] - frac[a:b, None, None] * s2d[gidx[a:b] - g0])
+                      / denom[a:b, None, None])
+            if total is not None:
+                shaped[0] += total
+            total = shaped.sum(axis=0)
+        info = total - np.einsum("mi,mj->ij", mean, mean)
     return loglik, score, info
 
 
@@ -243,6 +295,9 @@ def cox_loglik(matrix, durations, events, beta, ties: str = "efron"):
 
 @dataclass(frozen=True)
 class CoxFit:
+    """A fitted model.  `cox_fit` also keeps the observed information at
+    beta and the score and information at 0, which `cox_tests` reads."""
+
     names: tuple
     beta: np.ndarray
     se: np.ndarray
@@ -251,6 +306,9 @@ class CoxFit:
     iterations: int
     converged: bool
     ties_method: str
+    information: Optional[np.ndarray] = None
+    score_null: Optional[np.ndarray] = None
+    information_null: Optional[np.ndarray] = None
 
 
 def _raise_singular(matrix, names):
@@ -281,7 +339,7 @@ def cox_fit(design: DesignMatrix, durations, events, ties: str = "efron") -> Cox
     p = matrix.shape[1]
     beta = np.zeros(p)
     loglik, score, info = _loglik(prep, beta, ties)
-    loglik_null = loglik
+    loglik_null, score_null, info_null = loglik, score, info
     if p == 0:
         return CoxFit(names=(), beta=beta, se=beta.copy(),
                       loglik_null=loglik_null, loglik_fit=loglik_null,
@@ -325,7 +383,8 @@ def cox_fit(design: DesignMatrix, durations, events, ties: str = "efron") -> Cox
         se = np.sqrt(np.diag(covariance))
     return CoxFit(names=names, beta=beta, se=se, loglik_null=loglik_null,
                   loglik_fit=loglik, iterations=iterations, converged=bool(converged),
-                  ties_method=ties)
+                  ties_method=ties, information=info, score_null=score_null,
+                  information_null=info_null)
 
 
 # -- inference -----------------------------------------------------------------
@@ -351,23 +410,23 @@ class CoxTests:
                 "score": None if self.score is None else self.score.to_dict()}
 
 
-def cox_tests(fit: CoxFit, design: DesignMatrix, durations, events) -> CoxTests:
-    """Wald, likelihood-ratio, and score chi-square tests for the fitted model."""
+def cox_tests(fit: CoxFit) -> CoxTests:
+    """Wald, likelihood-ratio, and score chi-square tests for the fitted
+    model, from the information and null score that `cox_fit` kept."""
     if not fit.converged:
         raise DomainError("tests require a converged fit")
     p = len(fit.names)
     if p == 0:
         raise DomainError("no coefficients to test")
-    prep = _prepare(design.matrix, durations, events)
-    _, _, info_hat = _loglik(prep, fit.beta, fit.ties_method)
-    wald_stat = float(fit.beta @ info_hat @ fit.beta)
+    if fit.information is None or fit.score_null is None or fit.information_null is None:
+        raise DomainError("tests need the information and null score that cox_fit keeps")
+    wald_stat = float(fit.beta @ fit.information @ fit.beta)
     wald = ChiSquareTest(wald_stat, p, chi_square_sf(wald_stat, p))
     lr_stat = max(0.0, 2.0 * (fit.loglik_fit - fit.loglik_null))
     lr = ChiSquareTest(lr_stat, p, chi_square_sf(lr_stat, p))
-    _, score0, info0 = _loglik(prep, np.zeros(p), fit.ties_method)
     try:
-        solved = np.linalg.solve(info0, score0)
-        score_stat = float(score0 @ solved)
+        solved = np.linalg.solve(fit.information_null, fit.score_null)
+        score_stat = float(fit.score_null @ solved)
         score = ChiSquareTest(score_stat, p, chi_square_sf(score_stat, p))
     except np.linalg.LinAlgError:
         score = None

@@ -20,15 +20,15 @@ writer; `load_csv` parses the file column by column.
 """
 
 import csv
-import io
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .fileio import atomic_write_text, csv_text, read_text
+from .fileio import atomic_write_text, csv_text, open_text, read_text
 from .rng import substream
 
 KINDS = ("numeric", "categorical")
@@ -294,6 +294,7 @@ def write_schema(specs: Sequence[ColumnSpec], path: "str | Path") -> None:
 # -- CSV ----------------------------------------------------------------------
 
 DELIMITER = ";"
+_BLOCK_ROWS = 4096
 
 
 def load_csv(data_path: "str | Path", schema: "Sequence[ColumnSpec] | str | Path") -> Dataset:
@@ -303,79 +304,124 @@ def load_csv(data_path: "str | Path", schema: "Sequence[ColumnSpec] | str | Path
     cells must parse as floats; categorical cells must belong to the declared
     vocabulary (when one was declared — otherwise the vocabulary is inferred
     in order of first appearance, and each level must fit in a sidecar: no
-    '|' and no line break).  Empty and "NA" cells are missing.
+    '|' and no line break).  Empty and "NA" cells are missing.  Of several
+    faults, the first ragged row is reported, else the first bad cell of the
+    first faulty column in schema order.
     """
     if isinstance(schema, (str, Path)):
         schema = read_schema(schema)
     specs = list(schema)
-    rows = list(csv.reader(io.StringIO(read_text(data_path)), delimiter=DELIMITER))
-    if not rows:
-        raise ParseError(f"{data_path}: empty file (missing header row)")
-    header, body = rows[0], rows[1:]
-    if header != [s.name for s in specs]:
-        raise ParseError(
-            f"{data_path}: header {header!r} does not match schema names "
-            f"{[s.name for s in specs]!r}")
-    if set(map(len, body)) - {len(specs)}:
-        r, row = next((r, row) for r, row in enumerate(body, start=2)
-                      if len(row) != len(specs))
-        raise ParseError(f"{data_path}:{r}: expected {len(specs)} fields, got {len(row)}")
+    with open_text(data_path) as fh:
+        reader = csv.reader(fh, delimiter=DELIMITER)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{data_path}: empty file (missing header row)")
+        if header != [s.name for s in specs]:
+            raise ParseError(
+                f"{data_path}: header {header!r} does not match schema names "
+                f"{[s.name for s in specs]!r}")
+        columns = [_Column(s) for s in specs]
+        first_row = 2
+        while block := list(islice(reader, _BLOCK_ROWS)):
+            if set(map(len, block)) - {len(specs)}:
+                r, row = next((r, row) for r, row in enumerate(block, start=first_row)
+                              if len(row) != len(specs))
+                raise ParseError(f"{data_path}:{r}: expected {len(specs)} fields, "
+                                 f"got {len(row)}")
+            for column, tokens in zip(columns, zip(*block)):
+                column.add(tokens, first_row)
+            first_row += len(block)
+    for column in columns:
+        if column.bad is not None:
+            error, row, message = column.bad
+            raise error(f"{data_path}:{row}: column {column.spec.name!r}: {message}")
+    return Dataset([c.final_spec() for c in columns],
+                   {c.spec.name: c.values() for c in columns})
 
-    columns = {}
-    final_specs = []
-    for s, tokens in zip(specs, list(zip(*body)) or [()] * len(specs)):
-        if s.kind == "numeric":
-            columns[s.name] = _parse_numbers(tokens, data_path, s.name)
-            final_specs.append(s)
+
+class _Column:
+    """One column's cells, parsed a block of rows at a time.
+
+    The first bad cell is kept in `bad` as (error class, file row, message)
+    and ends the column's parsing.  `load_csv` raises it only once every row
+    has been read, since a ragged row anywhere in the file is reported first.
+    """
+
+    def __init__(self, spec: ColumnSpec):
+        self.spec = spec
+        self.bad = None
+        self.parts = []
+        self.index = {v: i for i, v in enumerate(spec.vocabulary)}
+
+    def add(self, tokens: tuple, first_row: int) -> None:
+        """Parse one block of cells; the first lies on file row `first_row`."""
+        if self.bad is not None:
+            return
+        parse = _parse_numbers if self.spec.kind == "numeric" else self._parse_levels
+        values, bad = parse(tokens)
+        if bad is None:
+            self.parts.append(values)
         else:
-            codes, vocab = _parse_levels(tokens, data_path, s)
-            columns[s.name] = codes
-            final_specs.append(ColumnSpec(s.name, s.kind, s.role, vocab))
-    return Dataset(final_specs, columns)
+            error, i, message = bad
+            self.bad = (error, first_row + i, message)
+
+    def _parse_levels(self, tokens) -> tuple:
+        """(int32 codes, None), or (None, bad cell); new levels are appended
+        in order of first appearance and rejected when a vocabulary was
+        declared."""
+        index = self.index
+        known = len(index)
+        codes = np.array([MISSING_CODE if tok in MISSING_TOKENS
+                          else index.setdefault(tok, len(index)) for tok in tokens],
+                         dtype=np.int32)
+        declared = len(self.spec.vocabulary)
+        if declared and len(index) > declared:
+            i = int(np.argmax(codes >= declared))
+            return None, (DomainError, i,
+                          f"value {tokens[i]!r} is not in the declared vocabulary")
+        for code, level in enumerate(list(index)[known:], start=known):
+            if "|" in level or level.splitlines() != [level]:
+                return None, (DomainError, int(np.argmax(codes == code)),
+                              f"value {level!r} holds '|' or a line break, which a "
+                              f"schema sidecar cannot store")
+        return codes, None
+
+    def values(self) -> np.ndarray:
+        if not self.parts:
+            return np.empty(0, np.float64 if self.spec.kind == "numeric" else np.int32)
+        return np.concatenate(self.parts)
+
+    def final_spec(self) -> ColumnSpec:
+        s = self.spec
+        if s.kind == "numeric":
+            return s
+        return ColumnSpec(s.name, s.kind, s.role, tuple(self.index))
 
 
-def _parse_numbers(tokens, data_path, name) -> np.ndarray:
+_NAN_FOR_MISSING = dict.fromkeys(MISSING_TOKENS, "nan")
+
+
+def _parse_numbers(tokens) -> tuple:
+    """(float64 array, None), or (None, bad cell) naming the first bad cell."""
     try:
-        return np.array([np.nan if tok in MISSING_TOKENS else float(tok) for tok in tokens],
-                        dtype=np.float64)
+        return np.fromiter(map(float, map(_NAN_FOR_MISSING.get, tokens, tokens)),
+                           dtype=np.float64, count=len(tokens)), None
     except ValueError:
-        for i, tok in enumerate(tokens):  # the first bad cell names the row
+        for i, tok in enumerate(tokens):
             if tok not in MISSING_TOKENS:
                 try:
                     float(tok)
                 except ValueError:
-                    raise ParseError(f"{data_path}:{i + 2}: column {name!r}: "
-                                     f"cannot parse {tok!r} as a number") from None
+                    return None, (ParseError, i, f"cannot parse {tok!r} as a number")
         raise
-
-
-def _parse_levels(tokens, data_path, spec: ColumnSpec) -> tuple:
-    """(int32 codes, vocabulary); new levels are appended in order of first
-    appearance and rejected when a vocabulary was declared."""
-    index = {v: i for i, v in enumerate(spec.vocabulary)}
-    codes = np.array([MISSING_CODE if tok in MISSING_TOKENS
-                      else index.setdefault(tok, len(index)) for tok in tokens],
-                     dtype=np.int32)
-    vocab = tuple(index)
-    declared = len(spec.vocabulary)
-    if declared and len(vocab) > declared:
-        i = int(np.argmax(codes >= declared))
-        raise DomainError(f"{data_path}:{i + 2}: column {spec.name!r}: value {tokens[i]!r} "
-                          f"is not in the declared vocabulary")
-    for code, level in enumerate(vocab[declared:], start=declared):
-        if "|" in level or level.splitlines() != [level]:
-            i = int(np.argmax(codes == code))
-            raise DomainError(f"{data_path}:{i + 2}: column {spec.name!r}: value {level!r} "
-                              f"holds '|' or a line break, which a schema sidecar "
-                              f"cannot store")
-    return codes, vocab
 
 
 def write_csv(data: Dataset, path: "str | Path") -> None:
     """Write a dataset as ';'-separated text through `fileio.csv_text`:
     numeric cells in shortest round-trip float form, missing cells empty."""
-    atomic_write_text(path, csv_text(data.names, [data.values(n) for n in data.names],
-                                     DELIMITER))
+    columns = [data.column(n) if data.spec(n).kind == "numeric" else data.strings(n)
+               for n in data.names]
+    atomic_write_text(path, csv_text(data.names, columns, DELIMITER))
 
 
 # -- synthetic data -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Atomic text/JSON/CSV output helpers.
+"""Text input and atomic text/JSON/CSV output helpers.
 
 Every file the package emits is written to a uniquely named temporary sibling
 and renamed into place, so a crash never leaves a half-written artifact
@@ -6,12 +6,15 @@ behind, and a failed write removes its temporary file.  JSON is serialized
 with sorted keys and a fixed layout to keep outputs byte-stable across runs.
 `csv_text` is the one CSV writer: datasets (';'-separated) and the CSV
 artifacts (','-separated) both pass it their columns, and `text_cells` is the
-one place a cell becomes text.
+one place a cell becomes text.  It renders `_BLOCK_ROWS` rows at a time, so
+besides the text itself it holds one block's cells, whatever the row count.
+
+`open_text` is the one place a file is opened for reading: a missing,
+unreadable or non-UTF-8 file is a `DataError`, also when the bad bytes are
+met while the caller streams the file.
 """
 
 import contextlib
-import csv
-import io
 import json
 import os
 import secrets
@@ -23,6 +26,7 @@ import numpy as np
 from .errors import DataError
 
 _float_repr = float.__repr__   # repr(np.float64) would read 'np.float64(...)'
+_BLOCK_ROWS = 4096
 
 
 def atomic_write_text(path: "str | Path", text: str) -> None:
@@ -75,19 +79,68 @@ def text_cells(values) -> list:
 
 def csv_text(header, columns, delimiter: str) -> str:
     """Delimited text with one header row; `columns` holds one sequence of
-    values per header name, each rendered by `text_cells`."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*[text_cells(col) for col in columns]))
-    return buf.getvalue()
+    values per header name.  A float64 array renders through `float.__repr__`
+    (NaN empty), any other sequence through `text_cells`.  Cells are quoted as
+    csv's QUOTE_MINIMAL quotes them: a cell holding the delimiter, a quote or
+    a line feed, and the empty cell of a one-column row."""
+    head = _lines([[cell] for cell in _quoted(text_cells(header), delimiter)], delimiter)
+    parts = [head or "\n"]   # csv ends an empty header row too
+    n_rows = len(columns[0]) if len(columns) else 0
+    for lo in range(0, n_rows, _BLOCK_ROWS):
+        parts.append(_lines([_block_cells(col[lo:lo + _BLOCK_ROWS], delimiter)
+                             for col in columns], delimiter))
+    return "".join(parts)
 
 
-def read_text(path: "str | Path") -> str:
+def _block_cells(block, delimiter: str) -> list:
+    """One block of a column as quoted cells."""
+    if isinstance(block, np.ndarray) and block.dtype == np.float64:
+        # a float's repr never holds a delimiter, a quote or a line feed
+        cells = list(map(_float_repr, block.tolist()))
+        for i in np.flatnonzero(np.isnan(block)).tolist():
+            cells[i] = ""
+        return cells
+    if isinstance(block, np.ndarray):
+        block = block.tolist()
+    return _quoted(text_cells(block), delimiter)
+
+
+def _quoted(cells: list, delimiter: str) -> list:
+    """`cells` with the ones holding the delimiter, a quote or a line feed
+    quoted; the column is scanned once for whether any does."""
+    joined = "".join(cells)
+    if delimiter in joined or '"' in joined or "\n" in joined:
+        cells = ['"' + c.replace('"', '""') + '"'
+                 if delimiter in c or '"' in c or "\n" in c else c for c in cells]
+    return cells
+
+
+def _lines(cells: list, delimiter: str) -> str:
+    """The rows of column-major `cells`, each ended by a line feed."""
+    if len(cells) == 1:
+        return "".join([(c or '""') + "\n" for c in cells[0]])
+    return "".join([row + "\n" for row in map(delimiter.join, zip(*cells))])
+
+
+@contextlib.contextmanager
+def open_text(path: "str | Path"):
+    """The file opened for reading as UTF-8 text with universal newlines.
+
+    A missing or unreadable file, and bytes that are not UTF-8, raise
+    `DataError`, also when they are met while the body reads the file.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def read_text(path: "str | Path") -> str:
+    with open_text(path) as fh:
+        return fh.read()

@@ -356,7 +356,7 @@ def run_cox_suite(data: Dataset, formulas, ties: str, references: dict) -> list:
             events = all_events[design.row_index]
             flags = detect_separation(design, durations, events)
             fit_ = cox_fit(design, durations, events, ties=ties)
-            tests = cox_tests(fit_, design, durations, events)
+            tests = cox_tests(fit_)
             ratios = hazard_ratios(fit_)
             entry.update({
                 "n": int(design.n_rows),

@@ -24,6 +24,8 @@ from .dataset import ColumnSpec, Dataset, MISSING_CODE
 from .errors import DomainError
 from .rng import substream
 
+_BLOCK_ELEMENTS = 1 << 20
+
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -73,6 +75,23 @@ def _minority_value(y: np.ndarray) -> int:
     return 1 if ones <= zeros else 0
 
 
+def _neighbor_table(z: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k nearest other rows of `z` by squared Euclidean distance,
+    nearest first; the stable argsort breaks ties toward the smaller row
+    index.  Rows are taken in blocks of at most `_BLOCK_ELEMENTS` cells of
+    the (rows, m, p) difference tensor; every distance and its row's order
+    are the ones the whole tensor gives."""
+    m, p = z.shape
+    step = max(1, _BLOCK_ELEMENTS // (m * p))
+    table = np.empty((m, k), dtype=np.intp)
+    for lo in range(0, m, step):
+        hi = min(m, lo + step)
+        d2 = ((z[lo:hi, None, :] - z[None, :, :]) ** 2).sum(axis=2)
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf   # self excluded
+        table[lo:hi] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return table
+
+
 def smote(data: Dataset, spec: SmoteSpec, return_provenance: bool = False):
     """Rebalance by synthetic minority oversampling plus majority undersampling.
 
@@ -104,11 +123,7 @@ def smote(data: Dataset, spec: SmoteSpec, return_provenance: bool = False):
     sd = x_min.std(axis=0)
     sd[sd == 0.0] = 1.0
     z = (x_min - mu) / sd
-    # pairwise distances within the minority subset, self excluded
-    d2 = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    # stable argsort: ties fall to the smaller row index
-    neighbor_table = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
+    neighbor_table = _neighbor_table(z, k_eff)
 
     rng = substream(spec.seed, "smote")
     # Draw order (part of the determinism contract): extra-row subsample,

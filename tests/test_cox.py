@@ -273,7 +273,7 @@ class TestInference:
         x, durations, events = random_cox_fixture(rng, 50, 2, tie_scale=7)
         design = design_of(x)
         fit = cox_fit(design, durations, events)
-        tests = cox_tests(fit, design, durations, events)
+        tests = cox_tests(fit)
         _, _, info_hat = cox_loglik(x, durations, events, fit.beta, "efron")
         assert tests.wald.statistic == pytest.approx(
             float(fit.beta @ info_hat @ fit.beta), rel=1e-12)
@@ -297,7 +297,7 @@ class TestInference:
                 continue
             design = design_of(groups[:, None].astype(float), names=("grp",))
             fit = cox_fit(design, durations, events)
-            tests = cox_tests(fit, design, durations, events)
+            tests = cox_tests(fit)
             reference = logrank_test(durations, events, groups)
             assert tests.score.statistic == pytest.approx(
                 reference.chi_square, abs=1e-8)
@@ -307,7 +307,7 @@ class TestInference:
         fit = cox_fit(design, [1.0, 2.0, 3.0, 4.0], [1, 1, 0, 1])
         broken = dataclasses.replace(fit, converged=False)
         with pytest.raises(DomainError):
-            cox_tests(broken, design, [1.0, 2.0, 3.0, 4.0], [1, 1, 0, 1])
+            cox_tests(broken)
         with pytest.raises(DomainError):
             hazard_ratios(broken)
 
