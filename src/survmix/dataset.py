@@ -294,7 +294,7 @@ def write_schema(specs: Sequence[ColumnSpec], path: "str | Path") -> None:
 # -- CSV ----------------------------------------------------------------------
 
 DELIMITER = ";"
-_BLOCK_ROWS = 4096
+_BLOCK_CELLS = 1 << 14
 
 
 def load_csv(data_path: "str | Path", schema: "Sequence[ColumnSpec] | str | Path") -> Dataset:
@@ -321,8 +321,9 @@ def load_csv(data_path: "str | Path", schema: "Sequence[ColumnSpec] | str | Path
                 f"{data_path}: header {header!r} does not match schema names "
                 f"{[s.name for s in specs]!r}")
         columns = [_Column(s) for s in specs]
+        block_rows = max(1, _BLOCK_CELLS // max(1, len(specs)))
         first_row = 2
-        while block := list(islice(reader, _BLOCK_ROWS)):
+        while block := list(islice(reader, block_rows)):
             if set(map(len, block)) - {len(specs)}:
                 r, row = next((r, row) for r, row in enumerate(block, start=first_row)
                               if len(row) != len(specs))
@@ -387,9 +388,11 @@ class _Column:
         return codes, None
 
     def values(self) -> np.ndarray:
+        """The parsed cells as one array; the blocks are let go."""
         if not self.parts:
             return np.empty(0, np.float64 if self.spec.kind == "numeric" else np.int32)
-        return np.concatenate(self.parts)
+        parts, self.parts = self.parts, []
+        return np.concatenate(parts)
 
     def final_spec(self) -> ColumnSpec:
         s = self.spec

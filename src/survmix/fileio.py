@@ -6,8 +6,9 @@ behind, and a failed write removes its temporary file.  JSON is serialized
 with sorted keys and a fixed layout to keep outputs byte-stable across runs.
 `csv_text` is the one CSV writer: datasets (';'-separated) and the CSV
 artifacts (','-separated) both pass it their columns, and `text_cells` is the
-one place a cell becomes text.  It renders `_BLOCK_ROWS` rows at a time, so
-besides the text itself it holds one block's cells, whatever the row count.
+one place a cell becomes text.  It renders a block of rows at a time, at
+most `_BLOCK_CELLS` cells, so besides the text it holds one block's cells
+whatever the row count.
 
 `open_text` is the one place a file is opened for reading: a missing,
 unreadable or non-UTF-8 file is a `DataError`, also when the bad bytes are
@@ -26,7 +27,8 @@ import numpy as np
 from .errors import DataError
 
 _float_repr = float.__repr__   # repr(np.float64) would read 'np.float64(...)'
-_BLOCK_ROWS = 4096
+_BLOCK_CELLS = 1 << 14
+_WRITE_CHARS = 1 << 20
 
 
 def atomic_write_text(path: "str | Path", text: str) -> None:
@@ -34,7 +36,8 @@ def atomic_write_text(path: "str | Path", text: str) -> None:
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for lo in range(0, len(text), _WRITE_CHARS):   # encoded a slice at a time
+                fh.write(text[lo:lo + _WRITE_CHARS])
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):  # never mask the write's own error
@@ -86,9 +89,10 @@ def csv_text(header, columns, delimiter: str) -> str:
     head = _lines([[cell] for cell in _quoted(text_cells(header), delimiter)], delimiter)
     parts = [head or "\n"]   # csv ends an empty header row too
     n_rows = len(columns[0]) if len(columns) else 0
-    for lo in range(0, n_rows, _BLOCK_ROWS):
-        parts.append(_lines([_block_cells(col[lo:lo + _BLOCK_ROWS], delimiter)
-                             for col in columns], delimiter))
+    step = max(1, _BLOCK_CELLS // max(1, len(columns)))
+    for lo in range(0, n_rows, step):
+        parts.append(_lines([_block_cells(col[lo:lo + step], delimiter) for col in columns],
+                            delimiter))
     return "".join(parts)
 
 

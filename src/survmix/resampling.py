@@ -76,20 +76,25 @@ def _minority_value(y: np.ndarray) -> int:
 
 
 def _neighbor_table(z: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k nearest other rows of `z` by squared Euclidean distance,
-    nearest first; the stable argsort breaks ties toward the smaller row
-    index.  Rows are taken in blocks of at most `_BLOCK_ELEMENTS` cells of
-    the (rows, m, p) difference tensor; every distance and its row's order
-    are the ones the whole tensor gives."""
+    """Each row's k nearest other rows of `z`, nearest first; the stable
+    argsort breaks ties toward the smaller row index.  Rows are taken in
+    blocks of at most `_BLOCK_ELEMENTS` cells of the difference tensor, and
+    each row's distances and order are the ones the whole tensor gives."""
     m, p = z.shape
     step = max(1, _BLOCK_ELEMENTS // (m * p))
     table = np.empty((m, k), dtype=np.intp)
     for lo in range(0, m, step):
-        hi = min(m, lo + step)
-        d2 = ((z[lo:hi, None, :] - z[None, :, :]) ** 2).sum(axis=2)
-        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf   # self excluded
-        table[lo:hi] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        d2 = _distances(z, lo, min(m, lo + step))
+        table[lo:lo + len(d2)] = np.argsort(d2, axis=1, kind="stable")[:, :k]
     return table
+
+
+def _distances(z: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Squared Euclidean distances from rows lo..hi-1 of `z` to every row,
+    inf to the row itself."""
+    d2 = ((z[lo:hi, None, :] - z[None, :, :]) ** 2).sum(axis=2)
+    d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+    return d2
 
 
 def smote(data: Dataset, spec: SmoteSpec, return_provenance: bool = False):

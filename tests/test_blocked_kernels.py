@@ -1,0 +1,434 @@
+"""The row-blocked data path against the whole-table code it replaced.
+
+Each oracle below is that code, copied as it was: the loader that read the
+whole file and transposed it, the writer that rendered every cell at once
+through `csv.writer`, SMOTE's m×m×p distance tensor and the Cox likelihood
+that held the n×p×p outer products.  Every blocked kernel runs with its block
+constant forced to 1, to a small odd value and to more than the input holds,
+and must match its oracle byte for byte.
+"""
+
+import csv
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from survmix import cox, dataset, fileio, resampling
+from survmix.dataset import (MISSING_CODE, MISSING_TOKENS, ColumnSpec, Dataset,
+                             SyntheticSpec, generate_synthetic, load_csv, write_csv)
+from survmix.errors import DomainError, ParseError
+from survmix.fileio import csv_text, text_cells
+
+# -- oracles ---------------------------------------------------------------------
+
+
+def oracle_load_csv(data_path, specs):
+    rows = list(csv.reader(io.StringIO(Path(data_path).read_text(encoding="utf-8")),
+                           delimiter=";"))
+    if not rows:
+        raise ParseError(f"{data_path}: empty file (missing header row)")
+    header, body = rows[0], rows[1:]
+    if header != [s.name for s in specs]:
+        raise ParseError(
+            f"{data_path}: header {header!r} does not match schema names "
+            f"{[s.name for s in specs]!r}")
+    if set(map(len, body)) - {len(specs)}:
+        r, row = next((r, row) for r, row in enumerate(body, start=2)
+                      if len(row) != len(specs))
+        raise ParseError(f"{data_path}:{r}: expected {len(specs)} fields, got {len(row)}")
+    columns = {}
+    final_specs = []
+    for s, tokens in zip(specs, list(zip(*body)) or [()] * len(specs)):
+        if s.kind == "numeric":
+            columns[s.name] = oracle_parse_numbers(tokens, data_path, s.name)
+            final_specs.append(s)
+        else:
+            codes, vocab = oracle_parse_levels(tokens, data_path, s)
+            columns[s.name] = codes
+            final_specs.append(ColumnSpec(s.name, s.kind, s.role, vocab))
+    return Dataset(final_specs, columns)
+
+
+def oracle_parse_numbers(tokens, data_path, name):
+    try:
+        return np.array([np.nan if tok in MISSING_TOKENS else float(tok) for tok in tokens],
+                        dtype=np.float64)
+    except ValueError:
+        for i, tok in enumerate(tokens):
+            if tok not in MISSING_TOKENS:
+                try:
+                    float(tok)
+                except ValueError:
+                    raise ParseError(f"{data_path}:{i + 2}: column {name!r}: "
+                                     f"cannot parse {tok!r} as a number") from None
+        raise
+
+
+def oracle_parse_levels(tokens, data_path, spec):
+    index = {v: i for i, v in enumerate(spec.vocabulary)}
+    codes = np.array([MISSING_CODE if tok in MISSING_TOKENS
+                      else index.setdefault(tok, len(index)) for tok in tokens],
+                     dtype=np.int32)
+    vocab = tuple(index)
+    declared = len(spec.vocabulary)
+    if declared and len(vocab) > declared:
+        i = int(np.argmax(codes >= declared))
+        raise DomainError(f"{data_path}:{i + 2}: column {spec.name!r}: value {tokens[i]!r} "
+                          f"is not in the declared vocabulary")
+    for code, level in enumerate(vocab[declared:], start=declared):
+        if "|" in level or level.splitlines() != [level]:
+            i = int(np.argmax(codes == code))
+            raise DomainError(f"{data_path}:{i + 2}: column {spec.name!r}: value {level!r} "
+                              f"holds '|' or a line break, which a schema sidecar "
+                              f"cannot store")
+    return codes, vocab
+
+
+def oracle_csv_text(header, columns, delimiter):
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*[text_cells(col) for col in columns]))
+    return buf.getvalue()
+
+
+def oracle_write_text(data):
+    return oracle_csv_text(data.names, [data.values(n) for n in data.names], ";")
+
+
+def oracle_distances(z):
+    d2 = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return d2
+
+
+def oracle_loglik(prep, beta, ties):
+    x, starts, death_rows, d_starts, d_counts = prep
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = x @ beta
+        w = np.exp(eta)
+        xw = x * w[:, None]
+        outer = xw[:, :, None] * x[:, None, :]
+        s0 = cox._suffix_sums(w, starts)
+        s1 = cox._suffix_sums(xw, starts)
+        s2 = cox._suffix_sums(outer, starts)
+        s0d = np.add.reduceat(w[death_rows], d_starts)
+        s1d = np.add.reduceat(xw[death_rows], d_starts, axis=0)
+        s2d = np.add.reduceat(outer[death_rows], d_starts, axis=0)
+        k = len(d_counts)
+        gidx = np.repeat(np.arange(k), d_counts)
+        m = death_rows.size
+        within = np.arange(m) - np.repeat(np.cumsum(d_counts) - d_counts, d_counts)
+        if ties == "efron":
+            frac = within / np.repeat(d_counts, d_counts)
+        else:
+            frac = np.zeros(m)
+        denom = s0[gidx] - frac * s0d[gidx]
+        loglik = float(eta[death_rows].sum() - np.log(denom).sum())
+        mean = (s1[gidx] - frac[:, None] * s1d[gidx]) / denom[:, None]
+        score = x[death_rows].sum(axis=0) - mean.sum(axis=0)
+        shaped = (s2[gidx] - frac[:, None, None] * s2d[gidx]) / denom[:, None, None]
+        info = shaped.sum(axis=0) - np.einsum("mi,mj->ij", mean, mean)
+    return loglik, score, info
+
+
+# -- helpers ---------------------------------------------------------------------
+
+
+def same_dataset(a, b):
+    assert a.specs == b.specs
+    for name in a.names:
+        assert a.column(name).tobytes() == b.column(name).tobytes(), name
+
+
+def outcome(load, path, specs):
+    """The loaded dataset, or the error's type and message."""
+    try:
+        return load(path, specs)
+    except (ParseError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(path, specs):
+    want = outcome(oracle_load_csv, path, specs)
+    got = outcome(load_csv, path, specs)
+    if isinstance(want, Dataset):
+        assert isinstance(got, Dataset), got
+        same_dataset(got, want)
+    else:
+        assert got == want
+
+
+def block_sizes(n):
+    """Rows per block to force: 1, a small odd value and more than `n`.  The
+    block constants count cells, so a test sets them to rows × columns."""
+    return (1, 3, n + 10)
+
+
+AWKWARD = ("a", "semi;colon", 'say "hi"', "two\nlines", "cr\r\nlf", "lone\rcr",
+           "ünïcødé €", " padded ", "NAN", "", "NA")
+
+
+def awkward_text(rng, n_rows, line_end="\n"):
+    """A ';' file of one numeric and two categorical columns whose quoted
+    cells hold the delimiter, quotes and line breaks."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=";", lineterminator=line_end)
+    writer.writerow(["x", "c", "d"])
+    for _ in range(n_rows):
+        x = rng.choice(["", "NA", "1.5", "-0.0", "inf", "1e16", "5e-324", " 2 ", "1_0"])
+        writer.writerow([x, rng.choice(AWKWARD), rng.choice(AWKWARD[:3])])
+    return buf.getvalue()
+
+
+AWKWARD_SPECS = (ColumnSpec("x", "numeric"), ColumnSpec("c", "categorical"),
+                 ColumnSpec("d", "categorical", "feature", AWKWARD[:3]))
+
+
+def write_raw(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+# -- loader ----------------------------------------------------------------------
+
+
+class TestLoaderMatchesOracle:
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+    def test_quoted_cells_and_line_endings(self, tmp_path, monkeypatch, line_end):
+        # 3,000 rows run past the reader's 8 KB chunks, so quoted line breaks
+        # and CRLF pairs also straddle a chunk edge.
+        path = tmp_path / "a.csv"
+        write_raw(path, awkward_text(np.random.default_rng(5), 3000, line_end))
+        for rows in block_sizes(3000):
+            monkeypatch.setattr(dataset, "_BLOCK_CELLS", rows * 3)
+            assert_same_outcome(path, AWKWARD_SPECS)
+
+    def test_multi_line_cell_at_every_block_edge(self, tmp_path, monkeypatch):
+        # Every third record spans two lines, its quoted CRLF read as "\n".
+        cells = [f'"x{i}\r\ny{i};""z"' if i % 3 == 2 else f"v{i}" for i in range(40)]
+        path = tmp_path / "q.csv"
+        write_raw(path, "c\n" + "".join(cell + "\n" for cell in cells))
+        vocab = tuple(f'x{i}\ny{i};"z' if i % 3 == 2 else f"v{i}" for i in range(40))
+        for rows in (1, 2, 3, 7, 50):
+            monkeypatch.setattr(dataset, "_BLOCK_CELLS", rows * 1)
+            for spec in (ColumnSpec("c", "categorical", "feature", vocab),
+                         ColumnSpec("c", "categorical")):
+                assert_same_outcome(path, (spec,))
+            got = load_csv(path, (ColumnSpec("c", "categorical", "feature", vocab),))
+            assert got.strings("c").tolist() == list(vocab)
+
+    @pytest.mark.parametrize("fault", ["ragged", "undeclared", "number", "sidecar"])
+    def test_fault_in_a_later_block(self, tmp_path, monkeypatch, fault):
+        rng = np.random.default_rng(9)
+        lines = ["x;c;d"] + [f"{rng.standard_normal()!r};a;{rng.choice(['p', 'q'])}"
+                             for _ in range(50)]
+        bad = {"ragged": "1.0;a", "undeclared": "1.0;a;zz", "number": "oops;a;p",
+               "sidecar": "1.0;b|c;p"}[fault]
+        lines[37] = bad
+        lines[44] = bad
+        path = tmp_path / "f.csv"
+        write_raw(path, "\n".join(lines) + "\n")
+        specs = (ColumnSpec("x", "numeric"), ColumnSpec("c", "categorical"),
+                 ColumnSpec("d", "categorical", "feature", ("p", "q")))
+        for rows in block_sizes(50):
+            monkeypatch.setattr(dataset, "_BLOCK_CELLS", rows * 3)
+            assert isinstance(outcome(load_csv, path, specs), tuple)
+            assert_same_outcome(path, specs)
+
+    def test_fault_order_across_blocks(self, tmp_path, monkeypatch):
+        # A ragged row outranks any bad cell above it, and a faulty column
+        # outranks a later one whatever the rows.
+        specs = (ColumnSpec("x", "numeric"), ColumnSpec("y", "numeric"),
+                 ColumnSpec("c", "categorical", "feature", ("a",)))
+        cases = {
+            "ragged_last": ["1;oops;a", "1;2;zz"] + ["1;2;a"] * 20 + ["1;2"],
+            "first_column_wins": ["1;oops;a"] * 3 + ["1;2;a"] * 20 + ["bad;2;a"],
+            "column_order": ["1;2;zz"] + ["1;2;a"] * 9 + ["1;nope;a"],
+        }
+        for name, body in cases.items():
+            path = tmp_path / f"{name}.csv"
+            write_raw(path, "x;y;c\n" + "\n".join(body) + "\n")
+            for rows in block_sizes(len(body)):
+                monkeypatch.setattr(dataset, "_BLOCK_CELLS", rows * 3)
+                assert isinstance(outcome(load_csv, path, specs), tuple)
+                assert_same_outcome(path, specs)
+
+    def test_inferred_vocabulary_keeps_first_appearance_across_blocks(self, tmp_path,
+                                                                        monkeypatch):
+        rng = np.random.default_rng(2)
+        levels = [f"l{i}" for i in range(30)]
+        path = tmp_path / "v.csv"
+        write_raw(path, "c\n" + "".join(f"{rng.choice(levels)}\n" for _ in range(200)))
+        for rows in block_sizes(200):
+            monkeypatch.setattr(dataset, "_BLOCK_CELLS", rows * 1)
+            assert_same_outcome(path, (ColumnSpec("c", "categorical"),))
+
+    @pytest.mark.parametrize("text", ["", "\n", "x\n", "x\r\n\r\n", "y\n1\n"])
+    def test_degenerate_files(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "e.csv"
+        write_raw(path, text)
+        for rows in (1, 3):
+            monkeypatch.setattr(dataset, "_BLOCK_CELLS", rows * 1)
+            assert_same_outcome(path, (ColumnSpec("x", "numeric"),))
+
+
+# -- writer ----------------------------------------------------------------------
+
+SPECIAL_FLOATS = (np.nan, 0.0, -0.0, np.inf, -np.inf, 1e16, 5e-324, 0.1, -1.5e-7)
+
+
+def special_dataset(rng, n):
+    specs = [ColumnSpec("id", "categorical", "id", tuple(f"r{i}" for i in range(n)))]
+    cols = {"id": np.arange(n)}
+    for j in range(3):
+        specs.append(ColumnSpec(f"x{j}", "numeric"))
+        cols[f"x{j}"] = rng.choice(SPECIAL_FLOATS, size=n)
+    levels = AWKWARD[:9]
+    specs.append(ColumnSpec("c", "categorical", "feature", levels))
+    cols["c"] = rng.integers(-1, len(levels), size=n)
+    return Dataset(specs, cols)
+
+
+class TestWriterMatchesOracle:
+    @pytest.mark.parametrize("n", [0, 1, 2, 50])
+    def test_special_floats_and_awkward_levels(self, tmp_path, monkeypatch, n):
+        data = special_dataset(np.random.default_rng(n), n)
+        for rows in block_sizes(n):
+            monkeypatch.setattr(fileio, "_BLOCK_CELLS", rows * 5)
+            write_csv(data, tmp_path / "d.csv")
+            assert (tmp_path / "d.csv").read_bytes() == oracle_write_text(data).encode()
+
+    @pytest.mark.parametrize("kind", ["numeric", "categorical"])
+    def test_one_column_with_missing_cells(self, tmp_path, monkeypatch, kind):
+        if kind == "numeric":
+            data = Dataset([ColumnSpec("x", "numeric")],
+                           {"x": np.array([np.nan, 1.0, np.nan, np.nan, -0.0])})
+        else:
+            data = Dataset([ColumnSpec("c", "categorical", "feature", ("a", ";"))],
+                           {"c": np.array([-1, 0, -1, 1, -1])})
+        for rows in block_sizes(5):
+            monkeypatch.setattr(fileio, "_BLOCK_CELLS", rows * 1)
+            write_csv(data, tmp_path / "d.csv")
+            text = (tmp_path / "d.csv").read_text()
+            assert text == oracle_write_text(data)
+            assert '""\n' in text
+            assert load_csv(tmp_path / "d.csv", data.specs).equals(data)
+
+    def test_artifact_columns(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        columns = [rng.choice(SPECIAL_FLOATS, size=30),
+                   [rng.choice(AWKWARD) for _ in range(30)],
+                   rng.choice(SPECIAL_FLOATS, size=30).tolist(),
+                   rng.integers(0, 9, size=30).tolist(),
+                   [None if i % 4 else f"g{i}" for i in range(30)]]
+        for delimiter in (",", ";"):
+            want = oracle_csv_text(("a", "b;", 'c"', "d,", ""), columns, delimiter)
+            for rows in block_sizes(30):
+                monkeypatch.setattr(fileio, "_BLOCK_CELLS", rows * 5)
+                assert csv_text(("a", "b;", 'c"', "d,", ""), columns, delimiter) == want
+            for header in ([""], ["x"], []):
+                assert csv_text(header, columns[:len(header)], delimiter) == \
+                    oracle_csv_text(header, columns[:len(header)], delimiter)
+
+
+# -- SMOTE -----------------------------------------------------------------------
+
+
+class TestNeighborsMatchOracle:
+    @pytest.mark.parametrize("m,p", [(2, 1), (37, 3), (120, 18)])
+    def test_distances_and_table(self, monkeypatch, m, p):
+        rng = np.random.default_rng(m)
+        z = rng.standard_normal((m, p))
+        z[1::2] = z[0::2][:m // 2]   # duplicate rows: tied distances
+        want = oracle_distances(z)
+        k = min(5, m - 1)
+        table = np.argsort(want, axis=1, kind="stable")[:, :k]
+        for elements in (1, 3 * m * p + 1, m * m * p + 1):
+            monkeypatch.setattr(resampling, "_BLOCK_ELEMENTS", elements)
+            step = max(1, elements // (m * p))
+            got = np.concatenate([resampling._distances(z, lo, min(m, lo + step))
+                                  for lo in range(0, m, step)])
+            assert got.tobytes() == want.tobytes()
+            assert resampling._neighbor_table(z, k).tobytes() == table.tobytes()
+
+
+# -- Cox -------------------------------------------------------------------------
+
+
+class TestLoglikMatchesOracle:
+    @pytest.mark.parametrize("p", range(1, 9))
+    @pytest.mark.parametrize("ties", ["efron", "breslow"])
+    def test_bits(self, monkeypatch, p, ties):
+        rng = np.random.default_rng(p)
+        n = 400
+        x = rng.standard_normal((n, p))
+        x[rng.random((n, p)) < 0.3] = 0.0           # zero products, some -0.0
+        durations = rng.integers(1, 60, n).astype(float)   # tied death times
+        events = (rng.random(n) < 0.7).astype(int)
+        prep = cox._prepare(x, durations, events)
+        assert (prep[4] > 1).any()
+        beta = rng.standard_normal(p) * 0.3
+        want = oracle_loglik(prep, beta, ties)
+        for elements in (1, 7 * p * p, n * p * p + 1):
+            monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", elements)
+            got = cox._loglik(prep, beta, ties)
+            assert float.hex(got[0]) == float.hex(want[0])
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
+
+    def test_risk_set_sums_keep_signed_zeros(self, monkeypatch):
+        # Rows whose products are -0.0 sit at the end, where the sums start.
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((30, 3))
+        x[-4:, 0] = 0.0
+        x[-4:, 1] = -1.0
+        xw = x * np.exp(x @ np.array([0.2, -0.1, 0.3]))[:, None]
+        starts = np.array([0, 5, 17, 26, 27, 29])
+        want = cox._suffix_sums(xw[:, :, None] * x[:, None, :], starts)
+        assert np.signbit(want[-1, 0, 1])
+        for elements in (1, 7 * 9, 30 * 9 + 1):
+            monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", elements)
+            assert cox._outer_suffix_sums(xw, x, starts).tobytes() == want.tobytes()
+
+
+# -- memory ----------------------------------------------------------------------
+
+_ROUND_TRIP = """
+import resource, sys
+from survmix.dataset import load_csv, write_csv
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+data = load_csv(sys.argv[1], sys.argv[1][:-4] + ".schema")
+write_csv(data, sys.argv[2])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+# A new process starts with the peak RSS of the one that launched it (Linux
+# carries it across fork and exec), so the test's large process launches a
+# small interpreter, which launches the one measured.
+_RELAY = ("import subprocess, sys; print(subprocess.run(sys.argv[1:], capture_output=True, "
+          "text=True, check=True).stdout, end='')")
+
+
+def test_round_trip_memory_scales_with_blocks(tmp_path):
+    # Loading and writing back a 20k-row table may grow a fresh interpreter
+    # by less than 4x the file's size (ru_maxrss, in KB on Linux); the
+    # whole-table loader alone grew it about 9x.
+    data = generate_synthetic(SyntheticSpec(n_rows=20_000, n_numeric=18, seed=1))
+    write_csv(data, tmp_path / "t.csv")
+    dataset.write_schema(data.specs, tmp_path / "t.schema")
+    size_kb = (tmp_path / "t.csv").stat().st_size / 1024
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(dataset.__file__).parents[1])] + sys.path))
+    result = subprocess.run(
+        [sys.executable, "-c", _RELAY, sys.executable, "-c", _ROUND_TRIP,
+         str(tmp_path / "t.csv"), str(tmp_path / "o.csv")],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    growth_kb = int(result.stdout)
+    assert (tmp_path / "o.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
+    assert growth_kb < 4 * size_kb, (growth_kb, size_kb)

@@ -83,6 +83,17 @@ class TestExitCodes:
         assert code == 2
         assert "/no/such/file.csv" in err
 
+    @pytest.mark.parametrize("bad", ["data", "schema"])
+    def test_non_utf8_input_is_exit_two(self, tmp_path, bad):
+        (tmp_path / "in.csv").write_bytes(b"x\n1.0\n" + (b"\xff\n" if bad == "data" else b""))
+        (tmp_path / "in.schema").write_bytes(b"x = numeric,feature\n"
+                                             + (b"# \xff\n" if bad == "schema" else b""))
+        code, _, err = call("clean", "--data", tmp_path / "in.csv",
+                            "--out", tmp_path / "out.csv", "--report", tmp_path / "mva.json")
+        assert code == 2
+        assert f"in.{'csv' if bad == 'data' else 'schema'}: not UTF-8" in err
+        assert "Traceback" not in err
+
     def test_bad_domain_value_is_exit_two(self, staged, tmp_path):
         code, _, err = call("split", "--data", staged / "clean.csv",
                             "--train-fraction", 1.5,

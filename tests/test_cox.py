@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from survmix.cox import (build_design, cox_fit, cox_loglik, cox_tests,
+from survmix.cox import (CoxFit, build_design, cox_fit, cox_loglik, cox_tests,
                          detect_separation, hazard_ratios, parse_formula)
 from survmix.dataset import ColumnSpec, Dataset, SyntheticSpec, generate_synthetic
 from survmix.distributions import chi_square_sf
@@ -286,6 +286,24 @@ class TestInference:
             assert t.df == 2
             assert t.p_value == pytest.approx(chi_square_sf(t.statistic, 2), rel=1e-12)
             assert t.statistic >= 0.0
+
+    def test_fit_keeps_the_evaluations_the_tests_read(self):
+        rng = np.random.default_rng(23)
+        x, durations, events = random_cox_fixture(rng, 80, 3, tie_scale=9)
+        for ties in ("efron", "breslow"):
+            fit = cox_fit(design_of(x), durations, events, ties=ties)
+            _, _, info_hat = cox_loglik(x, durations, events, fit.beta, ties)
+            _, score0, info0 = cox_loglik(x, durations, events, np.zeros(3), ties)
+            assert fit.information.tobytes() == info_hat.tobytes()
+            assert fit.score_null.tobytes() == score0.tobytes()
+            assert fit.information_null.tobytes() == info0.tobytes()
+
+    def test_fit_without_kept_evaluations_is_rejected(self):
+        fit = CoxFit(names=("x",), beta=np.array([0.1]), se=np.array([0.1]),
+                     loglik_null=0.0, loglik_fit=0.0, iterations=1,
+                     converged=True, ties_method="efron")
+        with pytest.raises(DomainError, match="information"):
+            cox_tests(fit)
 
     def test_score_test_equals_logrank_without_ties(self):
         for seed in range(5):

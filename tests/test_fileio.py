@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from survmix.errors import DataError
-from survmix.fileio import atomic_write_text, csv_text, json_text, text_cells
+from survmix.fileio import (atomic_write_text, csv_text, json_text, open_text, read_text,
+                            text_cells)
 
 
 class TestAtomicWriteText:
@@ -52,3 +53,26 @@ class TestCsvText:
 def test_json_text_converts_numpy_values():
     text = json_text({"b": np.int64(2), "a": np.array([0.5, 1.0]), "c": np.bool_(True)})
     assert text == '{\n  "a": [\n    0.5,\n    1.0\n  ],\n  "b": 2,\n  "c": true\n}\n'
+
+
+class TestReadingText:
+    def test_non_utf8_file_is_a_data_error(self, tmp_path):
+        (tmp_path / "bad.txt").write_bytes(b"x\n\xff\n")
+        with pytest.raises(DataError, match="bad.txt: not UTF-8"):
+            read_text(tmp_path / "bad.txt")
+
+    def test_bad_bytes_met_while_streaming_are_a_data_error(self, tmp_path):
+        # The byte lies far past the first chunk the reader decodes.
+        (tmp_path / "late.txt").write_bytes(b"abc\n" * 100_000 + b"\xff\n")
+        with open_text(tmp_path / "late.txt") as fh:
+            assert fh.readline() == "abc\n"
+        with pytest.raises(DataError, match="late.txt: not UTF-8"):
+            with open_text(tmp_path / "late.txt") as fh:
+                for _ in fh:
+                    pass
+
+    def test_missing_file_and_directory(self, tmp_path):
+        with pytest.raises(DataError, match="not found"):
+            read_text(tmp_path / "absent")
+        with pytest.raises(DataError, match="cannot read"):
+            read_text(tmp_path)

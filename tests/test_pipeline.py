@@ -218,6 +218,22 @@ class TestRunPipeline:
         validate_report(payload)
         assert payload["error"]["stage"] == report.error["stage"]
 
+    def test_non_utf8_input_fails_the_load_stage(self, tmp_path):
+        data = generate_synthetic(SyntheticSpec(n_rows=20, seed=1))
+        write_csv(data, tmp_path / "train.csv")
+        write_schema(data.specs, tmp_path / "train.schema")
+        with open(tmp_path / "train.csv", "ab") as fh:
+            fh.write(b"\xff\n")
+        report = run_pipeline(PipelineConfig(
+            output_dir=str(tmp_path / "out"), train_path=str(tmp_path / "train.csv"),
+            predict_path=str(tmp_path / "train.csv")))
+        assert report.error["stage"] == "load"
+        assert report.error["kind"] == "data"
+        assert "not UTF-8" in report.error["message"]
+        payload = json.loads((tmp_path / "out" / "report.json").read_text())
+        validate_report(payload)
+        assert payload["error"]["stage"] == "load"
+
     def test_explicit_components_respected(self, tmp_path):
         with pytest.warns(UserWarning):
             report = run_pipeline(small_config(
