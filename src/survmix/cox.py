@@ -7,7 +7,11 @@ never estimated; everything here lives in the partial likelihood.
 
 Efron and Breslow share one code path: each death in a tied group of size d
 subtracts a fraction k/d (Efron) or 0 (Breslow) of the group's weight from
-the risk-set sums, so with no ties the two methods coincide exactly.
+the risk-set sums, so with no ties the two methods coincide exactly.  The
+likelihood's p×p terms are summed in blocks of at most `_BLOCK_ELEMENTS`
+values, in the order the whole-array sums take, so memory does not grow with
+n·p² and every bit is as unblocked.  `cox_fit` keeps the information at the
+estimate and the score and information at 0 on the fit, for `cox_tests`.
 """
 
 from dataclasses import dataclass

@@ -15,8 +15,10 @@ line per column:
 
 The vocab part is optional for categorical columns; when absent the vocabulary
 is inferred from the data in order of first appearance.  `write_csv` hands
-each column's values (`Dataset.values`) to `fileio.csv_text`, the one CSV
-writer; `load_csv` parses the file column by column.
+each column (numeric arrays, categorical strings) to `fileio.csv_text`, the
+one CSV writer.  `load_csv` streams the file through `csv.reader` and parses
+it column by column, one block of at most `_BLOCK_CELLS` cells at a time, so
+besides the dataset it holds one block's cells, whatever the row count.
 """
 
 import csv

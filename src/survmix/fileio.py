@@ -86,8 +86,8 @@ def csv_text(header, columns, delimiter: str) -> str:
     (NaN empty), any other sequence through `text_cells`.  Cells are quoted as
     csv's QUOTE_MINIMAL quotes them: a cell holding the delimiter, a quote or
     a line feed, and the empty cell of a one-column row."""
-    head = _lines([[cell] for cell in _quoted(text_cells(header), delimiter)], delimiter)
-    parts = [head or "\n"]   # csv ends an empty header row too
+    header_cells = [[cell] for cell in _quoted(text_cells(header), delimiter)]
+    parts = [_lines(header_cells, delimiter) or "\n"]   # csv ends an empty row too
     n_rows = len(columns[0]) if len(columns) else 0
     step = max(1, _BLOCK_CELLS // max(1, len(columns)))
     for lo in range(0, n_rows, step):
@@ -104,8 +104,6 @@ def _block_cells(block, delimiter: str) -> list:
         for i in np.flatnonzero(np.isnan(block)).tolist():
             cells[i] = ""
         return cells
-    if isinstance(block, np.ndarray):
-        block = block.tolist()
     return _quoted(text_cells(block), delimiter)
 
 

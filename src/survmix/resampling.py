@@ -8,7 +8,8 @@ SMOTE oversamples the rarer label class by interpolating between a minority
 row and one of its k nearest minority neighbors — Euclidean distance on
 numeric features standardized to the minority subset — at a uniform position
 u in (0, 1), so every synthetic numeric cell lies strictly between its two
-parents.  Categorical feature cells are copied from the seed row; id,
+parents.  The neighbors are found one block of minority rows at a time, so
+the search holds at most `_BLOCK_ELEMENTS` differences, not m × m × p.  Categorical feature cells are copied from the seed row; id,
 duration and event cells of synthetic rows are left missing.  The majority
 class is then undersampled to (under_pct / 100) times the number of synthetic
 rows.  Output order: original minority rows, synthetic rows (seed-major),
