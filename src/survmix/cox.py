@@ -201,14 +201,14 @@ def _suffix_sums(values, starts):
     return rev[starts]
 
 
-def _outer_suffix_sums(xw, x, starts):
+def _outer_suffix_sums(xw, x, starts, carry=None):
     """`_suffix_sums` of the row outer products xw_i x_iᵀ, built from the
     end in blocks of rows with the running total added to each block's first
-    row, so every sum accumulates in the order of one whole-array cumsum."""
+    row, so every sum accumulates in the order of one whole-array cumsum.
+    `carry`, when given, is that running total over the rows after these."""
     n, p = x.shape
     out = np.empty((starts.size, p, p))
     step = max(1, _BLOCK_ELEMENTS // max(1, p * p))
-    carry = None
     for hi in range(n, 0, -step):
         lo = max(0, hi - step)
         block = xw[lo:hi][::-1, :, None] * x[lo:hi][::-1, None, :]   # row hi-1 first
@@ -236,13 +236,16 @@ def _group_blocks(d_starts, m, p):
 def _loglik(prep, beta, ties):
     """(log-likelihood, score vector, observed information) at beta.
 
-    The p×p terms are summed one block of rows (risk sets) or of whole
-    death-time groups (information) at a time, bit for bit as the unblocked
-    sums.  The information sums each group's rows in order, with the total so
-    far added to a block's first row, which matches numpy's row-by-row sum of
-    an (m, p, p) array over axis 0 for p >= 2.  For p = 1 numpy sums the (m, 1,
-    1) array pairwise instead, so that one-column case is always one block:
-    its terms are no larger than the m-vectors held anyway.
+    The p×p terms are built one block of whole death-time groups at a time,
+    bit for bit as the unblocked sums.  A block's risk-set sums run from the
+    end of its rows, seeded with the sum over the rows after them, which a
+    first pass over the later rows records at each block's first row; so
+    nothing holds a p×p term per row or per event time.  The information
+    sums each group's rows in order, with the total so far added to a
+    block's first row, which matches numpy's row-by-row sum of an (m, p, p)
+    array over axis 0 for p >= 2.  For p = 1 numpy sums the (m, 1, 1) array
+    pairwise instead, so that one-column case is always one block: its terms
+    are no larger than the m-vectors held anyway.
     """
     x, starts, death_rows, d_starts, d_counts = prep
     n, p = x.shape
@@ -252,7 +255,6 @@ def _loglik(prep, beta, ties):
         xw = x * w[:, None]
         s0 = _suffix_sums(w, starts)
         s1 = _suffix_sums(xw, starts)
-        s2 = _outer_suffix_sums(xw, x, starts)
         s0d = np.add.reduceat(w[death_rows], d_starts)
         s1d = np.add.reduceat(xw[death_rows], d_starts, axis=0)
 
@@ -268,14 +270,21 @@ def _loglik(prep, beta, ties):
         loglik = float(eta[death_rows].sum() - np.log(denom).sum())
         mean = (s1[gidx] - frac[:, None] * s1d[gidx]) / denom[:, None]
         score = x[death_rows].sum(axis=0) - mean.sum(axis=0)
-        blocks = _group_blocks(d_starts, m, p) if p > 1 else [(0, k)]
+        blocks = list(_group_blocks(d_starts, m, p)) if p > 1 else [(0, k)]
+        edges = np.append(starts[[g0 for g0, _ in blocks]], n)
+        # the risk-set sums where each later block's rows begin, then per block
+        seeds = _outer_suffix_sums(xw[edges[1]:], x[edges[1]:], edges[1:-1] - edges[1])
         total = None
-        for g0, g1 in blocks:
+        for j, (g0, g1) in enumerate(blocks):
+            lo, hi = edges[j], edges[j + 1]
+            s2 = _outer_suffix_sums(xw[lo:hi], x[lo:hi], starts[g0:g1] - lo,
+                                    seeds[j] if j < len(seeds) else None)
             a, b = d_starts[g0], (d_starts[g1] if g1 < k else m)
             rows = death_rows[a:b]
             s2d = np.add.reduceat(xw[rows][:, :, None] * x[rows][:, None, :],
                                   d_starts[g0:g1] - a, axis=0)
-            shaped = ((s2[gidx[a:b]] - frac[a:b, None, None] * s2d[gidx[a:b] - g0])
+            local = gidx[a:b] - g0
+            shaped = ((s2[local] - frac[a:b, None, None] * s2d[local])
                       / denom[a:b, None, None])
             if total is not None:
                 shaped[0] += total

@@ -9,11 +9,12 @@ row and one of its k nearest minority neighbors — Euclidean distance on
 numeric features standardized to the minority subset — at a uniform position
 u in (0, 1), so every synthetic numeric cell lies strictly between its two
 parents.  The neighbors are found one block of minority rows at a time, so
-the search holds at most `_BLOCK_ELEMENTS` differences, not m × m × p.  Categorical feature cells are copied from the seed row; id,
-duration and event cells of synthetic rows are left missing.  The majority
-class is then undersampled to (under_pct / 100) times the number of synthetic
-rows.  Output order: original minority rows, synthetic rows (seed-major),
-sampled majority rows (ascending original index).
+the search holds at most `_BLOCK_ELEMENTS` differences, not m × m × p.
+Categorical feature cells are copied from the seed row; id, duration and
+event cells of synthetic rows are left missing.  The majority class is then
+undersampled to (under_pct / 100) times the number of synthetic rows.
+Output order: original minority rows, synthetic rows (seed-major), sampled
+majority rows (ascending original index).
 """
 
 import warnings
@@ -93,7 +94,8 @@ def _neighbor_table(z: np.ndarray, k: int) -> np.ndarray:
 def _distances(z: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Squared Euclidean distances from rows lo..hi-1 of `z` to every row,
     inf to the row itself."""
-    d2 = ((z[lo:hi, None, :] - z[None, :, :]) ** 2).sum(axis=2)
+    diff = z[lo:hi, None, :] - z[None, :, :]
+    d2 = np.square(diff, out=diff).sum(axis=2)
     d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
     return d2
 
