@@ -32,7 +32,7 @@ _LOGLIK_TOL = 1e-9
 _MAX_ITER = 25
 _MAX_HALVINGS = 30
 _COEF_LIMIT = 15.0
-_BLOCK_ELEMENTS = 1 << 18
+_BLOCK_ELEMENTS = 1 << 16
 
 
 # -- design matrices -----------------------------------------------------------
@@ -284,8 +284,9 @@ def _loglik(prep, beta, ties):
             s2d = np.add.reduceat(xw[rows][:, :, None] * x[rows][:, None, :],
                                   d_starts[g0:g1] - a, axis=0)
             local = gidx[a:b] - g0
-            shaped = ((s2[local] - frac[a:b, None, None] * s2d[local])
-                      / denom[a:b, None, None])
+            shaped = s2[local]
+            shaped -= frac[a:b, None, None] * s2d[local]
+            shaped /= denom[a:b, None, None]
             if total is not None:
                 shaped[0] += total
             total = shaped.sum(axis=0)

@@ -26,7 +26,7 @@ from .dataset import ColumnSpec, Dataset, MISSING_CODE
 from .errors import DomainError
 from .rng import substream
 
-_BLOCK_ELEMENTS = 1 << 20
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
