@@ -50,8 +50,13 @@ class BaggingModel:
         self.seed = seed
 
     def predict_proba(self, data: Dataset) -> np.ndarray:
-        member = np.vstack([tree.predict_proba(data) for tree in self.trees])
-        return member.mean(axis=0)
+        if data.n_rows < 2:   # numpy sums a one-column stack pairwise
+            return np.vstack([tree.predict_proba(data) for tree in self.trees]).mean(axis=0)
+        # member by member, as mean(axis=0) sums the rows of the stack
+        total = self.trees[0].predict_proba(data)
+        for tree in self.trees[1:]:
+            total += tree.predict_proba(data)
+        return total / len(self.trees)
 
     def to_state(self) -> dict:
         return {"seed": self.seed, "trees": [tree.to_state() for tree in self.trees]}

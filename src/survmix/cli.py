@@ -15,7 +15,6 @@ values), 3 numerical failure (non-convergence, separation, divergence).
 
 import argparse
 import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -31,7 +30,7 @@ from .dataset import Dataset, SyntheticSpec, generate_synthetic, load_csv
 from .errors import (DataError, DomainError, NumericError, ParseError,
                      SurvmixError)
 from .evaluation import score_histogram
-from .fileio import (atomic_write_text, json_text, read_text, text_cells,
+from .fileio import (atomic_write_text, json_text, open_text, read_text, text_cells,
                      write_json)
 from .mixture import ABSTENTION_LABELS, MixtureModel
 from .pipeline import (PipelineConfig, classified_rows, cox_stage,
@@ -88,14 +87,16 @@ def _read_references(path) -> dict:
 
 def _read_labels(path, data: Dataset) -> np.ndarray:
     """Predicted labels aligned to `data` rows, checked by id."""
-    rows = list(csv.reader(io.StringIO(read_text(path))))
-    if not rows or rows[0] != ["id", "probability", "label"]:
-        raise ParseError(f"{path}: expected header id,probability,label")
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-    ids = [r[0] for r in rows[1:]]
-    labels = [r[2] for r in rows[1:]]
+    ids, labels = [], []
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["id", "probability", "label"]:
+            raise ParseError(f"{path}: expected header id,probability,label")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 3:
+                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+            ids.append(row[0])
+            labels.append(row[2])
     unknown = set(labels) - set(ABSTENTION_LABELS)
     if unknown:
         raise DomainError(f"{path}: unknown labels {sorted(unknown)}")

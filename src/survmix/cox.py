@@ -8,14 +8,15 @@ never estimated; everything here lives in the partial likelihood.
 Efron and Breslow share one code path: each death in a tied group of size d
 subtracts a fraction k/d (Efron) or 0 (Breslow) of the group's weight from
 the risk-set sums, so with no ties the two methods coincide exactly.  The
-likelihood's p×p terms are summed in blocks of at most `_BLOCK_ELEMENTS`
-values, in the order the whole-array sums take, so memory does not grow with
-n·p² and every bit is as unblocked.  `cox_fit` keeps the information at the
-estimate and the score and information at 0 on the fit, for `cox_tests`.
+observed information is a weighted cross-product Xᵀ diag(v) X (Therneau and
+Grambsch 2000, §3), less Efron's correction over the tied deaths (Efron
+1977), so it takes matrix products over the rows and nothing of size n·p².
+`cox_fit` keeps the information at the estimate and the score and
+information at 0 on the fit, for `cox_tests`.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,7 +33,6 @@ _LOGLIK_TOL = 1e-9
 _MAX_ITER = 25
 _MAX_HALVINGS = 30
 _COEF_LIMIT = 15.0
-_BLOCK_ELEMENTS = 1 << 16
 
 
 # -- design matrices -----------------------------------------------------------
@@ -177,7 +177,19 @@ def build_design(data: Dataset, formula, references=None) -> DesignMatrix:
 
 # -- partial likelihood --------------------------------------------------------
 
-def _prepare(matrix, durations, events):
+class _Prepared(NamedTuple):
+    """The beta-free parts of the partial likelihood, rows in duration order."""
+
+    x: np.ndarray           # design rows
+    starts: np.ndarray      # first row at risk at each event time
+    death_rows: np.ndarray  # rows with an event
+    d_starts: np.ndarray    # first death of each event time, within death_rows
+    gidx: np.ndarray        # each death's event time
+    frac: np.ndarray        # each death's share k/d of its tied group (0: Breslow)
+    x_death: np.ndarray     # x[death_rows]
+
+
+def _prepare(matrix, durations, events, ties):
     durations, events = _check_samples(durations, events)
     if matrix.shape[0] != durations.size:
         raise DomainError("design rows must align with the survival sample")
@@ -192,7 +204,14 @@ def _prepare(matrix, durations, events):
     death_rows = np.flatnonzero(e == 1)
     d_starts = np.searchsorted(t[death_rows], event_times, side="left")
     d_counts = np.diff(np.append(d_starts, death_rows.size))
-    return x, starts, death_rows, d_starts, d_counts
+    m = death_rows.size
+    gidx = np.repeat(np.arange(d_counts.size), d_counts)
+    if ties == "efron":
+        within = np.arange(m) - np.repeat(d_starts, d_counts)
+        frac = within / np.repeat(d_counts, d_counts)
+    else:
+        frac = np.zeros(m)
+    return _Prepared(x, starts, death_rows, d_starts, gidx, frac, x[death_rows])
 
 
 def _suffix_sums(values, starts):
@@ -201,96 +220,41 @@ def _suffix_sums(values, starts):
     return rev[starts]
 
 
-def _outer_suffix_sums(xw, x, starts, carry=None):
-    """`_suffix_sums` of the row outer products xw_i x_iᵀ, built from the
-    end in blocks of rows with the running total added to each block's first
-    row, so every sum accumulates in the order of one whole-array cumsum.
-    `carry`, when given, is that running total over the rows after these."""
-    n, p = x.shape
-    out = np.empty((starts.size, p, p))
-    step = max(1, _BLOCK_ELEMENTS // max(1, p * p))
-    for hi in range(n, 0, -step):
-        lo = max(0, hi - step)
-        block = xw[lo:hi][::-1, :, None] * x[lo:hi][::-1, None, :]   # row hi-1 first
-        if carry is not None:
-            block[0] += carry
-        np.cumsum(block, axis=0, out=block)
-        carry = block[-1].copy()
-        a, b = np.searchsorted(starts, (lo, hi))
-        out[a:b] = block[hi - 1 - starts[a:b]]
-    return out
-
-
-def _group_blocks(d_starts, m, p):
-    """(first, end) group indices of runs of whole death-time groups holding
-    at most `_BLOCK_ELEMENTS` cells of p×p, one group at least."""
-    bounds = np.append(d_starts, m)
-    step = max(1, _BLOCK_ELEMENTS // (p * p))
-    g, k = 0, d_starts.size
-    while g < k:
-        end = max(g + 1, int(np.searchsorted(bounds, bounds[g] + step, side="right")) - 1)
-        yield g, end
-        g = end
-
-
-def _loglik(prep, beta, ties):
+def _loglik(prep, beta):
     """(log-likelihood, score vector, observed information) at beta.
 
-    The p×p terms are built one block of whole death-time groups at a time,
-    bit for bit as the unblocked sums.  A block's risk-set sums run from the
-    end of its rows, seeded with the sum over the rows after them, which a
-    first pass over the later rows records at each block's first row; so
-    nothing holds a p×p term per row or per event time.  The information
-    sums each group's rows in order, with the total so far added to a
-    block's first row, which matches numpy's row-by-row sum of an (m, p, p)
-    array over axis 0 for p >= 2.  For p = 1 numpy sums the (m, 1, 1) array
-    pairwise instead, so that one-column case is always one block: its terms
-    are no larger than the m-vectors held anyway.
+    Death r's risk-set sums run over the rows at risk, less its Efron share
+    frac_r of its tied deaths' sums; denom_r is the weight sum of that kind
+    and mean_r the weighted mean of x.  The information is Σ_r S2_r/denom_r -
+    mean_r mean_rᵀ, with S2_r the Σ w x xᵀ of that kind.  Row i is at risk at
+    every event time g with starts[g] <= i, so Σ_r S2_r/denom_r is
+    Xᵀ diag(c w) X - X_Dᵀ diag(b w) X_D over all rows and the death rows:
+    c_i sums A_g = Σ_{r in g} 1/denom_r over those times, and a death of
+    time g has b_g = Σ_{r in g} frac_r/denom_r, 0 for Breslow.  So three
+    matrix products give it, and no temporary is larger than n×p.
     """
-    x, starts, death_rows, d_starts, d_counts = prep
-    n, p = x.shape
+    x, starts, death_rows, d_starts, gidx, frac, x_death = prep
     with np.errstate(over="ignore", invalid="ignore"):
         eta = x @ beta
         w = np.exp(eta)
         xw = x * w[:, None]
+        xw_death = xw[death_rows]
         s0 = _suffix_sums(w, starts)
         s1 = _suffix_sums(xw, starts)
         s0d = np.add.reduceat(w[death_rows], d_starts)
-        s1d = np.add.reduceat(xw[death_rows], d_starts, axis=0)
-
-        k = len(d_counts)
-        gidx = np.repeat(np.arange(k), d_counts)
-        m = death_rows.size
-        within = np.arange(m) - np.repeat(np.cumsum(d_counts) - d_counts, d_counts)
-        if ties == "efron":
-            frac = within / np.repeat(d_counts, d_counts)
-        else:
-            frac = np.zeros(m)
+        s1d = np.add.reduceat(xw_death, d_starts, axis=0)
         denom = s0[gidx] - frac * s0d[gidx]
         loglik = float(eta[death_rows].sum() - np.log(denom).sum())
         mean = (s1[gidx] - frac[:, None] * s1d[gidx]) / denom[:, None]
-        score = x[death_rows].sum(axis=0) - mean.sum(axis=0)
-        blocks = list(_group_blocks(d_starts, m, p)) if p > 1 else [(0, k)]
-        edges = np.append(starts[[g0 for g0, _ in blocks]], n)
-        # the risk-set sums where each later block's rows begin, then per block
-        seeds = _outer_suffix_sums(xw[edges[1]:], x[edges[1]:], edges[1:-1] - edges[1])
-        total = None
-        for j, (g0, g1) in enumerate(blocks):
-            lo, hi = edges[j], edges[j + 1]
-            s2 = _outer_suffix_sums(xw[lo:hi], x[lo:hi], starts[g0:g1] - lo,
-                                    seeds[j] if j < len(seeds) else None)
-            a, b = d_starts[g0], (d_starts[g1] if g1 < k else m)
-            rows = death_rows[a:b]
-            s2d = np.add.reduceat(xw[rows][:, :, None] * x[rows][:, None, :],
-                                  d_starts[g0:g1] - a, axis=0)
-            local = gidx[a:b] - g0
-            shaped = s2[local]
-            shaped -= frac[a:b, None, None] * s2d[local]
-            shaped /= denom[a:b, None, None]
-            if total is not None:
-                shaped[0] += total
-            total = shaped.sum(axis=0)
-        info = total - np.einsum("mi,mj->ij", mean, mean)
+        score = x_death.sum(axis=0) - mean.sum(axis=0)
+        a = np.add.reduceat(1.0 / denom, d_starts)
+        c = np.cumsum(np.bincount(starts, a, x.shape[0]))
+        b = np.add.reduceat(frac / denom, d_starts)
+        # einsum, not BLAS: OpenBLAS splits a long dot product among its
+        # threads, so its bits would follow the CPU count
+        info = (np.einsum("ni,nj->ij", xw * c[:, None], x)
+                - np.einsum("ni,nj->ij", xw_death * b[gidx, None], x_death)
+                - np.einsum("mi,mj->ij", mean, mean))
     return loglik, score, info
 
 
@@ -302,7 +266,7 @@ def cox_loglik(matrix, durations, events, beta, ties: str = "efron"):
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (matrix.shape[1],):
         raise DomainError("beta length must match the design column count")
-    return _loglik(_prepare(matrix, durations, events), beta, ties)
+    return _loglik(_prepare(matrix, durations, events, ties), beta)
 
 
 # -- fitting -------------------------------------------------------------------
@@ -349,10 +313,10 @@ def cox_fit(design: DesignMatrix, durations, events, ties: str = "efron") -> Cox
         raise DomainError(f"unknown ties method {ties!r}")
     matrix = design.matrix
     names = design.column_names
-    prep = _prepare(matrix, durations, events)
+    prep = _prepare(matrix, durations, events, ties)
     p = matrix.shape[1]
     beta = np.zeros(p)
-    loglik, score, info = _loglik(prep, beta, ties)
+    loglik, score, info = _loglik(prep, beta)
     loglik_null, score_null, info_null = loglik, score, info
     if p == 0:
         return CoxFit(names=(), beta=beta, se=beta.copy(),
@@ -372,7 +336,7 @@ def cox_fit(design: DesignMatrix, durations, events, ties: str = "efron") -> Cox
         new = None
         for half in range(_MAX_HALVINGS + 1):
             candidate = beta + step / 2.0 ** half
-            new = _loglik(prep, candidate, ties)
+            new = _loglik(prep, candidate)
             if np.isfinite(new[0]) and new[0] >= loglik:
                 break
         else:

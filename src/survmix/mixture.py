@@ -1,14 +1,14 @@
 """Convex two-classifier mixtures and the dual-cutoff abstention rule.
 
 The mixture score is ``alpha * p_a + (1 - alpha) * p_b``.  The weight is
-found by grid search maximizing AUC times class-separation.  AUC is rank-based
-and so piecewise constant in alpha: it jumps wherever the mixed scores of a
-positive and a negative row cross.  The separation is piecewise linear in
-alpha.  The whole grid is scored in bounded blocks, one row per alpha, and
-ties go to the larger weight.  Classification abstains on the middle band:
-scores strictly below the low cutoff are labeled negative, strictly above the
-high cutoff positive, and everything else — including scores exactly at a
-cutoff — stays unclassified.
+found by grid search maximizing AUC times class-separation.  AUC counts the
+positive-negative pairs in order and so is piecewise constant in alpha: it
+jumps wherever the mixed scores of a positive and a negative row cross.  The
+separation is piecewise linear in alpha.  The whole grid is scored in bounded
+blocks, one row per alpha, and ties go to the larger weight.  Classification
+abstains on the middle band: scores strictly below the low cutoff are labeled
+negative, strictly above the high cutoff positive, and everything else —
+including scores exactly at a cutoff — stays unclassified.
 """
 
 import math
@@ -103,9 +103,11 @@ def optimize_weight(scores_a, scores_b, labels, grid_step=0.01):
     messages the per-point functions share.  Once both ends pass, both
     components lie in [0, 1], and so does every row between them, because
     rounding is monotone.  The grid is then scored in blocks of at most
-    _BLOCK_ELEMENTS mixed scores: AUC comes from tie-aware rank sums in
-    integers, and separation from a 1-D mean per row, which sums in the
-    order ``separation_score`` does.
+    _BLOCK_ELEMENTS mixed scores, split into positives and negatives:
+    separation from a 1-D mean per row, which sums in the order
+    ``separation_score`` does, and then AUC from the integer count of
+    negatives below and tied with each positive, by binary search in the
+    sorted row.
     """
     scores_a = np.asarray(scores_a, dtype=float)
     scores_b = np.asarray(scores_b, dtype=float)
@@ -127,8 +129,9 @@ def optimize_weight(scores_a, scores_b, labels, grid_step=0.01):
     for start in range(0, alphas.size, rows):
         block = alphas[start:start + rows, None]
         mixed = block * scores_a + (1.0 - block) * scores_b
-        auc.append(_rank_auc(mixed, positive))
-        separation.append(_row_separation(mixed, positive))
+        rows_pos, rows_neg = mixed[:, positive], mixed[:, ~positive]
+        separation.append(_row_separation(rows_pos, rows_neg))
+        auc.append(_rank_auc(rows_pos, rows_neg))
     auc = np.concatenate(auc)
     separation = np.concatenate(separation)
     objective = auc * separation
@@ -139,33 +142,26 @@ def optimize_weight(scores_a, scores_b, labels, grid_step=0.01):
     return float(alphas[best]), trace
 
 
-def _rank_auc(mixed, positive):
-    """Mann-Whitney AUC of each row of ``mixed``, equal to ``roc_curve``'s.
+def _rank_auc(rows_pos, rows_neg):
+    """Mann-Whitney AUC of each row pair, equal to ``roc_curve``'s; sorts
+    both arrays in place.
 
-    With mid-ranks for ties, twice the positives' rank sum minus
-    pos * (pos + 1) is the integer twice_area that ``roc_curve`` accumulates,
-    and it is divided by the same integer 2 * pos * neg.  Runs of equal
-    scores, not the order within them, set the ranks, so any sort will do.
+    Each positive counts twice every negative below it and once every
+    negative equal to it, which is the integer twice_area that ``roc_curve``
+    accumulates, and the total is divided by the same integer 2 * pos * neg.
+    In a sorted row of negatives the two counts are the positive's left and
+    right insertion points, found faster for sorted positives.
     """
-    n = positive.size
-    pos = int(positive.sum())
-    order = np.argsort(mixed, axis=1)
-    ordered = np.take_along_axis(mixed, order, axis=1)
-    starts_run = np.ones(mixed.shape, dtype=bool)
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts_run[:, 1:])
-    ends_run = np.roll(starts_run, -1, axis=1)
-    index = np.arange(n)
-    # 0-based first and last position of the run each element belongs to
-    first = np.maximum.accumulate(np.where(starts_run, index, 0), axis=1)
-    last = np.minimum.accumulate(np.where(ends_run, index, n)[:, ::-1], axis=1)
-    twice_rank = first + last[:, ::-1] + 2
-    twice_rank_sum = (twice_rank * positive[order]).sum(axis=1)
-    return (twice_rank_sum - pos * (pos + 1)) / (2 * pos * (n - pos))
+    rows_pos.sort(axis=1)
+    rows_neg.sort(axis=1)
+    twice = np.array([np.searchsorted(neg, pos, "left").sum()
+                      + np.searchsorted(neg, pos, "right").sum()
+                      for pos, neg in zip(rows_pos, rows_neg)])
+    return twice / (2 * rows_pos.shape[1] * rows_neg.shape[1])
 
 
-def _row_separation(mixed, positive):
-    """``separation_score`` of each row of ``mixed``."""
-    rows_pos, rows_neg = mixed[:, positive], mixed[:, ~positive]
+def _row_separation(rows_pos, rows_neg):
+    """``separation_score`` of each row pair of positives and negatives."""
     return np.array([abs(p.mean() - q.mean()) for p, q in zip(rows_pos, rows_neg)])
 
 

@@ -1,11 +1,14 @@
-"""The row-blocked data path against the whole-table code it replaced.
+"""The row-blocked data path and the Cox likelihood against the whole-table
+code they replaced.
 
 Each oracle below is that code, copied as it was: the loader that read the
 whole file and transposed it, the writer that rendered every cell at once
 through `csv.writer`, SMOTE's m×m×p distance tensor and the Cox likelihood
 that held the n×p×p outer products.  Every blocked kernel runs with its block
 constant forced to 1, to a small odd value and to more than the input holds,
-and must match its oracle byte for byte.
+and must match its oracle byte for byte.  The Cox log-likelihood and score
+match theirs byte for byte too; the information, now matrix products, is
+held to rounding of the oracle and of exact rational arithmetic.
 """
 
 import csv
@@ -13,6 +16,7 @@ import io
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +112,8 @@ def oracle_distances(z):
 
 
 def oracle_loglik(prep, beta, ties):
-    x, starts, death_rows, d_starts, d_counts = prep
+    x, starts, death_rows, d_starts = prep.x, prep.starts, prep.death_rows, prep.d_starts
+    d_counts = np.diff(np.append(d_starts, death_rows.size))
     with np.errstate(over="ignore", invalid="ignore"):
         eta = x @ beta
         w = np.exp(eta)
@@ -361,40 +366,103 @@ class TestNeighborsMatchOracle:
 # -- Cox -------------------------------------------------------------------------
 
 
+def exact_information(prep, w, ties):
+    """The observed information in exact rational arithmetic on the float
+    weights `w`: Σ over deaths of S2/S0 - S1 S1ᵀ/S0², each risk-set sum less
+    Efron's share k/d of the tied deaths' own (none for Breslow)."""
+    x = [[Fraction(v) for v in row] for row in prep.x.tolist()]
+    w = [Fraction(v) for v in w.tolist()]
+    n, p = prep.x.shape
+    death_rows = prep.death_rows.tolist()
+    info = [[Fraction(0)] * p for _ in range(p)]
+    for g, start in enumerate(prep.starts.tolist()):
+        tied = [r for r, gi in zip(death_rows, prep.gidx.tolist()) if gi == g]
+        for k in range(len(tied)):
+            share = Fraction(k, len(tied)) if ties == "efron" else Fraction(0)
+
+            def risk_sum(f):
+                return (sum(f(i) for i in range(start, n))
+                        - share * sum(f(i) for i in tied))
+
+            s0 = risk_sum(lambda i: w[i])
+            s1 = [risk_sum(lambda i: w[i] * x[i][a]) for a in range(p)]
+            for a in range(p):
+                for b in range(p):
+                    s2 = risk_sum(lambda i: w[i] * x[i][a] * x[i][b])
+                    info[a][b] += s2 / s0 - s1[a] * s1[b] / (s0 * s0)
+    return np.array([[float(v) for v in row] for row in info])
+
+
+def relative_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
 class TestLoglikMatchesOracle:
     @pytest.mark.parametrize("p", range(1, 9))
     @pytest.mark.parametrize("ties", ["efron", "breslow"])
-    def test_bits(self, monkeypatch, p, ties):
+    def test_bits(self, p, ties):
+        # loglik and score bit for bit as the n×p×p oracle; the information
+        # as matrix products, so within rounding of the oracle's sums
         rng = np.random.default_rng(p)
         n = 400
         x = rng.standard_normal((n, p))
         x[rng.random((n, p)) < 0.3] = 0.0           # zero products, some -0.0
         durations = rng.integers(1, 60, n).astype(float)   # tied death times
         events = (rng.random(n) < 0.7).astype(int)
-        prep = cox._prepare(x, durations, events)
-        assert (prep[4] > 1).any()
+        prep = cox._prepare(x, durations, events, ties)
+        assert (np.bincount(prep.gidx) > 1).any()
         beta = rng.standard_normal(p) * 0.3
         want = oracle_loglik(prep, beta, ties)
-        for elements in (1, 7 * p * p, n * p * p + 1):
-            monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", elements)
-            got = cox._loglik(prep, beta, ties)
-            assert float.hex(got[0]) == float.hex(want[0])
-            assert got[1].tobytes() == want[1].tobytes()
-            assert got[2].tobytes() == want[2].tobytes()
+        got = cox._loglik(prep, beta)
+        assert float.hex(got[0]) == float.hex(want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+        assert relative_error(got[2], want[2]) <= 1e-13
 
-    def test_risk_set_sums_keep_signed_zeros(self, monkeypatch):
-        # Rows whose products are -0.0 sit at the end, where the sums start.
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((30, 3))
-        x[-4:, 0] = 0.0
-        x[-4:, 1] = -1.0
-        xw = x * np.exp(x @ np.array([0.2, -0.1, 0.3]))[:, None]
-        starts = np.array([0, 5, 17, 26, 27, 29])
-        want = cox._suffix_sums(xw[:, :, None] * x[:, None, :], starts)
-        assert np.signbit(want[-1, 0, 1])
-        for elements in (1, 7 * 9, 30 * 9 + 1):
-            monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", elements)
-            assert cox._outer_suffix_sums(xw, x, starts).tobytes() == want.tobytes()
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("ties", ["efron", "breslow"])
+    @pytest.mark.parametrize("scale", [0.0, 0.8])
+    def test_information_is_exact_on_small_samples(self, p, ties, scale):
+        rng = np.random.default_rng(10 * p + int(10 * scale))
+        n = 15
+        x = rng.standard_normal((n, p))
+        x[rng.random((n, p)) < 0.2] = 0.0
+        durations = rng.integers(1, 5, n).astype(float)    # groups of tied deaths
+        events = (rng.random(n) < 0.8).astype(int)
+        prep = cox._prepare(x, durations, events, ties)
+        assert (np.bincount(prep.gidx) > 2).any()
+        beta = rng.standard_normal(p) * scale
+        info = cox._loglik(prep, beta)[2]
+        want = exact_information(prep, np.exp(prep.x @ beta), ties)
+        assert relative_error(info, want) <= 1e-14
+
+
+_INFORMATION_BYTES = """
+import sys
+import numpy as np
+from survmix import cox
+for seed in range(8):
+    rng = np.random.default_rng(seed)
+    n = 20_000 + 1_000 * seed
+    x = np.column_stack([rng.random(n) < 0.4, rng.standard_normal(n)]).astype(float)
+    durations = rng.integers(1, 400, n).astype(float)
+    events = (rng.random(n) < 0.3).astype(int)
+    for cols in (x[:, :1], x):
+        prep = cox._prepare(cols, durations, events, "efron")
+        info = cox._loglik(prep, np.full(cols.shape[1], 0.1))[2]
+        sys.stdout.write(info.tobytes().hex())
+"""
+
+
+def test_information_does_not_follow_the_blas_thread_count():
+    # OpenBLAS splits a long dot product among its threads, so a BLAS
+    # product would give other bits on a machine with other CPU counts
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cox.__file__).parents[1])] + sys.path))
+    out = [subprocess.run([sys.executable, "-c", _INFORMATION_BYTES], capture_output=True,
+                          text=True, env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                          timeout=120, check=True).stdout
+           for threads in ("1", "2")]
+    assert out[0] and out[0] == out[1]
 
 
 # -- memory ----------------------------------------------------------------------

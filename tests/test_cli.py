@@ -227,6 +227,23 @@ class TestStageFlow:
         assert code == 2
         assert "labels.csv:2: expected 3 fields, got 2" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "labels.csv: expected header id,probability,label"),
+        ("id,prob,label\r\n", "labels.csv: expected header id,probability,label"),
+        # a record number, not a line number: record 2 spans two lines
+        ('id,probability,label\r\n"r\n1",0.5,positive\r\nr2,0.5\r\n',
+         "labels.csv:3: expected 3 fields, got 2"),
+        ("id,probability,label\nr1,0.5,positive\nr2,0.5,maybe\n",
+         "labels.csv: unknown labels ['maybe']"),
+    ], ids=["empty", "bad_header", "record_number", "unknown_label"])
+    def test_labels_file_errors(self, staged, tmp_path, text, message):
+        (tmp_path / "labels.csv").write_bytes(text.encode())
+        code, _, err = call("km", "--data", staged / "clean.csv",
+                            "--labels", tmp_path / "labels.csv",
+                            "--out-dir", tmp_path)
+        assert code == 2
+        assert message in err
+
     def test_train_param_override(self, staged, tmp_path):
         code, _, err = call("train", "--data", staged / "bal.csv", "--algo", "rpart",
                             "--seed", 4, "--param", "max_depth=2",

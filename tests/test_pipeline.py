@@ -301,7 +301,9 @@ GOLDEN_ALGORITHMS = ("rpart", "logit", "nb")
 GOLDEN_DIGESTS = {
     "cleaned.csv": "540dfb36ccdcba58",
     "cleaned.schema": "a58736a4e57f2563",
-    "cox.json": "574a6dab17d70d14",
+    # re-pinned when the Cox information became one weighted Gram product:
+    # its last bits moved (at most 4.2e-15 relative in se), cox_summary.txt did not
+    "cox.json": "b8e97e46896f9652",
     "cox_summary.txt": "a10934345bffa8df",
     "km.csv": "630491e02fdcd7aa",
     "km.svg": "d4017eeda13c55f5",
