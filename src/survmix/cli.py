@@ -14,7 +14,6 @@ values), 3 numerical failure (non-convergence, separation, divergence).
 """
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -30,8 +29,8 @@ from .dataset import Dataset, SyntheticSpec, generate_synthetic, load_csv
 from .errors import (DataError, DomainError, NumericError, ParseError,
                      SurvmixError)
 from .evaluation import score_histogram
-from .fileio import (atomic_write_text, json_text, open_text, read_text, text_cells,
-                     write_json)
+from .fileio import (atomic_write_text, csv_records, json_text, open_text, read_text,
+                     text_cells, write_json)
 from .mixture import ABSTENTION_LABELS, MixtureModel
 from .pipeline import (PipelineConfig, classified_rows, cox_stage,
                        evaluate_stage, km_stage, mix_stage, parse_config,
@@ -89,7 +88,7 @@ def _read_labels(path, data: Dataset) -> np.ndarray:
     """Predicted labels aligned to `data` rows, checked by id."""
     ids, labels = [], []
     with open_text(path) as fh:
-        reader = csv.reader(fh)
+        reader = csv_records(fh, path, ",")
         if next(reader, None) != ["id", "probability", "label"]:
             raise ParseError(f"{path}: expected header id,probability,label")
         for lineno, row in enumerate(reader, start=2):

@@ -15,13 +15,14 @@ line per column:
 
 The vocab part is optional for categorical columns; when absent the vocabulary
 is inferred from the data in order of first appearance.  `write_csv` hands
-each column (numeric arrays, categorical strings) to `fileio.csv_text`, the
-one CSV writer.  `load_csv` streams the file through `csv.reader` and parses
-it column by column, one block of at most `_BLOCK_CELLS` cells at a time, so
+each column (numeric arrays, categorical strings) to `fileio.csv_lines`, and
+returns the row lines it wrote; a dataset whose rows were picked from one
+already written (`Dataset.source_rows`) is written from that one's lines.
+`load_csv` streams the file through `fileio.csv_records` and parses it
+column by column, one block of at most `_BLOCK_CELLS` cells at a time, so
 besides the dataset it holds one block's cells, whatever the row count.
 """
 
-import csv
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -30,7 +31,8 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .fileio import atomic_write_text, csv_text, open_text, read_text
+from .fileio import (atomic_write_text, csv_join, csv_lines, csv_records, open_text,
+                     read_text)
 from .rng import substream
 
 KINDS = ("numeric", "categorical")
@@ -69,9 +71,14 @@ class Dataset:
     for numeric columns, int32 vocabulary codes (-1 = missing) for categorical
     ones.  All arrays must share one length.  Value-domain contracts (label in
     {0,1}, duration > 0, event in {0,1}) are enforced on construction.
+
+    `source_rows`, for a dataset made by picking rows of another
+    (`take_rows`, `resampling.split`, `resampling.smote`), holds each row's
+    index in that dataset, -1 for a row made anew; otherwise it is None.
     """
 
-    def __init__(self, specs: Sequence[ColumnSpec], columns: Mapping[str, np.ndarray]):
+    def __init__(self, specs: Sequence[ColumnSpec], columns: Mapping[str, np.ndarray],
+                 source_rows: Optional[np.ndarray] = None):
         specs = tuple(specs)
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
@@ -102,6 +109,12 @@ class Dataset:
             arr.flags.writeable = False
             self._columns[s.name] = arr
         self._check_role_domains()
+        if source_rows is not None:
+            source_rows = np.array(source_rows, dtype=np.intp)
+            if source_rows.shape != (self._n,):
+                raise DomainError("source_rows needs one entry per row")
+            source_rows.flags.writeable = False
+        self._source_rows = source_rows
 
     def _check_role_domains(self):
         for s in self._specs:
@@ -119,6 +132,10 @@ class Dataset:
     @property
     def n_rows(self) -> int:
         return self._n
+
+    @property
+    def source_rows(self) -> Optional[np.ndarray]:
+        return self._source_rows
 
     @property
     def specs(self) -> tuple:
@@ -195,7 +212,8 @@ class Dataset:
         index = np.asarray(index)
         if index.dtype == bool:
             index = np.flatnonzero(index)
-        return Dataset(self._specs, {n: self._columns[n][index] for n in self.names})
+        return Dataset(self._specs, {n: self._columns[n][index] for n in self.names},
+                       source_rows=index)
 
     def drop_columns(self, names: Iterable[str]) -> "Dataset":
         drop = set(names)
@@ -314,7 +332,7 @@ def load_csv(data_path: "str | Path", schema: "Sequence[ColumnSpec] | str | Path
         schema = read_schema(schema)
     specs = list(schema)
     with open_text(data_path) as fh:
-        reader = csv.reader(fh, delimiter=DELIMITER)
+        reader = csv_records(fh, data_path, DELIMITER)
         header = next(reader, None)
         if header is None:
             raise ParseError(f"{data_path}: empty file (missing header row)")
@@ -421,12 +439,32 @@ def _parse_numbers(tokens) -> tuple:
         raise
 
 
-def write_csv(data: Dataset, path: "str | Path") -> None:
-    """Write a dataset as ';'-separated text through `fileio.csv_text`:
-    numeric cells in shortest round-trip float form, missing cells empty."""
-    columns = [data.column(n) if data.spec(n).kind == "numeric" else data.strings(n)
-               for n in data.names]
-    atomic_write_text(path, csv_text(data.names, columns, DELIMITER))
+def write_csv(data: Dataset, path: "str | Path", source_lines: Optional[list] = None) -> list:
+    """Write a dataset as ';'-separated text, numeric cells in shortest
+    round-trip float form and missing cells empty, and return its rows' lines
+    (`fileio.csv_lines`).
+
+    `source_lines` are the lines `write_csv` returned for the dataset that
+    `data`'s rows were picked from (`Dataset.source_rows`).  A picked row is
+    written from its source's line, and only a row made anew is rendered; a
+    row's line depends on that row alone, so the bytes are the same.  The
+    header and the lines become one text, written in one call.
+    """
+    if source_lines is None:
+        lines = _dataset_lines(data)
+    else:
+        source = data.source_rows
+        lines = [source_lines[i] if i >= 0 else None for i in source.tolist()]
+        new = np.flatnonzero(source < 0)
+        for i, line in zip(new.tolist(), _dataset_lines(data.take_rows(new))):
+            lines[i] = line
+    atomic_write_text(path, csv_join(data.names, lines, DELIMITER))
+    return lines
+
+
+def _dataset_lines(data: Dataset) -> list:
+    return csv_lines([data.column(n) if data.spec(n).kind == "numeric" else data.strings(n)
+                      for n in data.names], DELIMITER)
 
 
 # -- synthetic data -----------------------------------------------------------

@@ -8,14 +8,22 @@ with sorted keys and a fixed layout to keep outputs byte-stable across runs.
 artifacts (','-separated) both pass it their columns, and `text_cells` is the
 one place a cell becomes text.  It renders a block of rows at a time, at
 most `_BLOCK_CELLS` cells, so besides the text it holds one block's cells
-whatever the row count.
+whatever the row count.  `csv_lines` renders the same rows as a list of
+lines, one per row, for a caller that writes some rows more than once.  A
+row's line depends on that row alone, since quoting is decided per cell and
+the empty cell of a one-column row is quoted per row, so the lines of any
+picked rows, joined under the header by `csv_join`, are the text `csv_text`
+gives for those rows.
 
 `open_text` is the one place a file is opened for reading: a missing,
 unreadable or non-UTF-8 file is a `DataError`, also when the bad bytes are
-met while the caller streams the file.
+met while the caller streams the file.  `csv_records` reads its records and
+turns a record csv cannot read into a `ParseError` that names it.
 """
 
 import contextlib
+import csv
+import itertools
 import json
 import os
 import secrets
@@ -24,7 +32,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ParseError
 
 _float_repr = float.__repr__   # repr(np.float64) would read 'np.float64(...)'
 _BLOCK_CELLS = 1 << 14
@@ -86,14 +94,33 @@ def csv_text(header, columns, delimiter: str) -> str:
     (NaN empty), any other sequence through `text_cells`.  Cells are quoted as
     csv's QUOTE_MINIMAL quotes them: a cell holding the delimiter, a quote or
     a line feed, and the empty cell of a one-column row."""
+    return csv_join(header, map("".join, _line_blocks(columns, delimiter)), delimiter)
+
+
+def csv_lines(columns, delimiter: str) -> list:
+    """The rows of `columns` as `csv_text` renders them, one line per row,
+    each ended by a line feed."""
+    lines = []
+    for block in _line_blocks(columns, delimiter):
+        lines += block
+    return lines
+
+
+def csv_join(header, lines, delimiter: str) -> str:
+    """The header row and then `lines`, made into one text by one join."""
     header_cells = [[cell] for cell in _quoted(text_cells(header), delimiter)]
-    parts = [_lines(header_cells, delimiter) or "\n"]   # csv ends an empty row too
+    head = "".join(_row_lines(header_cells, delimiter)) or "\n"   # csv ends an empty row too
+    return "".join(itertools.chain((head,), lines))
+
+
+def _line_blocks(columns, delimiter: str):
+    """The lines of the rows of `columns`, one block of at most
+    `_BLOCK_CELLS` cells at a time."""
     n_rows = len(columns[0]) if len(columns) else 0
     step = max(1, _BLOCK_CELLS // max(1, len(columns)))
     for lo in range(0, n_rows, step):
-        parts.append(_lines([_block_cells(col[lo:lo + step], delimiter) for col in columns],
-                            delimiter))
-    return "".join(parts)
+        yield _row_lines([_block_cells(col[lo:lo + step], delimiter) for col in columns],
+                         delimiter)
 
 
 def _block_cells(block, delimiter: str) -> list:
@@ -117,11 +144,26 @@ def _quoted(cells: list, delimiter: str) -> list:
     return cells
 
 
-def _lines(cells: list, delimiter: str) -> str:
-    """The rows of column-major `cells`, each ended by a line feed."""
+def _row_lines(cells: list, delimiter: str) -> list:
+    """One line per row of column-major `cells`, each ended by a line feed."""
     if len(cells) == 1:
-        return "".join([(c or '""') + "\n" for c in cells[0]])
-    return "".join([row + "\n" for row in map(delimiter.join, zip(*cells))])
+        return [(c or '""') + "\n" for c in cells[0]]
+    return [row + "\n" for row in map(delimiter.join, zip(*cells))]
+
+
+def csv_records(fh, path: "str | Path", delimiter: str):
+    """The records of the open text `fh`, as `csv.reader` lists them.
+
+    A record that csv cannot read, such as one with a field longer than
+    `csv.field_size_limit()`, raises `ParseError` naming `path` and the
+    record's number (the first record is 1).
+    """
+    number = 0
+    try:
+        for number, record in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
+            yield record
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{number + 1}: {exc}") from exc
 
 
 @contextlib.contextmanager

@@ -264,10 +264,12 @@ def write_artifacts(out_dir, artifacts: dict) -> None:
         atomic_write_text(out / name, artifacts[name])
 
 
-def write_dataset(data: Dataset, path) -> None:
-    """A dataset CSV plus its schema sidecar (the same path with .schema)."""
-    write_csv(data, path)
+def write_dataset(data: Dataset, path, source_lines=None) -> list:
+    """A dataset CSV plus its schema sidecar (the same path with .schema);
+    returns the CSV's row lines (see `write_csv`, which takes `source_lines`)."""
+    lines = write_csv(data, path, source_lines)
     write_schema(data.specs, Path(path).with_suffix(".schema"))
+    return lines
 
 
 def km_csv(curves: dict) -> str:
@@ -535,7 +537,13 @@ def cox_stage(data: Dataset, formulas, ties: str, references: dict) -> tuple:
 # -- the pipeline ----------------------------------------------------------------
 #
 # Each stage reads the config and earlier stages' values from `run`, stores
-# its own values there, and returns (artifacts, detail).
+# its own values there, and returns (artifacts, detail).  A dataset is dropped
+# from `run` by the last stage that reads it: `raw` by clean, `cleaned` by
+# split, `train` by smote.  Each dataset row is rendered as text once per run:
+# clean keeps the row lines `write_csv` returns for cleaned.csv, split writes
+# train.csv and test.csv from them by source row and keeps train's, and smote
+# writes train_balanced.csv from train's lines, rendering only its synthetic
+# rows, and drops the lines.
 
 def _load_era(config: PipelineConfig, era: str) -> Dataset:
     if config.synthetic_rows <= 0:
@@ -574,19 +582,22 @@ def _load(run) -> tuple:
 
 def _clean(run) -> tuple:
     run.cleaned, cleaning = clean(run.raw)
-    write_dataset(run.cleaned, run.out / "cleaned.csv")
     mva = cleaning.to_dict()
-    return {"mva_report.json": json_text(mva)}, {
-        "rows_in": run.raw.n_rows, "rows_out": run.cleaned.n_rows,
-        "stages": mva["stages"]}
+    detail = {"rows_in": run.raw.n_rows, "rows_out": run.cleaned.n_rows,
+              "stages": mva["stages"]}
+    del run.raw
+    run.lines = write_dataset(run.cleaned, run.out / "cleaned.csv")
+    return {"mva_report.json": json_text(mva)}, detail
 
 
 def _split(run) -> tuple:
     config = run.config
     run.train, run.test = split(run.cleaned,
                                 SplitSpec(config.train_fraction, config.seed))
-    write_dataset(run.train, run.out / "train.csv")
-    write_dataset(run.test, run.out / "test.csv")
+    del run.cleaned
+    train_lines = write_dataset(run.train, run.out / "train.csv", run.lines)
+    write_dataset(run.test, run.out / "test.csv", run.lines)
+    run.lines = train_lines
     return {}, {"train_rows": run.train.n_rows, "test_rows": run.test.n_rows,
                 "train_balance": _class_balance(run.train),
                 "test_balance": _class_balance(run.test)}
@@ -596,10 +607,13 @@ def _smote(run) -> tuple:
     config = run.config
     run.balanced = smote(run.train, SmoteSpec(config.smote_k, config.smote_over,
                                               config.smote_under, config.seed))
-    write_dataset(run.balanced, run.out / "train_balanced.csv")
-    return {}, {"rows_in": run.train.n_rows, "rows_out": run.balanced.n_rows,
-                "balance_before": _class_balance(run.train),
-                "balance_after": _class_balance(run.balanced)}
+    detail = {"rows_in": run.train.n_rows, "rows_out": run.balanced.n_rows,
+              "balance_before": _class_balance(run.train),
+              "balance_after": _class_balance(run.balanced)}
+    del run.train
+    write_dataset(run.balanced, run.out / "train_balanced.csv", run.lines)
+    del run.lines
+    return {}, detail
 
 
 def _train(run) -> tuple:

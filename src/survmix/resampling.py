@@ -15,6 +15,10 @@ event cells of synthetic rows are left missing.  The majority class is then
 undersampled to (under_pct / 100) times the number of synthetic rows.
 Output order: original minority rows, synthetic rows (seed-major), sampled
 majority rows (ascending original index).
+
+Both hand back each output row's source row as `Dataset.source_rows`: the
+row's index in the input, -1 for a synthetic row.  A caller that wrote the
+input can then write the output from the input's row lines (`write_csv`).
 """
 
 import warnings
@@ -181,7 +185,8 @@ def smote(data: Dataset, spec: SmoteSpec, return_provenance: bool = False):
         else:
             part_syn = part_min[:0]
         columns[s.name] = np.concatenate([part_min, part_syn, part_maj])
-    out = Dataset(data.specs, columns)
+    out = Dataset(data.specs, columns,
+                  source_rows=np.concatenate([min_idx, np.full(n_syn, -1), kept_maj]))
 
     if not return_provenance:
         return out

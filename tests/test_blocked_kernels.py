@@ -8,7 +8,9 @@ that held the n×p×p outer products.  Every blocked kernel runs with its block
 constant forced to 1, to a small odd value and to more than the input holds,
 and must match its oracle byte for byte.  The Cox log-likelihood and score
 match theirs byte for byte too; the information, now matrix products, is
-held to rounding of the oracle and of exact rational arithmetic.
+held to rounding of the oracle and of exact rational arithmetic.  A dataset
+written from lines picked out of its source's rendering must match the
+writer's oracle too.
 """
 
 import csv
@@ -26,7 +28,7 @@ from survmix import cox, dataset, fileio, resampling
 from survmix.dataset import (MISSING_CODE, MISSING_TOKENS, ColumnSpec, Dataset,
                              SyntheticSpec, generate_synthetic, load_csv, write_csv)
 from survmix.errors import DomainError, ParseError
-from survmix.fileio import csv_text, text_cells
+from survmix.fileio import csv_join, csv_lines, csv_text, text_cells
 
 # -- oracles ---------------------------------------------------------------------
 
@@ -300,6 +302,20 @@ def special_dataset(rng, n):
     return Dataset(specs, cols)
 
 
+def one_column_dataset(kind):
+    """One column, most of its cells missing: each is written as '""'."""
+    if kind == "numeric":
+        return Dataset([ColumnSpec("x", "numeric")],
+                       {"x": np.array([np.nan, 1.0, np.nan, np.nan, -0.0])})
+    return Dataset([ColumnSpec("c", "categorical", "feature", ("a", ";"))],
+                   {"c": np.array([-1, 0, -1, 1, -1])})
+
+
+def dataset_columns(data):
+    return [data.column(n) if data.spec(n).kind == "numeric" else data.strings(n)
+            for n in data.names]
+
+
 class TestWriterMatchesOracle:
     @pytest.mark.parametrize("n", [0, 1, 2, 50])
     def test_special_floats_and_awkward_levels(self, tmp_path, monkeypatch, n):
@@ -311,12 +327,7 @@ class TestWriterMatchesOracle:
 
     @pytest.mark.parametrize("kind", ["numeric", "categorical"])
     def test_one_column_with_missing_cells(self, tmp_path, monkeypatch, kind):
-        if kind == "numeric":
-            data = Dataset([ColumnSpec("x", "numeric")],
-                           {"x": np.array([np.nan, 1.0, np.nan, np.nan, -0.0])})
-        else:
-            data = Dataset([ColumnSpec("c", "categorical", "feature", ("a", ";"))],
-                           {"c": np.array([-1, 0, -1, 1, -1])})
+        data = one_column_dataset(kind)
         for rows in block_sizes(5):
             monkeypatch.setattr(fileio, "_BLOCK_CELLS", rows * 1)
             write_csv(data, tmp_path / "d.csv")
@@ -340,6 +351,58 @@ class TestWriterMatchesOracle:
             for header in ([""], ["x"], []):
                 assert csv_text(header, columns[:len(header)], delimiter) == \
                     oracle_csv_text(header, columns[:len(header)], delimiter)
+
+
+class TestPickedLinesMatchFreshRendering:
+    """`write_csv(data, path, source_lines)` writes the rows picked from a
+    source from that source's lines, and renders only rows made anew."""
+
+    @staticmethod
+    def picks(n):
+        rng = np.random.default_rng(n)
+        return {"random": rng.permutation(n)[:n // 2 + 1],
+                "empty": np.empty(0, dtype=np.intp),
+                # SMOTE's with-replacement draw repeats majority rows
+                "repeated": np.sort(rng.integers(0, n, size=2 * n))}
+
+    @pytest.mark.parametrize("kind", ["special", "numeric", "categorical"])
+    def test_take_rows(self, tmp_path, monkeypatch, kind):
+        data = (special_dataset(np.random.default_rng(3), 40) if kind == "special"
+                else one_column_dataset(kind))
+        for rows in block_sizes(data.n_rows):
+            monkeypatch.setattr(fileio, "_BLOCK_CELLS", rows * len(data.names))
+            lines = write_csv(data, tmp_path / "source.csv")
+            assert lines == csv_lines(dataset_columns(data), ";")
+            for name, index in self.picks(data.n_rows).items():
+                picked = data.take_rows(index)
+                want = oracle_write_text(picked)
+                assert csv_text(picked.names, dataset_columns(picked), ";") == want, name
+                assert csv_join(picked.names, [lines[i] for i in index], ";") == want, name
+                write_csv(picked, tmp_path / "picked.csv", lines)
+                assert (tmp_path / "picked.csv").read_bytes() == want.encode(), name
+
+    def test_rows_made_anew_are_rendered(self, tmp_path):
+        rng = np.random.default_rng(8)
+        data = special_dataset(rng, 40)
+        lines = write_csv(data, tmp_path / "source.csv")
+        order = rng.integers(0, 40, size=60)
+        made = Dataset(data.specs, {n: data.column(n)[order[::-1]] for n in data.names},
+                       source_rows=np.where(rng.random(60) < 0.3, -1, order[::-1]))
+        write_csv(made, tmp_path / "made.csv", lines)
+        assert (tmp_path / "made.csv").read_bytes() == oracle_write_text(made).encode()
+
+    def test_smote_output_with_replacement(self, tmp_path):
+        data = generate_synthetic(SyntheticSpec(n_rows=300, n_numeric=3, n_categorical=1,
+                                                minority_fraction=0.2, seed=2))
+        awkward = ColumnSpec("cat_00", "categorical", "feature", AWKWARD[:4])
+        data = Dataset([awkward if s.name == "cat_00" else s for s in data.specs],
+                       {n: data.column(n) for n in data.names})
+        lines = write_csv(data, tmp_path / "train.csv")
+        with pytest.warns(UserWarning, match="with replacement"):
+            balanced = resampling.smote(data, resampling.SmoteSpec(under_pct=1000.0, seed=2))
+        write_csv(balanced, tmp_path / "balanced.csv", lines)
+        assert (tmp_path / "balanced.csv").read_bytes() == \
+            oracle_write_text(balanced).encode()
 
 
 # -- SMOTE -----------------------------------------------------------------------

@@ -123,6 +123,15 @@ class TestExitCodes:
         assert "in.csv:3: column 'c'" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "in.schema"]
 
+    def test_cell_over_the_csv_field_limit_is_exit_two(self, tmp_path):
+        (tmp_path / "in.csv").write_text("x;c\n1.0;a\n2.0;" + "b" * 131_073 + "\n")
+        (tmp_path / "in.schema").write_text("x = numeric,feature\nc = categorical,feature\n")
+        code, _, err = call("clean", "--data", tmp_path / "in.csv",
+                            "--out", tmp_path / "out.csv", "--report", tmp_path / "mva.json")
+        assert code == 2
+        assert "in.csv:3: field larger than field limit (131072)" in err
+        assert "Traceback" not in err
+
     def test_separable_cox_is_exit_three_with_diagnostics(self, tmp_path):
         path = separable_fixture(tmp_path)
         code, _, err = call("cox", "--data", path, "--formula", "x",
@@ -235,7 +244,9 @@ class TestStageFlow:
          "labels.csv:3: expected 3 fields, got 2"),
         ("id,probability,label\nr1,0.5,positive\nr2,0.5,maybe\n",
          "labels.csv: unknown labels ['maybe']"),
-    ], ids=["empty", "bad_header", "record_number", "unknown_label"])
+        ("id,probability,label\nr1,0.5," + "p" * 131_073 + "\n",
+         "labels.csv:2: field larger than field limit (131072)"),
+    ], ids=["empty", "bad_header", "record_number", "unknown_label", "field_limit"])
     def test_labels_file_errors(self, staged, tmp_path, text, message):
         (tmp_path / "labels.csv").write_bytes(text.encode())
         code, _, err = call("km", "--data", staged / "clean.csv",

@@ -100,12 +100,18 @@ class TestDatasetModel:
 
     def test_take_and_drop(self):
         d = small_dataset()
+        assert d.source_rows is None
         top = d.take_rows([0, 2])
         assert top.n_rows == 2 and list(top.numeric("x")) == [1.0, 3.5]
+        assert top.source_rows.tolist() == [0, 2]
         masked = d.take_rows(np.array([True, False, False, True]))
         assert list(masked.label_values()) == [0, 1]
+        assert masked.source_rows.tolist() == [0, 3]
         dropped = d.drop_columns(["x"])
         assert dropped.names == ("id", "sector", "label")
+        assert dropped.source_rows is None
+        with pytest.raises(DomainError, match="one entry per row"):
+            Dataset(d.specs, {n: d.column(n) for n in d.names}, source_rows=[0, 1])
         with pytest.raises(DomainError):
             d.drop_columns(["nope"])
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,14 @@ class TestSplit:
         train, _ = split(d, SplitSpec(seed=0))
         ids = [int(s[1:]) for s in train.strings("id")]
         assert ids == sorted(ids)
+
+    def test_sides_name_their_source_rows(self):
+        d = generate_synthetic(SyntheticSpec(n_rows=41, seed=7))
+        train, test = split(d, SplitSpec(seed=3))
+        source = np.concatenate([train.source_rows, test.source_rows])
+        assert sorted(source.tolist()) == list(range(41))
+        assert train.equals(d.take_rows(train.source_rows))
+        assert test.equals(d.take_rows(test.source_rows))
 
     def test_validation(self):
         d = generate_synthetic(SyntheticSpec(n_rows=4, seed=0))
@@ -143,6 +153,18 @@ class TestSmoteCounts:
         assert out.missing_mask("duration")[syn].all()
         assert out.missing_mask("event")[syn].all()
         assert not out.missing_mask("cat_00")[syn].any()  # copied from seeds
+
+    @pytest.mark.parametrize("under_pct", [200.0, 2000.0])
+    def test_output_names_its_source_rows(self, under_pct):
+        d = self.make(m=5, n_maj=30, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # 2000% draws majority rows with replacement
+            out = smote(d, SmoteSpec(k=2, under_pct=under_pct, seed=4))
+        source = out.source_rows
+        made = source < 0
+        assert made.sum() == 10 and (np.flatnonzero(made) == np.arange(5, 15)).all()
+        assert (source[:5] == np.arange(5)).all()           # the minority rows, in order
+        assert out.take_rows(np.flatnonzero(~made)).equals(d.take_rows(source[~made]))
 
     def test_categorical_copied_from_seed(self):
         d = labeled_points([[0, 0], [1, 1], [9, 9], [8, 9], [7, 9], [6, 9]],
