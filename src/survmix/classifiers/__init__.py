@@ -5,7 +5,7 @@ Seven algorithms are available under fixed names:
 ========  =====================================================
 rpart     greedy binary tree, Gini impurity
 tree      greedy binary tree, entropy (deviance)
-ctree     permutation-test splitting with Bonferroni adjustment
+ctree     conditional-inference splitting with Bonferroni adjustment
 bag       bootstrap-aggregated Gini trees
 logit     logistic regression (Newton with step-halving)
 nb        Gaussian/Laplace naive Bayes
@@ -29,7 +29,7 @@ from ..dataset import Dataset
 from ..errors import DataError, DomainError
 from ..fileio import atomic_write_text, read_text
 from ._encoding import DummyEncoder, FeatureSchema
-from .bagging import BaggingModel, BagParams, bootstrap_indices, fit_bagging
+from .bagging import BaggingModel, BagParams, fit_bagging
 from .logistic import LogitModel, LogitParams, fit_logit
 from .naive_bayes import NaiveBayesModel, NbParams, fit_naive_bayes
 from .neural import AnnModel, AnnParams, fit_ann
@@ -51,7 +51,7 @@ _REGISTRY = {
                         partial(DecisionTreeModel.from_state, "rpart")),
     "tree": _Algorithm(TreeParams, fit_tree, False, DecisionTreeModel,
                        partial(DecisionTreeModel.from_state, "tree")),
-    "ctree": _Algorithm(CtreeParams, fit_ctree, True, DecisionTreeModel,
+    "ctree": _Algorithm(CtreeParams, fit_ctree, False, DecisionTreeModel,
                         partial(DecisionTreeModel.from_state, "ctree")),
     "bag": _Algorithm(BagParams, fit_bagging, True, BaggingModel,
                       BaggingModel.from_state),
@@ -103,15 +103,6 @@ class ClassifierSpec:
 
 
 def _coerce(value, kind):
-    if kind is bool:
-        if isinstance(value, bool):
-            return value
-        text = str(value).strip().lower()
-        if text in ("true", "1", "yes"):
-            return True
-        if text in ("false", "0", "no"):
-            return False
-        raise DomainError(f"expected a boolean, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError):

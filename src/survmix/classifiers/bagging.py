@@ -10,8 +10,7 @@ first, in the frontier engine of `trees`, as many at a time as keep the
 frontier within its bound; a member's tree does not depend on which others
 grow beside it.  Its schema is the one the copied sample would give
 (`FeatureSchema.weighted`), and its tree equals ``fit_cart`` on the copied
-sample node for node.  Without the bootstrap, one Gini tree on the full
-sample serves every member.  The ensemble probability is the unweighted
+sample node for node.  The ensemble probability is the unweighted
 mean of the member tree probabilities — exactly, not a rounded vote.
 """
 
@@ -22,7 +21,7 @@ import numpy as np
 from ..dataset import Dataset
 from ..errors import DomainError
 from ..rng import substream
-from .trees import (DecisionTreeModel, TreeParams, fit_cart, _Encoded, _grow_greedy,
+from .trees import (DecisionTreeModel, TreeParams, _Encoded, _grow_greedy,
                     _trees_per_frontier)
 
 
@@ -30,7 +29,6 @@ from .trees import (DecisionTreeModel, TreeParams, fit_cart, _Encoded, _grow_gre
 class BagParams:
     members: int = 50
     tree: TreeParams = field(default_factory=TreeParams)
-    bootstrap: bool = True  # False gives every member the full-sample tree
 
     def __post_init__(self):
         if self.members < 1:
@@ -68,8 +66,6 @@ class BaggingModel:
 
 
 def fit_bagging(train: Dataset, params: BagParams, seed: int = 0) -> BaggingModel:
-    if not params.bootstrap:
-        return BaggingModel([fit_cart(train, params.tree)] * params.members, seed)
     data = _Encoded(train)
     n = len(data.y)
     batch = _trees_per_frontier(data)

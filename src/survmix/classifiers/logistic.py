@@ -47,15 +47,26 @@ def _log_likelihood(z, y):
     return float(np.sum(y * z) - np.sum(np.logaddexp(0.0, z)))
 
 
+def _over_rows(a, b):
+    """`a.T @ b`, summed over the rows by einsum, not BLAS: OpenBLAS splits a
+    long dot product among its threads, so its bits would follow the CPU
+    count."""
+    return np.einsum("ni,n...->i...", a, b)
+
+
+def _norm(v):
+    return float(np.sqrt(_over_rows(v[:, None], v)[0]))
+
+
 def check_aliased(design: np.ndarray, names) -> list:
     """Names of columns linearly dependent on earlier ones."""
     basis = np.empty((design.shape[0], 0))
     aliased = []
     for j, name in enumerate(names):
         col = design[:, j]
-        resid = col - basis @ (basis.T @ col)
-        norm = np.linalg.norm(resid)
-        if norm <= 1e-8 * max(1.0, np.linalg.norm(col)):
+        resid = col - basis @ _over_rows(basis, col)
+        norm = _norm(resid)
+        if norm <= 1e-8 * max(1.0, _norm(col)):
             aliased.append(name)
         else:
             basis = np.hstack([basis, (resid / norm)[:, None]])
@@ -69,11 +80,11 @@ def newton_fit(design: np.ndarray, y: np.ndarray, names, max_iter: int):
     loglik = _log_likelihood(z, y)
     for _ in range(max_iter):
         p = _sigmoid(z)
-        score = design.T @ (y - p)
+        score = _over_rows(design, y - p)
         if np.max(np.abs(score)) < _SCORE_TOL:
             return beta, loglik
         w = p * (1.0 - p)
-        hessian = design.T @ (design * w[:, None])
+        hessian = _over_rows(design, design * w[:, None])
         try:
             step = np.linalg.solve(hessian, score)
         except np.linalg.LinAlgError:

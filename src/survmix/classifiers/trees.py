@@ -4,9 +4,11 @@ Three growth strategies share one frontier engine (`_grow`):
 
 * ``rpart`` — greedy search over all features maximizing the Gini decrease,
 * ``tree`` — the same search with the entropy (deviance) criterion,
-* ``ctree`` — per node, a label-permutation test picks the most significant
-  feature (Bonferroni-adjusted); the node splits only while the adjusted
-  p-value stays below ``alpha``, with the split point then chosen by Gini.
+* ``ctree`` — conditional inference (Hothorn, Hornik & Zeileis 2006): per
+  node, the closed-form permutation test of each feature's association with
+  the label picks the most significant feature (Bonferroni-adjusted); the
+  node splits only while the adjusted p-value stays below ``alpha``, at that
+  feature's Gini split.
 
 Numeric splits test midpoints between consecutive distinct sorted values and
 send ``value <= threshold`` left; ties in quality keep the smallest split
@@ -23,16 +25,15 @@ one integer row that lists every node's rows in value order, node after
 node, and a last row lists them in row order (SLIQ presorting: Mehta,
 Agrawal & Rissanen, EDBT 1996; Shafer, Agrawal & Mehta's SPRINT, VLDB 1996).
 
-The greedy criteria grow breadth first: one frontier holds every open node
-of one depth in every tree grown together, which for bagging is as many
-members as `_FRONTIER_ELEMENTS` allows.  One segmented kernel scores all
-numeric features of all those nodes from weighted cumulative counts and
-positives; each categorical feature is scored from one `bincount` over
-(node, level) keys; and one stable pass per row sends each node's rows to
-its children.  ctree's node order fixes the order of its random draws, so it
-grows depth first, one node per frontier, in preorder.  Each tree's node
-list is rebuilt in preorder from parent links.  The kernels work in blocks
-of at most `_BLOCK_ELEMENTS` cells.  Splits are scored only at
+Every tree grows breadth first: one frontier holds every open node of one
+depth in every tree grown together, which for bagging is as many members as
+`_FRONTIER_ELEMENTS` allows.  One segmented kernel scores all numeric
+features of all those nodes from weighted cumulative counts and positives;
+each categorical feature is scored from one `bincount` over (node, level)
+keys; the criteria differ only in how they choose a feature among these
+splits; and one stable pass per row sends each node's rows to its children.
+Each tree's node list is rebuilt in preorder from parent links.  The kernels
+work in blocks of at most `_BLOCK_ELEMENTS` cells.  Splits are scored only at
 distinct-value boundaries and sums of integer weights are exact, so a
 weighted tree equals, node for node, the tree grown on the rows copied as
 often as their weights say, and a tree grown among others equals the tree
@@ -44,11 +45,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dataset import Dataset
+from ..distributions import chi_square_sf
 from ..errors import DomainError
-from ..rng import substream
 from ._encoding import FeatureSchema
 
-_PERM_BLOCK = 256
 # Cells the split kernels score at once; a fixed bound, not a parameter, that
 # keeps their temporaries small.
 _BLOCK_ELEMENTS = 1 << 15
@@ -78,15 +78,12 @@ class TreeParams:
 @dataclass(frozen=True)
 class CtreeParams:
     alpha: float = 0.05
-    permutations: int = 999
     min_node_size: int = 20
     max_depth: int = 30
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise DomainError("alpha must be in (0, 1]")
-        if self.permutations < 1:
-            raise DomainError("permutations must be at least 1")
         if self.min_node_size < 1:
             raise DomainError("min_node_size must be at least 1")
         if self.max_depth < 0:
@@ -255,150 +252,103 @@ class _Frontier:
         self.rows = order[-1] - offsets[self.segment]
 
 
-# A selector maps (frontier, flat weights, flat weights × labels) to each
-# node's split: the feature's index in the schema (−1: none), the threshold of
-# a numeric split and, per categorical feature, segments × levels masks of the
-# levels sent left.
-_NO_SPLIT = (np.full(1, -1), np.zeros(1), {})
-
-
-def _greedy_selector(data, criterion, cp):
-    """The split of largest impurity decrease of every node: features compared
-    in schema order, a later one only when strictly better; none when the
-    decrease is below `cp` or no feature splits."""
-
-    def select(frontier, weights, positives):
-        order, starts = frontier.order, frontier.starts
-        gains, thresholds = _best_numeric_splits(
-            data.values, order[:-1], starts, frontier.offsets, weights, positives,
-            criterion)
-        best = np.full(len(frontier.nodes), -np.inf)
-        feature = np.full(len(best), -1)
-        threshold = np.zeros(len(best))
-        left = {}
-        row_weights, row_positives = weights[order[-1]], positives[order[-1]]
-        for j, (name, kind) in enumerate(data.schema.features):
-            if kind == "numeric":
-                gain = gains[:, data.numeric[name]]
-            else:
-                gain, left[name] = _best_categorical_splits(
-                    data.mapped[name][frontier.rows], len(data.schema.levels[name]),
-                    starts, row_weights, row_positives, criterion)
-            better = gain > best
-            best[better] = gain[better]
-            feature[better] = j
-            if kind == "numeric":
-                threshold[better] = thresholds[better, data.numeric[name]]
-        feature[best < cp] = -1
-        return feature, threshold, left
-    return select
-
-
-def _permutation_pvalues(schema, mapped, y, rows, rng, permutations):
-
-    """One-sided permutation p-values of per-feature association statistics.
-
-    Numeric features use the absolute difference of class means, categorical
-    ones the chi-square statistic of the level-by-class table.  All features
-    share each permutation of the node labels.
-    """
-    yb = y[rows].astype(float)
-    n = len(rows)
-    n1 = yb.sum()
-    n0 = n - n1
-
-    numeric_names, numeric_cols = [], []
-    cat_blocks = []  # (name, one-hot matrix, level totals)
-    for name, kind in schema.features:
+def _splits(data, frontier, weights, positives, criterion):
+    """Every feature's best split in every node of `frontier`, features in
+    schema order: the impurity decreases (−inf where the feature cannot split
+    the node), the thresholds of the numeric features and, per categorical
+    feature, segments × levels masks of the levels sent left."""
+    order, starts = frontier.order, frontier.starts
+    numeric_gains, numeric_thresholds = _best_numeric_splits(
+        data.values, order[:-1], starts, frontier.offsets, weights, positives, criterion)
+    gain = np.empty((len(frontier.nodes), len(data.schema.features)))
+    threshold = np.zeros(gain.shape)
+    left = {}
+    row_weights, row_positives = weights[order[-1]], positives[order[-1]]
+    for j, (name, kind) in enumerate(data.schema.features):
         if kind == "numeric":
-            v = mapped[name][rows]
-            if np.ptp(v) > 0:
-                numeric_names.append(name)
-                numeric_cols.append(v)
+            gain[:, j] = numeric_gains[:, data.numeric[name]]
+            threshold[:, j] = numeric_thresholds[:, data.numeric[name]]
         else:
-            codes = mapped[name][rows]
-            n_levels = len(schema.levels[name])
-            totals = np.bincount(codes, minlength=n_levels).astype(float)
-            present = np.flatnonzero(totals > 0)
-            if present.size >= 2:
-                onehot = (codes[:, None] == present[None, :]).astype(float)
-                cat_blocks.append((name, onehot, totals[present]))
-    names = numeric_names + [name for name, _, _ in cat_blocks]
-    if not names:
-        return None
-
-    x_num = np.column_stack(numeric_cols) if numeric_cols else np.empty((n, 0))
-
-    def stats(labels):
-        # labels: (n, b) matrix of 0/1 columns
-        pieces = []
-        if x_num.shape[1]:
-            sums = x_num.T @ labels
-            mean1 = sums / n1
-            mean0 = (x_num.sum(axis=0)[:, None] - sums) / n0
-            pieces.append(np.abs(mean1 - mean0))
-        for _, onehot, totals in cat_blocks:
-            o1 = onehot.T @ labels
-            o0 = totals[:, None] - o1
-            e1 = totals[:, None] * (n1 / n)
-            e0 = totals[:, None] * (n0 / n)
-            chi2 = ((o1 - e1) ** 2 / e1 + (o0 - e0) ** 2 / e0).sum(axis=0)
-            pieces.append(chi2[None, :])
-        return np.vstack(pieces)
-
-    observed = stats(yb[:, None])[:, 0]
-    exceed = np.zeros(len(names))
-    done = 0
-    while done < permutations:
-        block = min(_PERM_BLOCK, permutations - done)
-        # Row j of `idx` is the draw rng.permutation(n) would give as the j-th
-        # call; one gather then fills the whole block.
-        idx = rng.permuted(np.tile(np.arange(n), (block, 1)), axis=1)
-        perms = np.ascontiguousarray(yb[idx].T)
-        exceed += (stats(perms) >= observed[:, None]).sum(axis=1)
-        done += block
-    pvalues = (1.0 + exceed) / (permutations + 1.0)
-    return dict(zip(names, pvalues))
+            gain[:, j], left[name] = _best_categorical_splits(
+                data.mapped[name][frontier.rows], len(data.schema.levels[name]),
+                starts, row_weights, row_positives, criterion)
+    return gain, threshold, left
 
 
-def _ctree_selector(data, params, rng):
-    """The split of the node of a one-node frontier (of the one tree, weighted
-    by ones) that the permutation tests choose."""
-    kinds = dict(data.schema.features)
+# A chooser maps a frontier and its nodes × features decreases from `_splits`
+# to the feature each node splits on, as its index in the schema (−1: none).
 
-    def select(frontier, weights, positives):
-        rows = frontier.rows
-        pvalues = _permutation_pvalues(data.schema, data.mapped, data.y, rows, rng,
-                                       params.permutations)
-        if pvalues is None:
-            return _NO_SPLIT
-        adjusted = {name: min(1.0, p * len(pvalues)) for name, p in pvalues.items()}
-        name = min(adjusted, key=lambda k: (adjusted[k], _feature_rank(data.schema, k)))
-        if adjusted[name] >= params.alpha:
-            return _NO_SPLIT
-        feature = np.array([_feature_rank(data.schema, name)])
-        if kinds[name] == "numeric":
-            i = data.numeric[name]
-            gains, thresholds = _best_numeric_splits(
-                data.values[i:i + 1], frontier.order[i:i + 1], frontier.starts,
-                frontier.offsets, weights, positives, "gini")
-            if gains[0, 0] == -np.inf:
-                return _NO_SPLIT
-            return feature, thresholds[:, 0], {}
-        gains, left = _best_categorical_splits(
-            data.mapped[name][rows], len(data.schema.levels[name]), frontier.starts,
-            weights[rows], positives[rows], "gini")
-        if gains[0] == -np.inf:
-            return _NO_SPLIT
-        return feature, np.zeros(1), {name: left}
-    return select
+def _greedy_chooser(cp):
+    """The feature of largest decrease, the first in schema order among
+    equals; none when that decrease is below `cp` or no feature splits."""
+
+    def choose(frontier, gain):
+        feature = np.argmax(gain, axis=1)
+        return np.where(gain[np.arange(len(feature)), feature] < cp, -1, feature)
+    return choose
 
 
-def _feature_rank(schema, name):
-    for i, (feature, _) in enumerate(schema.features):
-        if feature == name:
-            return i
-    raise KeyError(name)
+def _ctree_statistics(data, rows, starts):
+    """Each feature's conditional-inference statistic in each node and its
+    degrees of freedom, nodes × features in schema order; node s holds
+    `rows[starts[s]:starts[s + 1]]`, of both classes, every weight 1.
+
+    A numeric feature's statistic is the standardized linear statistic
+    T = Σ_{y=1} x of Strasser & Weber (1999): (T − E T)² / Var T under
+    permutations of the node's labels, with E T = n₁x̄ and
+    Var T = n₁n₀/(n(n − 1)) Σ(x − x̄)², on one degree of freedom.  A
+    categorical feature's is Pearson's χ² on the present-level × class table
+    times (n − 1)/n, their quadratic form, on k − 1 degrees of freedom for k
+    present levels.  Sums run node by node (`reduceat`, `bincount`), one
+    feature at a time and never through BLAS.  Values where a feature is
+    constant in a node are meaningless."""
+    heads, lengths = starts[:-1], np.diff(starts)
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    y = data.y[rows]
+    n = lengths.astype(float)
+    n1 = np.add.reduceat(y, heads)
+    n0 = n - n1
+    statistic = np.empty((len(n), len(data.schema.features)))
+    df = np.ones(statistic.shape)
+    for j, (name, kind) in enumerate(data.schema.features):
+        if kind == "numeric":
+            column = data.values[data.numeric[name]][rows]
+            centred = column - np.repeat(np.add.reduceat(column, heads) / n, lengths)
+            t = np.add.reduceat(centred * y, heads)
+            variance = n1 * n0 / (n * (n - 1.0)) * np.add.reduceat(centred * centred,
+                                                                    heads)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                statistic[:, j] = t * t / variance
+            continue
+        n_levels = len(data.schema.levels[name])
+        keys = segment * n_levels + data.mapped[name][rows]
+        totals = np.bincount(keys, minlength=len(n) * n_levels).reshape(-1, n_levels)
+        pos = np.bincount(keys, y, minlength=len(n) * n_levels).reshape(-1, n_levels)
+        deviation = pos - totals * (n1 / n)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(totals > 0, deviation * deviation / totals, 0.0)
+        statistic[:, j] = n * (n - 1.0) / (n1 * n0) * terms.sum(axis=1)
+        df[:, j] = np.count_nonzero(totals, axis=1) - 1
+    return statistic, df
+
+
+def _ctree_chooser(data, alpha):
+    """The feature of smallest Bonferroni-adjusted p-value, the first in
+    schema order among equals; none unless that p-value is below `alpha`.
+    A feature is tested in a node where it can split it, and the adjustment
+    multiplies by the number of such features."""
+
+    def choose(frontier, gain):
+        testable = gain > -np.inf
+        statistic, df = _ctree_statistics(data, frontier.rows, frontier.starts)
+        tested = testable.sum(axis=1)
+        # An untested feature keeps p = 1, which no alpha in (0, 1] accepts.
+        adjusted = np.ones(statistic.shape)
+        for s, j in zip(*np.nonzero(testable)):
+            adjusted[s, j] = min(1.0, chi_square_sf(statistic[s, j], df[s, j]) * tested[s])
+        feature = np.argmin(adjusted, axis=1)
+        return np.where(adjusted[np.arange(len(feature)), feature] < alpha, feature, -1)
+    return choose
 
 
 class _Encoded:
@@ -439,18 +389,17 @@ def _goes_left(data, frontier, feature, threshold, left):
     return go_left
 
 
-def _grow(data, weights, select, min_node_size, max_depth, depth_first=False):
+def _grow(data, weights, choose, criterion, min_node_size, max_depth):
     """The flat node lists of the trees grown on `data`, one per row of
     `weights`, tree t with the integer row weights `weights[t]`.
 
     Breadth first, every open node of one depth in every tree forms one
-    frontier: `select` scores all of them at once, and one stable pass per
-    row of the frontier's `order` sends each node's rows to its children.
-    Depth first, a frontier holds one node, taken from the top of a stack
-    that the left child tops next, so nodes are selected in preorder.  A
-    node is a leaf at `min_node_size` weight or less, at `max_depth`, when
-    pure, or when `select` finds no split.  Each tree's node list is put in
-    preorder from the parent links at the end.
+    frontier: `_splits` scores all of them at once under `criterion`,
+    `choose` picks each node's feature, and one stable pass per row of the
+    frontier's `order` sends each node's rows to its children.  A node is a
+    leaf at `min_node_size` weight or less, at `max_depth`, when pure, or
+    when `choose` finds no split.  Each tree's node list is put in preorder
+    from the parent links at the end.
     """
     n_trees, n_rows = weights.shape
     flat_weights = weights.ravel()
@@ -473,13 +422,15 @@ def _grow(data, weights, select, min_node_size, max_depth, depth_first=False):
         order[f] = (feature_order + offsets[:, None])[sampled[:, feature_order]]
     order[-1] = (np.arange(n_rows) + offsets[:, None])[sampled]
     starts = np.concatenate(([0], np.cumsum(sampled.sum(axis=1))))
-    stack = [_Frontier(order, starts, offsets, grown, 0)] if grown.size else []
-    while stack:
-        frontier = stack.pop()
-        feature, threshold, left = select(frontier, flat_weights, flat_positives)
+    frontier = _Frontier(order, starts, offsets, grown, 0) if grown.size else None
+    while frontier is not None:
+        gain, threshold, left = _splits(data, frontier, flat_weights, flat_positives,
+                                        criterion)
+        feature = choose(frontier, gain)
         split = feature >= 0
         if not split.any():
-            continue
+            break
+        threshold = threshold[np.arange(len(feature)), feature]
         segment, ids = frontier.segment, frontier.order[-1]
         go_right = ~_goes_left(data, frontier, feature, threshold, left)
         keys = segment * 2 + go_right
@@ -524,14 +475,8 @@ def _grow(data, weights, select, min_node_size, max_depth, depth_first=False):
                                  n_left + np.cumsum(counts[rights, 1])))
         offsets = np.concatenate((frontier.offsets[lefts], frontier.offsets[rights]))
         nodes = np.concatenate((children[lefts, 0], children[rights, 1]))
-        depth = frontier.depth + 1
-        if depth_first:  # each child its own frontier, the left one on top
-            stack += [_Frontier(order[:, starts[s]:starts[s + 1]],
-                                starts[s:s + 2] - starts[s], offsets[s:s + 1],
-                                nodes[s:s + 1], depth)
-                      for s in reversed(range(len(nodes)))]
-        elif nodes.size:
-            stack.append(_Frontier(order, starts, offsets, nodes, depth))
+        frontier = (_Frontier(order, starts, offsets, nodes, frontier.depth + 1)
+                    if nodes.size else None)
 
     return [_preorder(root, node_n, node_pos, node_split, node_children)
             for root in range(n_trees)]
@@ -562,7 +507,7 @@ def _preorder(root, node_n, node_pos, node_split, node_children):
 
 
 def _grow_greedy(data, weights, criterion, params):
-    return _grow(data, weights, _greedy_selector(data, criterion, params.cp),
+    return _grow(data, weights, _greedy_chooser(params.cp), criterion,
                  params.min_node_size, params.max_depth)
 
 
@@ -627,9 +572,8 @@ def _fit_greedy(algorithm, criterion, train, params):
     return DecisionTreeModel(algorithm, data.schema, nodes)
 
 
-def fit_ctree(train: Dataset, params: CtreeParams, seed: int = 0) -> DecisionTreeModel:
+def fit_ctree(train: Dataset, params: CtreeParams) -> DecisionTreeModel:
     data = _Encoded(train)
-    select = _ctree_selector(data, params, substream(seed, "ctree"))
-    [nodes] = _grow(data, np.ones((1, len(data.y))), select, params.min_node_size,
-                    params.max_depth, depth_first=True)
+    [nodes] = _grow(data, np.ones((1, len(data.y))), _ctree_chooser(data, params.alpha),
+                    "gini", params.min_node_size, params.max_depth)
     return DecisionTreeModel("ctree", data.schema, nodes)

@@ -212,6 +212,8 @@ class Dataset:
         index = np.asarray(index)
         if index.dtype == bool:
             index = np.flatnonzero(index)
+        elif index.size == 0:   # np.asarray([]) is float64
+            index = index.astype(np.intp)
         return Dataset(self._specs, {n: self._columns[n][index] for n in self.names},
                        source_rows=index)
 

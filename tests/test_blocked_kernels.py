@@ -10,7 +10,8 @@ and must match its oracle byte for byte.  The Cox log-likelihood and score
 match theirs byte for byte too; the information, now matrix products, is
 held to rounding of the oracle and of exact rational arithmetic.  A dataset
 written from lines picked out of its source's rendering must match the
-writer's oracle too.
+writer's oracle too.  Cox's information and logit's fit keep their bytes
+under one OpenBLAS thread and under two.
 """
 
 import csv
@@ -516,15 +517,37 @@ for seed in range(8):
 """
 
 
-def test_information_does_not_follow_the_blas_thread_count():
+def bytes_per_blas_thread_count(script):
     # OpenBLAS splits a long dot product among its threads, so a BLAS
     # product would give other bits on a machine with other CPU counts
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cox.__file__).parents[1])] + sys.path))
-    out = [subprocess.run([sys.executable, "-c", _INFORMATION_BYTES], capture_output=True,
-                          text=True, env=dict(env, OPENBLAS_NUM_THREADS=threads),
-                          timeout=120, check=True).stdout
-           for threads in ("1", "2")]
+    return [subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                           timeout=120, check=True).stdout
+            for threads in ("1", "2")]
+
+
+def test_information_does_not_follow_the_blas_thread_count():
+    out = bytes_per_blas_thread_count(_INFORMATION_BYTES)
+    assert out[0] and out[0] == out[1]
+
+
+_LOGIT_BYTES = """
+import json, sys
+from survmix.classifiers.logistic import LogitParams, fit_logit
+from survmix.dataset import SyntheticSpec, generate_synthetic
+for seed in range(2):
+    data = generate_synthetic(SyntheticSpec(n_rows=25_000, n_numeric=15, n_categorical=2,
+                                            minority_fraction=0.3, seed=seed))
+    sys.stdout.write(json.dumps(fit_logit(data, LogitParams()).to_state()))
+"""
+
+
+def test_logit_fit_does_not_follow_the_blas_thread_count():
+    # 25k rows, 22 design columns: the score and the Hessian reduce over
+    # enough rows that OpenBLAS would share them among two threads
+    out = bytes_per_blas_thread_count(_LOGIT_BYTES)
     assert out[0] and out[0] == out[1]
 
 

@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,12 +32,14 @@ from survmix.classifiers.trees import (
     CtreeParams,
     TreeParams,
     _best_numeric_splits,
-    _permutation_pvalues,
+    _ctree_statistics,
+    _Encoded,
     fit_cart,
     fit_ctree,
     fit_tree,
 )
 from survmix.dataset import ColumnSpec, Dataset
+from survmix.distributions import chi_square_sf
 from survmix.errors import (
     ConvergenceError,
     DataError,
@@ -44,7 +47,6 @@ from survmix.errors import (
     DomainError,
     SeparationError,
 )
-from survmix.rng import substream
 
 VOCAB = ("a", "b", "c", "d")
 
@@ -399,113 +401,223 @@ class TestNumericSplitKernel:
         assert len(kernel_case("long_columns")[2]) > _BLOCK_ELEMENTS
 
 
-class TestCtree:
-    def pvalues(self, data, seed, permutations):
-        schema = FeatureSchema.fit(data)
-        mapped = schema.map_columns(data)
-        y = data.label_values().astype(float)
-        return _permutation_pvalues(schema, mapped, y, np.arange(data.n_rows),
-                                    substream(seed, "oracle"), permutations)
+def root_statistics(data):
+    """`_ctree_statistics` of every feature at the root of `data`, by name:
+    (statistic, degrees of freedom)."""
+    encoded = _Encoded(data)
+    statistic, df = _ctree_statistics(encoded, np.arange(data.n_rows),
+                                      np.array([0, data.n_rows]))
+    return {name: (s, d) for (name, _), s, d in
+            zip(encoded.schema.features, statistic[0], df[0])}
 
+
+def root_pvalues(data):
+    return {name: chi_square_sf(*test) for name, test in root_statistics(data).items()}
+
+
+def solve_exactly(matrix, vector):
+    """The solution of a nonsingular system of Fractions (Gauss–Jordan)."""
+    k = len(vector)
+    rows = [list(matrix[i]) + [vector[i]] for i in range(k)]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(k):
+            if r != col:
+                rows[r] = [a - rows[r][col] * b for a, b in zip(rows[r], rows[col])]
+    return [row[-1] for row in rows]
+
+
+class TestCtree:
     def null_fixture(self, data_seed):
         rng = np.random.default_rng(data_seed)
         x = rng.normal(size=100)
         y = np.repeat([0.0, 1.0], 50)[rng.permutation(100)]
         return make_dataset({"x": x}, labels=y)
 
+    @pytest.mark.parametrize("x, levels, y", [
+        ([0.5, 3.0], "ab", [0, 1]),
+        ([1.0, 2.0, 2.0, 7.25, -3.0], "abacb", [1, 0, 0, 1, 0]),
+        ([0.1, 0.1, 0.1, 5.0, 2.5, -1.0, 0.3], "aabbccc", [1, 1, 0, 0, 1, 0, 0]),
+        ([4.0, -2.0, 0.7, 0.7, 9.5, 1.0, 3.3, -0.2, 6.0], "abcdabcaa",
+         [1, 0, 1, 1, 0, 0, 1, 0, 0]),
+    ])
+    def test_closed_form_equals_exact_permutation_moments(self, x, levels, y):
+        # Over every permutation of the node's labels, in exact arithmetic:
+        # the mean and variance of T = Σ_{y=1} x and the quadratic form of the
+        # positive counts per level must be the closed forms ctree uses.
+        n, n1 = len(y), sum(y)
+        n0 = n - n1
+        vocab = tuple(sorted(set(levels)))
+        data = make_dataset({"x": x}, {"c": list(levels)}, y, vocab=vocab)
+        arrangements = collections.Counter(itertools.permutations(y))
+        assert sum(arrangements.values()) == math.factorial(n)
+
+        def moments(statistic):
+            """The mean and covariance of a vector `statistic` of the labels
+            over all n! permutations."""
+            values = [(statistic(labels), count) for labels, count in arrangements.items()]
+            k, total = len(values[0][0]), math.factorial(n)
+            mean = [sum(c * v[i] for v, c in values) / total for i in range(k)]
+            return mean, [[sum(c * (v[i] - mean[i]) * (v[j] - mean[j]) for v, c in values)
+                           / total for j in range(k)] for i in range(k)]
+
+        factor = Fraction(n1 * n0, n * (n - 1))
+        xs = [Fraction(v) for v in x]
+        x_bar = sum(xs) / n
+
+        def numeric_t(labels):
+            return [sum(v for v, label in zip(xs, labels) if label)]
+        [mean], [[variance]] = moments(numeric_t)
+        assert mean == n1 * x_bar
+        assert variance == factor * sum((v - x_bar) ** 2 for v in xs)
+        statistic, df = root_statistics(data)["x"]
+        exact = (numeric_t(y)[0] - mean) ** 2 / variance
+        assert statistic == pytest.approx(float(exact), rel=1e-12)
+        assert df == 1
+
+        # Each level's positive count; the last level is left out, since the
+        # counts' full covariance is singular (they sum to n1).
+        totals = [levels.count(level) for level in vocab]
+        k = len(vocab) - 1
+
+        def counts(labels):
+            return [Fraction(sum(1 for c, label in zip(levels, labels) if c == level and label))
+                    for level in vocab[:-1]]
+        mean, covariance = moments(counts)
+        assert mean == [Fraction(n1 * total, n) for total in totals[:-1]]
+        assert covariance == [[factor * ((totals[i] if i == j else 0)
+                                         - Fraction(totals[i] * totals[j], n))
+                               for j in range(k)] for i in range(k)]
+        deviation = [c - m for c, m in zip(counts(y), mean)]
+        quadratic = sum(d * w for d, w in zip(deviation, solve_exactly(covariance, deviation)))
+        pearson = 0
+        for level, total in zip(vocab, totals):
+            for label, size in ((0, n0), (1, n1)):
+                observed = sum(1 for c, lab in zip(levels, y) if c == level and lab == label)
+                expected = Fraction(total * size, n)
+                pearson += (observed - expected) ** 2 / expected
+        assert quadratic == pearson * Fraction(n - 1, n)
+        statistic, df = root_statistics(data)["c"]
+        assert statistic == pytest.approx(float(quadratic), rel=1e-12)
+        assert df == k
+
+    def test_closed_form_matches_monte_carlo_at_n_2000(self):
+        # 10^5 label permutations at n = 2,000 against the χ² p-values, for a
+        # skewed numeric feature with ties and a three-level one.  Under a
+        # uniform permutation the positives per distinct value follow the
+        # multivariate hypergeometric law, so each draw samples that law
+        # exactly.  The Monte Carlo p-value's standard error is
+        # sqrt(p(1 − p)/10^5), about 3e-4 here; the χ² approximation's own
+        # error at this n is smaller still (the statistic is a sum over 2,000
+        # rows).  So the two must agree within 4 standard errors; the draws
+        # are seeded.
+        n, draws = 2000, 100_000
+        rng = np.random.default_rng(3)
+        y = (rng.random(n) < 0.3).astype(float)
+        x = np.floor(rng.exponential(1.0 + 0.15 * y) * 4) / 4
+        levels = np.array(list("abc"))[rng.choice(3, n, p=[0.5, 0.3, 0.2])]
+        levels[(rng.random(n) < 0.07) & (y == 1)] = "c"
+        pvalues = root_pvalues(make_dataset({"x": x}, {"c": levels.tolist()}, y,
+                                            vocab=("a", "b", "c")))
+        n1 = y.sum()
+        draw = np.random.default_rng(8)
+        for name, values in (("x", x), ("c", levels)):
+            distinct, inverse = np.unique(values, return_inverse=True)
+            sizes = np.bincount(inverse)
+            if name == "x":
+                def statistic(positives):   # |T − E T|
+                    return np.abs(positives @ distinct - n1 * x.mean())
+            else:
+                def statistic(positives):   # Pearson's χ² × n1 n0 / n²
+                    return ((positives - sizes * n1 / n) ** 2 / sizes).sum(axis=-1)
+            observed = statistic(np.bincount(inverse, weights=y))
+            positives = draw.multivariate_hypergeometric(sizes, int(n1), size=draws)
+            monte_carlo = np.mean(statistic(positives) >= observed * (1 - 1e-12))
+            p = pvalues[name]
+            assert 0.005 < p < 0.1, name
+            assert abs(monte_carlo - p) <= 4 * math.sqrt(p * (1 - p) / draws), name
+
     def test_independent_feature_not_split(self):
         data = self.null_fixture(0)
-        assert self.pvalues(data, 0, 10_000)["x"] >= 0.05
-        model = fit_ctree(data, CtreeParams(min_node_size=5), seed=0)
+        assert root_pvalues(data)["x"] >= 0.05
+        model = fit_ctree(data, CtreeParams(min_node_size=5))
         assert model.nodes[0]["leaf"]
 
     def test_null_rarely_splits_across_seeds(self):
         leaves = sum(
-            fit_ctree(self.null_fixture(s), CtreeParams(min_node_size=5),
-                      seed=s).nodes[0]["leaf"]
+            fit_ctree(self.null_fixture(s), CtreeParams(min_node_size=5)).nodes[0]["leaf"]
             for s in range(40))
         assert leaves >= 35  # alpha = 0.05 false-split rate
 
     def test_aligned_feature_minimal_pvalue(self):
+        # x = y: the statistic is (n − 1) r² at its largest, r² = 1, so the
+        # p-value is the smallest any feature can have in this node.
         x = np.repeat([0.0, 1.0], 50)
         data = make_dataset({"x": x}, labels=x)
-        p = self.pvalues(data, 0, 10_000)["x"]
-        assert p == pytest.approx(1.0 / 10_001, rel=1e-12)
-        model = fit_ctree(data, CtreeParams(min_node_size=5), seed=0)
+        assert root_pvalues(data)["x"] == pytest.approx(chi_square_sf(99.0, 1), rel=1e-12)
+        model = fit_ctree(data, CtreeParams(min_node_size=5))
         assert model.nodes[0]["threshold"] == 0.5
         assert np.array_equal(model.predict_proba(data), x)
 
     def test_zero_variance_feature_excluded(self):
         x = np.repeat([0.0, 1.0], 20)
         data = make_dataset({"flat": np.zeros(40), "x": x}, labels=x)
-        model = fit_ctree(data, CtreeParams(min_node_size=5), seed=1)
+        model = fit_ctree(data, CtreeParams(min_node_size=5))
         assert model.nodes[0]["feature"] == "x"
         flat_only = make_dataset({"flat": np.zeros(40)}, labels=x)
-        assert fit_ctree(flat_only, CtreeParams(min_node_size=5), seed=1).nodes[0]["leaf"]
+        for alpha in (0.05, 1.0):   # an untested feature never splits
+            assert fit_ctree(flat_only, CtreeParams(alpha=alpha,
+                                                    min_node_size=5)).nodes[0]["leaf"]
+
+    def test_underflowing_pvalues_tie_in_schema_order(self):
+        # Past χ² ≈ 1,400 a p-value underflows to 0.0, so a strong feature
+        # first in the schema wins over a stronger one after it; the greedy
+        # criterion, comparing Gini decreases, takes the stronger.
+        rng = np.random.default_rng(5)
+        y = np.repeat([0.0, 1.0], 1000)
+        data = make_dataset({"strong": y + 0.2 * rng.normal(size=2000), "exact": y},
+                            labels=y)
+        assert root_pvalues(data) == {"strong": 0.0, "exact": 0.0}
+        assert fit_ctree(data, CtreeParams()).nodes[0]["feature"] == "strong"
+        assert fit_cart(data, TreeParams()).nodes[0]["feature"] == "exact"
 
     def test_bonferroni_adjustment_blocks_weak_evidence(self):
-        # One perfectly aligned feature: raw p = 1/(B+1) = 0.01 with B = 99.
-        # Alone it clears alpha = 0.02; among 30 noise features the Bonferroni
-        # factor pushes the adjusted p-value past alpha and growth stops.
+        # A feature whose raw p-value lies between alpha/31 and alpha clears
+        # alpha alone; among 30 noise features the Bonferroni factor 31
+        # pushes its adjusted p-value past alpha, and growth stops.
+        alpha = 0.02
         rng = np.random.default_rng(42)
-        x = np.repeat([0.0, 1.0], 30)
-        strong = {"x": x}
-        model = fit_ctree(make_dataset(strong, labels=x),
-                          CtreeParams(alpha=0.02, permutations=99, min_node_size=5),
-                          seed=3)
-        assert not model.nodes[0]["leaf"]
+        y = np.repeat([0.0, 1.0], 30)
+        strong = {"x": 0.5 * y + rng.normal(size=60)}
+        assert alpha / 31 < root_pvalues(make_dataset(strong, labels=y))["x"] < alpha
+        params = CtreeParams(alpha=alpha, min_node_size=5)
+        model = fit_ctree(make_dataset(strong, labels=y), params)
+        assert model.nodes[0]["feature"] == "x"
         noisy = dict(strong)
         for j in range(30):
             noisy[f"n{j}"] = rng.normal(size=60)
-        model = fit_ctree(make_dataset(noisy, labels=x),
-                          CtreeParams(alpha=0.02, permutations=99, min_node_size=5),
-                          seed=3)
-        assert model.nodes[0]["leaf"]
+        assert fit_ctree(make_dataset(noisy, labels=y), params).nodes[0]["leaf"]
 
     def test_categorical_association_detected(self):
         values = ["a"] * 20 + ["b"] * 20
         y = np.repeat([1.0, 0.0], 20)
         data = make_dataset(categorical={"c": values}, labels=y, vocab=("a", "b"))
-        model = fit_ctree(data, CtreeParams(min_node_size=5), seed=0)
+        model = fit_ctree(data, CtreeParams(min_node_size=5))
         root = model.nodes[0]
         assert root["feature"] == "c" and root["subset"] in (["a"], ["b"])
 
-    @pytest.mark.parametrize("n, block", [(1, 3), (2, 5), (97, 256), (2751, 17)])
-    def test_block_draw_repeats_the_permutation_stream(self, n, block):
-        # The p-values draw each block of permutations with one `permuted`
-        # call; the stream, and the generator state after it, must be those
-        # of one `permutation(n)` call per column.
-        blocked, looped = substream(3, "stream"), substream(3, "stream")
-        idx = blocked.permuted(np.tile(np.arange(n), (block, 1)), axis=1)
-        expected = np.array([looped.permutation(n) for _ in range(block)])
-        assert np.array_equal(idx, expected)
-        assert blocked.bit_generator.state == looped.bit_generator.state
-
-    def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(9)
-        data = random_dataset(rng, 80, signal=1.5)
-        m1 = fit_ctree(data, CtreeParams(min_node_size=10), seed=4)
-        m2 = fit_ctree(data, CtreeParams(min_node_size=10), seed=4)
-        assert m1.nodes == m2.nodes
+    def test_same_tree_for_every_seed(self):
+        data = random_dataset(np.random.default_rng(9), 80, signal=1.5)
+        trees_fitted = [fit(data, ClassifierSpec("ctree", seed=seed,
+                                                 params={"min_node_size": 10}))
+                        for seed in (4, 5)]
+        assert len(trees_fitted[0].nodes) > 1
+        assert trees_fitted[0].nodes == trees_fitted[1].nodes
 
 
 class TestBagging:
-    def test_identity_sample_hook_equals_cart(self):
-        rng = np.random.default_rng(10)
-        data = random_dataset(rng, 100, signal=1.5)
-        bag = fit_bagging(data, BagParams(members=1, tree=TreeParams(min_node_size=5),
-                                          bootstrap=False), seed=0)
-        cart = fit_cart(data, TreeParams(min_node_size=5))
-        assert bag.trees[0].nodes == cart.nodes
-        assert np.array_equal(bag.predict_proba(data), cart.predict_proba(data))
-
-    def test_without_bootstrap_one_tree_serves_every_member(self):
-        data = random_dataset(np.random.default_rng(10), 100, signal=1.5)
-        bag = fit_bagging(data, BagParams(members=3, tree=TreeParams(min_node_size=5),
-                                          bootstrap=False), seed=0)
-        assert all(tree is bag.trees[0] for tree in bag.trees)
-        assert bag.trees[0].nodes == fit_cart(data, TreeParams(min_node_size=5)).nodes
-
     def test_weighted_members_equal_cart_on_copied_samples(self):
         rng = np.random.default_rng(21)
         n = 60
@@ -826,7 +938,7 @@ class TestDispatchAndPersistence:
     def spec_for(self, algo):
         params = {"rpart": {"min_node_size": 5},
                   "tree": {"min_node_size": 5},
-                  "ctree": {"permutations": 99, "min_node_size": 10},
+                  "ctree": {"min_node_size": 10},
                   "bag": {"members": 3, "min_node_size": 10},
                   "ann": {"epochs": 30},
                   "logit": {},

@@ -265,6 +265,16 @@ class TestStageFlow:
         assert code == 2
         assert "no_such" in err
 
+    @pytest.mark.parametrize("algo, param", [("ctree", "permutations=99"),
+                                             ("bag", "bootstrap=false")])
+    def test_removed_params_rejected(self, staged, tmp_path, algo, param):
+        # ctree's permutation count and the bag's bootstrap switch are gone
+        code, _, err = call("train", "--data", staged / "bal.csv", "--algo", algo,
+                            "--param", param, "--out", tmp_path / "m.json")
+        assert code == 2
+        assert "unknown parameter" in err and param.split("=")[0] in err
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestPipelineCommand:
     def test_config_run_with_flag_overrides(self, tmp_path):

@@ -115,6 +115,17 @@ class TestDatasetModel:
         with pytest.raises(DomainError):
             d.drop_columns(["nope"])
 
+    def test_take_no_rows(self):
+        # np.asarray([]) is float64; an empty index still picks no rows
+        d = small_dataset()
+        for index in ([], (), np.array([], dtype=float)):
+            empty = d.take_rows(index)
+            assert empty.n_rows == 0 and empty.names == d.names
+            assert empty.source_rows.shape == (0,)
+            assert empty.strings("sector").tolist() == []
+        with pytest.raises(IndexError):
+            d.take_rows([0.0, 1.0])
+
     def test_columns_read_only(self):
         d = small_dataset()
         with pytest.raises(ValueError):

@@ -2,10 +2,12 @@
 
 The oracle below is the recursive, one-node-at-a-time `_grow` with its
 selectors and split searches, kept as it was apart from an `events` set
-that records which stopping rules and corner cases a fit reached.  Every
-model the engine grows (rpart, tree, ctree and each bag member) must equal
-the oracle's node for node, also with blocks and frontiers small enough
-that every depth spans many of them.
+that records which stopping rules and corner cases a fit reached, and
+ctree's p-values, which it computes node by node from the plain closed
+forms.  Every model the engine grows breadth first (rpart, tree, ctree and
+each bag member) must equal the oracle's, grown in preorder, node for node,
+also with blocks and frontiers small enough that every depth spans many of
+them.
 """
 
 import collections
@@ -19,14 +21,12 @@ from survmix.classifiers.trees import (
     CtreeParams,
     TreeParams,
     _Encoded,
-    _feature_rank,
-    _permutation_pvalues,
     fit_cart,
     fit_ctree,
     fit_tree,
 )
 from survmix.dataset import ColumnSpec, Dataset
-from survmix.rng import substream
+from survmix.distributions import chi_square_sf
 
 # -- the oracle: the recursive grower ------------------------------------------
 
@@ -128,17 +128,43 @@ def oracle_greedy_selector(data, weights, criterion, cp, events):
     return select
 
 
-def oracle_ctree_selector(data, params, rng):
+def oracle_ctree_pvalues(data, rows):
+    """The closed-form permutation p-value of every feature that varies in
+    the node of `rows`, in schema order."""
+    y = data.y[rows]
+    n, n1 = len(rows), y.sum()
+    n0 = n - n1
+    pvalues = {}
+    for name, kind in data.schema.features:
+        x = data.mapped[name][rows]
+        if kind == "numeric":
+            if x.min() == x.max():
+                continue
+            d = x - x.mean()
+            variance = n1 * n0 / (n * (n - 1)) * (d * d).sum()
+            pvalues[name] = chi_square_sf(d[y == 1].sum() ** 2 / variance, 1)
+            continue
+        levels = np.unique(x)
+        if len(levels) < 2:
+            continue
+        table = np.array([[np.sum((x == level) & (y == c)) for c in (0, 1)]
+                          for level in levels], dtype=float)
+        expected = np.outer(table.sum(axis=1), [n0, n1]) / n
+        pearson = ((table - expected) ** 2 / expected).sum()
+        pvalues[name] = chi_square_sf(pearson * (n - 1) / n, len(levels) - 1)
+    return pvalues
+
+
+def oracle_ctree_selector(data, params):
     kinds = dict(data.schema.features)
     ones = np.ones(len(data.y))
 
     def select(rows, order):
-        pvalues = _permutation_pvalues(data.schema, data.mapped, data.y, rows, rng,
-                                       params.permutations)
-        if pvalues is None:
+        pvalues = oracle_ctree_pvalues(data, rows)
+        if not pvalues:
             return None
         adjusted = {name: min(1.0, p * len(pvalues)) for name, p in pvalues.items()}
-        name = min(adjusted, key=lambda k: (adjusted[k], _feature_rank(data.schema, k)))
+        name = min(adjusted, key=adjusted.get)  # ties: the first in schema order
         if adjusted[name] >= params.alpha:
             return None
         if kinds[name] == "numeric":
@@ -217,9 +243,9 @@ def oracle_greedy(train, weights, criterion, params, events=None):
                        events)
 
 
-def oracle_ctree(train, params, seed):
+def oracle_ctree(train, params):
     data = _Encoded(train)
-    select = oracle_ctree_selector(data, params, substream(seed, "ctree"))
+    select = oracle_ctree_selector(data, params)
     return oracle_grow(data, np.ones(len(data.y)), select, params.min_node_size,
                        params.max_depth, set())
 
@@ -301,10 +327,10 @@ class TestFrontierEngine:
     @pytest.mark.parametrize("shape", ["mixed", "numeric only", "categorical only"])
     def test_ctree_equals_oracle(self, shape, seed):
         train = dataset(60 + seed, **SHAPES[shape])
-        params = CtreeParams(permutations=99, min_node_size=8)
-        model = fit_ctree(train, params, seed=seed)
+        params = CtreeParams(min_node_size=8)
+        model = fit_ctree(train, params)
         assert len(model.nodes) > 1
-        assert model.nodes == oracle_ctree(train, params, seed)
+        assert model.nodes == oracle_ctree(train, params)
 
     @pytest.mark.parametrize("frontier", [None, 1])
     def test_block_boundaries_keep_every_node(self, frontier, monkeypatch):
