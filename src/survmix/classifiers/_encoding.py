@@ -37,16 +37,11 @@ class FeatureSchema:
         self.reference = dict(reference)
 
     @classmethod
-    def fit(cls, data: Dataset, reference: dict | None = None) -> "FeatureSchema":
-        """Capture the feature columns of `data`.
-
-        `reference` optionally overrides the reference level of named
-        categorical features; overrides must be observed levels.
-        """
+    def fit(cls, data: Dataset) -> "FeatureSchema":
+        """Capture the feature columns of `data`."""
         names = data.feature_names()
         if not names:
             raise DomainError("dataset has no feature columns")
-        overrides = dict(reference or {})
         features, levels, refs = [], {}, {}
         for name in names:
             spec = data.spec(name)
@@ -57,14 +52,7 @@ class FeatureSchema:
                 observed, heaviest = _observed_levels(spec.vocabulary, counts)
                 if not observed:
                     raise DomainError(f"feature {name!r} has no observed levels")
-                levels[name] = observed
-                if name in overrides:
-                    if overrides[name] not in observed:
-                        raise DomainError(
-                            f"reference level {overrides[name]!r} not observed in {name!r}")
-                    refs[name] = overrides[name]
-                else:
-                    refs[name] = heaviest
+                levels[name], refs[name] = observed, heaviest
         return cls(features, levels, refs)
 
     def weighted(self, mapped: dict, weights: np.ndarray) -> "FeatureSchema":
@@ -152,9 +140,8 @@ class DummyEncoder:
                     f"{name}={lv}" for lv in schema.levels[name] if lv != ref)
 
     @classmethod
-    def fit(cls, data: Dataset, standardize: bool = False,
-            reference: dict | None = None) -> "DummyEncoder":
-        schema = FeatureSchema.fit(data, reference=reference)
+    def fit(cls, data: Dataset, standardize: bool = False) -> "DummyEncoder":
+        schema = FeatureSchema.fit(data)
         enc = cls(schema, standardize)
         if standardize:
             mapped = schema.map_columns(data)

@@ -24,7 +24,7 @@ from . import __version__
 from .classifiers import (ALGORITHMS, ClassifierSpec, algorithm_of, fit,
                           load_model, save_model)
 from .cleansing import clean
-from .cox import parse_formula
+from .cox import TIES_METHODS, parse_formula
 from .dataset import Dataset, SyntheticSpec, generate_synthetic, load_csv
 from .errors import (DataError, DomainError, NumericError, ParseError,
                      SurvmixError)
@@ -339,7 +339,7 @@ def build_parser() -> _Parser:
     p.add_argument("--labels", default=None, help="labels.csv from `predict`")
     p.add_argument("--formula", action="append",
                    help='e.g. "group + sector + group:sector" (repeatable)')
-    p.add_argument("--ties", choices=("efron", "breslow"), default="efron")
+    p.add_argument("--ties", choices=TIES_METHODS, default="efron")
     p.add_argument("--references", default=None,
                    help="reference-levels file, one 'column = level' per line")
     p.add_argument("--out-dir", default=".")

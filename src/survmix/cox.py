@@ -1,9 +1,12 @@
 """Cox proportional-hazards regression on right-censored durations.
 
-Dummy-encoded design matrices with interaction terms, Newton maximization of
-the partial likelihood (Efron or Breslow tie handling), Wald/LR/score tests,
+Dummy-encoded design matrices with interaction terms, maximization of the
+partial likelihood (Efron or Breslow tie handling), Wald/LR/score tests,
 hazard ratios, and a screen for complete separation.  The baseline hazard is
-never estimated; everything here lives in the partial likelihood.
+never estimated; everything here lives in the partial likelihood.  The fit
+is `newton.newton_ascent`, whose module states the step-halving, stopping
+and separation rules it shares with the logistic fit; a singular information
+matrix is a `DomainError` naming the dependent columns.
 
 Efron and Breslow share one code path: each death in a tied group of size d
 subtracts a fraction k/d (Efron) or 0 (Breslow) of the group's weight from
@@ -20,10 +23,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .classifiers.logistic import check_aliased
 from .dataset import Dataset
 from .distributions import chi_square_sf, normal_quantile
-from .errors import DomainError, SeparationError
+from .errors import DomainError
+from .newton import check_aliased, newton_ascent
 from .survival import _check_samples
 
 TIES_METHODS = ("efron", "breslow")
@@ -31,8 +34,6 @@ TIES_METHODS = ("efron", "breslow")
 _SCORE_TOL = 1e-9
 _LOGLIK_TOL = 1e-9
 _MAX_ITER = 25
-_MAX_HALVINGS = 30
-_COEF_LIMIT = 15.0
 
 
 # -- design matrices -----------------------------------------------------------
@@ -299,69 +300,26 @@ def _raise_singular(matrix, names):
     raise DomainError("singular information matrix")
 
 
-def _check_separation_limit(beta, names):
-    worst = int(np.argmax(np.abs(beta)))
-    if abs(beta[worst]) > _COEF_LIMIT:
-        raise SeparationError(
-            f"complete separation suspected: coefficient for {names[worst]!r} "
-            f"diverged past |{_COEF_LIMIT}| with the likelihood still improving")
-
-
 def cox_fit(design: DesignMatrix, durations, events, ties: str = "efron") -> CoxFit:
-    """Newton-Raphson maximum partial likelihood with step-halving."""
+    """Maximum partial likelihood by `newton_ascent`."""
     if ties not in TIES_METHODS:
         raise DomainError(f"unknown ties method {ties!r}")
     matrix = design.matrix
     names = design.column_names
     prep = _prepare(matrix, durations, events, ties)
-    p = matrix.shape[1]
-    beta = np.zeros(p)
-    loglik, score, info = _loglik(prep, beta)
-    loglik_null, score_null, info_null = loglik, score, info
-    if p == 0:
-        return CoxFit(names=(), beta=beta, se=beta.copy(),
-                      loglik_null=loglik_null, loglik_fit=loglik_null,
-                      iterations=0, converged=True, ties_method=ties)
-
-    iterations = 0
-    converged = np.max(np.abs(score), initial=0.0) < _SCORE_TOL
-    while not converged and iterations < _MAX_ITER:
-        iterations += 1
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            _raise_singular(matrix, names)
-        if not np.isfinite(step).all():
-            _raise_singular(matrix, names)
-        new = None
-        for half in range(_MAX_HALVINGS + 1):
-            candidate = beta + step / 2.0 ** half
-            new = _loglik(prep, candidate)
-            if np.isfinite(new[0]) and new[0] >= loglik:
-                break
-        else:
-            # Concavity: a point no step can improve is the maximum, and the
-            # attainable log-likelihood change is zero (the relative rule).
-            converged = True
-            break
-        if new[0] > loglik:
-            _check_separation_limit(candidate, names)
-        improvement = new[0] - loglik
-        beta, (loglik, score, info) = candidate, new
-        if np.max(np.abs(score)) < _SCORE_TOL:
-            converged = True
-        elif improvement <= _LOGLIK_TOL * max(1.0, abs(loglik)):
-            converged = True
-
     try:
-        covariance = np.linalg.inv(info)
+        fit = newton_ascent(lambda beta: _loglik(prep, beta), names, _MAX_ITER,
+                            _SCORE_TOL, _LOGLIK_TOL)
+        covariance = np.linalg.inv(fit.information)
     except np.linalg.LinAlgError:
         _raise_singular(matrix, names)
     with np.errstate(invalid="ignore"):
         se = np.sqrt(np.diag(covariance))
-    return CoxFit(names=names, beta=beta, se=se, loglik_null=loglik_null,
-                  loglik_fit=loglik, iterations=iterations, converged=bool(converged),
-                  ties_method=ties, information=info, score_null=score_null,
+    loglik_null, score_null, info_null = fit.start
+    return CoxFit(names=names, beta=fit.beta, se=se, loglik_null=loglik_null,
+                  loglik_fit=fit.loglik, iterations=fit.iterations,
+                  converged=fit.converged, ties_method=ties,
+                  information=fit.information, score_null=score_null,
                   information_null=info_null)
 
 
@@ -423,13 +381,11 @@ class HazardRatio:
                 "ci_lower": self.ci_lower, "ci_upper": self.ci_upper}
 
 
-def hazard_ratios(fit: CoxFit, level: float = 0.95) -> tuple:
-    """exp(beta) with exp(beta +- z se) confidence bounds per coefficient."""
+def hazard_ratios(fit: CoxFit) -> tuple:
+    """exp(beta) with 95% bounds exp(beta +- z se) per coefficient."""
     if not fit.converged:
         raise DomainError("hazard ratios require a converged fit")
-    if not 0.0 < level < 1.0:
-        raise DomainError("confidence level must lie strictly between 0 and 1")
-    z = normal_quantile(1.0 - (1.0 - level) / 2.0)
+    z = normal_quantile(1.0 - (1.0 - 0.95) / 2.0)
     out = []
     for name, b, s in zip(fit.names, fit.beta, fit.se):
         out.append(HazardRatio(name=name, ratio=float(np.exp(b)),

@@ -19,8 +19,9 @@ each column (numeric arrays, categorical strings) to `fileio.csv_lines`, and
 returns the row lines it wrote; a dataset whose rows were picked from one
 already written (`Dataset.source_rows`) is written from that one's lines.
 `load_csv` streams the file through `fileio.csv_records` and parses it
-column by column, one block of at most `_BLOCK_CELLS` cells at a time, so
-besides the dataset it holds one block's cells, whatever the row count.
+column by column, one block of at most `fileio._BLOCK_CELLS` cells at a
+time, so besides the dataset it holds one block's cells, whatever the row
+count.
 """
 
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from . import fileio
 from .errors import DomainError, ParseError
 from .fileio import (atomic_write_text, csv_join, csv_lines, csv_records, open_text,
                      read_text)
@@ -230,20 +232,6 @@ class Dataset:
         cols[spec.name] = values
         return Dataset(self._specs + (spec,), cols)
 
-    def equals(self, other: "Dataset") -> bool:
-        """Cell-for-cell equality (NaN == NaN), including specs."""
-        if self._specs != other._specs or self._n != other._n:
-            return False
-        for s in self._specs:
-            a, b = self._columns[s.name], other._columns[s.name]
-            if s.kind == "numeric":
-                same = (a == b) | (np.isnan(a) & np.isnan(b))
-            else:
-                same = a == b
-            if not same.all():
-                return False
-        return True
-
 
 # -- quantiles ---------------------------------------------------------------
 
@@ -316,7 +304,6 @@ def write_schema(specs: Sequence[ColumnSpec], path: "str | Path") -> None:
 # -- CSV ----------------------------------------------------------------------
 
 DELIMITER = ";"
-_BLOCK_CELLS = 1 << 14
 
 
 def load_csv(data_path: "str | Path", schema: "Sequence[ColumnSpec] | str | Path") -> Dataset:
@@ -343,7 +330,7 @@ def load_csv(data_path: "str | Path", schema: "Sequence[ColumnSpec] | str | Path
                 f"{data_path}: header {header!r} does not match schema names "
                 f"{[s.name for s in specs]!r}")
         columns = [_Column(s) for s in specs]
-        block_rows = max(1, _BLOCK_CELLS // max(1, len(specs)))
+        block_rows = max(1, fileio._BLOCK_CELLS // max(1, len(specs)))
         first_row = 2
         while block := list(islice(reader, block_rows)):
             if set(map(len, block)) - {len(specs)}:

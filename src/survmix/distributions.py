@@ -3,8 +3,8 @@
 The statistical modules (log-rank, Cox tests, confidence bands) need tail
 probabilities and quantiles for the normal and chi-square families.  Rather
 than depending on a statistics library, they are built on the regularized
-lower/upper incomplete gamma P(a, x), Q(a, x) (power series / continued
-fraction, Numerical Recipes 6.2, iterated to relative machine tolerance:
+upper incomplete gamma Q(a, x) = 1 - P(a, x) (power series for P / continued
+fraction for Q, Numerical Recipes 6.2, iterated to relative machine tolerance:
 absolute error well below 1e-12), plus Wichura's AS 241 (PPND16) rational
 approximation for the normal quantile (absolute error below 1e-9; in
 practice ~1e-15).
@@ -58,17 +58,6 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
         if abs(delta - 1.0) < _EPS:
             return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
     raise ConvergenceError(f"incomplete gamma fraction failed for a={a}, x={x}")
-
-
-def reg_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x), a > 0, x >= 0."""
-    if a <= 0.0 or x < 0.0:
-        raise ValueError(f"reg_lower_gamma requires a > 0 and x >= 0, got a={a}, x={x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
 
 
 def reg_upper_gamma(a: float, x: float) -> float:

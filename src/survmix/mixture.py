@@ -73,10 +73,6 @@ class MixtureModel:
         p_b = self.component_b.predict_proba(data)
         return mix_scores(self.alpha, p_a, p_b)
 
-    def classify(self, data: Dataset) -> AbstentionResult:
-        return classify_scores(self.predict_proba(data),
-                               self.cutoff_low, self.cutoff_high)
-
 
 def mix_scores(alpha, scores_a, scores_b) -> np.ndarray:
     scores_a = np.asarray(scores_a, dtype=float)

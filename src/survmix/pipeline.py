@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .classifiers import ALGORITHMS, ClassifierSpec, algorithm_of, fit, save_model
 from .cleansing import clean
-from .cox import (build_design, cox_fit, cox_tests, detect_separation,
-                  hazard_ratios, parse_formula)
+from .cox import (TIES_METHODS, build_design, cox_fit, cox_tests,
+                  detect_separation, hazard_ratios, parse_formula)
 from .dataset import (ColumnSpec, Dataset, SyntheticSpec, generate_synthetic,
                       load_csv, write_csv, write_schema)
 from .errors import DomainError, ParseError, SurvmixError
@@ -156,7 +156,7 @@ class PipelineConfig:
             if missing:
                 raise DomainError(
                     f"mixture components not in train.algorithms: {sorted(missing)}")
-        if self.cox_ties not in ("efron", "breslow"):
+        if self.cox_ties not in TIES_METHODS:
             raise DomainError(f"unknown cox ties method {self.cox_ties!r}")
 
     @classmethod

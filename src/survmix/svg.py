@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fileio import atomic_write_text
 
 KINDS = ("line", "step")
 
@@ -62,9 +61,9 @@ def _escape(text: str) -> str:
             .replace('"', "&quot;"))
 
 
-def render_svg(series, kind: str, path=None, title: str = "",
+def render_svg(series, kind: str, title: str = "",
                x_label: str = "", y_label: str = "") -> str:
-    """Render named series to SVG text; also writes it when `path` is given.
+    """Render named series to SVG text.
 
     `series` is a sequence of (name, x, y) triples or Series objects.  Step
     plots hold each y flat until the next x, then drop — the survival-curve
@@ -149,7 +148,4 @@ def render_svg(series, kind: str, path=None, title: str = "",
         out.append(f'<text x="{lx + 28}" y="{ly + 4}" font-family="sans-serif" '
                    f'font-size="11">{_escape(s.name)}</text>')
     out.append("</svg>")
-    text = "\n".join(out) + "\n"
-    if path is not None:
-        atomic_write_text(path, text)
-    return text
+    return "\n".join(out) + "\n"

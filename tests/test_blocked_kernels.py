@@ -31,6 +31,9 @@ from survmix.dataset import (MISSING_CODE, MISSING_TOKENS, ColumnSpec, Dataset,
 from survmix.errors import DomainError, ParseError
 from survmix.fileio import csv_join, csv_lines, csv_text, text_cells
 
+from helpers import datasets_equal
+
+
 # -- oracles ---------------------------------------------------------------------
 
 
@@ -214,7 +217,7 @@ class TestLoaderMatchesOracle:
         path = tmp_path / "a.csv"
         write_raw(path, awkward_text(np.random.default_rng(5), 3000, line_end))
         for rows in block_sizes(3000):
-            monkeypatch.setattr(dataset, "_BLOCK_CELLS", rows * 3)
+            monkeypatch.setattr(fileio, "_BLOCK_CELLS", rows * 3)
             assert_same_outcome(path, AWKWARD_SPECS)
 
     def test_multi_line_cell_at_every_block_edge(self, tmp_path, monkeypatch):
@@ -224,7 +227,7 @@ class TestLoaderMatchesOracle:
         write_raw(path, "c\n" + "".join(cell + "\n" for cell in cells))
         vocab = tuple(f'x{i}\ny{i};"z' if i % 3 == 2 else f"v{i}" for i in range(40))
         for rows in (1, 2, 3, 7, 50):
-            monkeypatch.setattr(dataset, "_BLOCK_CELLS", rows * 1)
+            monkeypatch.setattr(fileio, "_BLOCK_CELLS", rows * 1)
             for spec in (ColumnSpec("c", "categorical", "feature", vocab),
                          ColumnSpec("c", "categorical")):
                 assert_same_outcome(path, (spec,))
@@ -245,7 +248,7 @@ class TestLoaderMatchesOracle:
         specs = (ColumnSpec("x", "numeric"), ColumnSpec("c", "categorical"),
                  ColumnSpec("d", "categorical", "feature", ("p", "q")))
         for rows in block_sizes(50):
-            monkeypatch.setattr(dataset, "_BLOCK_CELLS", rows * 3)
+            monkeypatch.setattr(fileio, "_BLOCK_CELLS", rows * 3)
             assert isinstance(outcome(load_csv, path, specs), tuple)
             assert_same_outcome(path, specs)
 
@@ -263,7 +266,7 @@ class TestLoaderMatchesOracle:
             path = tmp_path / f"{name}.csv"
             write_raw(path, "x;y;c\n" + "\n".join(body) + "\n")
             for rows in block_sizes(len(body)):
-                monkeypatch.setattr(dataset, "_BLOCK_CELLS", rows * 3)
+                monkeypatch.setattr(fileio, "_BLOCK_CELLS", rows * 3)
                 assert isinstance(outcome(load_csv, path, specs), tuple)
                 assert_same_outcome(path, specs)
 
@@ -274,7 +277,7 @@ class TestLoaderMatchesOracle:
         path = tmp_path / "v.csv"
         write_raw(path, "c\n" + "".join(f"{rng.choice(levels)}\n" for _ in range(200)))
         for rows in block_sizes(200):
-            monkeypatch.setattr(dataset, "_BLOCK_CELLS", rows * 1)
+            monkeypatch.setattr(fileio, "_BLOCK_CELLS", rows * 1)
             assert_same_outcome(path, (ColumnSpec("c", "categorical"),))
 
     @pytest.mark.parametrize("text", ["", "\n", "x\n", "x\r\n\r\n", "y\n1\n"])
@@ -282,7 +285,7 @@ class TestLoaderMatchesOracle:
         path = tmp_path / "e.csv"
         write_raw(path, text)
         for rows in (1, 3):
-            monkeypatch.setattr(dataset, "_BLOCK_CELLS", rows * 1)
+            monkeypatch.setattr(fileio, "_BLOCK_CELLS", rows * 1)
             assert_same_outcome(path, (ColumnSpec("x", "numeric"),))
 
 
@@ -335,7 +338,7 @@ class TestWriterMatchesOracle:
             text = (tmp_path / "d.csv").read_text()
             assert text == oracle_write_text(data)
             assert '""\n' in text
-            assert load_csv(tmp_path / "d.csv", data.specs).equals(data)
+            assert datasets_equal(load_csv(tmp_path / "d.csv", data.specs), data)
 
     def test_artifact_columns(self, monkeypatch):
         rng = np.random.default_rng(4)

@@ -746,20 +746,6 @@ class TestLogit:
         with pytest.raises(DomainError, match="both classes"):
             fit_logit(data, LogitParams())
 
-    def test_reference_level_choice_does_not_change_fit(self):
-        rng = np.random.default_rng(14)
-        n = 60
-        values = [VOCAB[i] for i in rng.integers(0, 3, n)]
-        x = rng.normal(size=n)
-        shift = (np.array([VOCAB.index(v) for v in values]) == 1).astype(float)
-        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(x + shift)))).astype(float)
-        data = make_dataset({"x": x}, {"c": values}, y)
-        reference_a = fit_logit(data, LogitParams(), reference={"c": "a"})
-        reference_c = fit_logit(data, LogitParams(), reference={"c": "c"})
-        assert reference_a.encoder.column_names != reference_c.encoder.column_names
-        np.testing.assert_allclose(reference_a.predict_proba(data),
-                                   reference_c.predict_proba(data), atol=1e-8)
-
     def test_zero_coefficient_model_is_constant(self):
         data = make_dataset({"x": [0.0, 5.0, -3.0]}, labels=[0, 1, 0])
         encoder = DummyEncoder.fit(data)

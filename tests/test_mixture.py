@@ -254,7 +254,7 @@ class TestMixtureModel:
     def test_classify_returns_partition(self):
         data, model_a, model_b = self.make_components()
         mixture = MixtureModel(0.5, model_a, model_b)
-        result = mixture.classify(data)
+        result = classify_scores(mixture.predict_proba(data))
         assert isinstance(result, AbstentionResult)
         assert len(result.labels) == data.n_rows
         assert sum(result.counts.values()) == data.n_rows

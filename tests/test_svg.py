@@ -57,11 +57,6 @@ class TestRendering:
         assert "t&lt;" in text and "&gt;s" in text
         assert "a<b" not in text
 
-    def test_writes_file(self, tmp_path):
-        out = tmp_path / "plot.svg"
-        text = render_svg([("a", [0, 1], [0, 1])], "line", path=out)
-        assert out.read_text() == text
-
     def test_series_objects_accepted(self):
         s = Series("a", np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         assert render_svg([s], "step") == render_svg([("a", [0, 1], [1, 0])], "step")
