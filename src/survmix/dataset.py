@@ -18,13 +18,20 @@ is inferred from the data in order of first appearance.  `write_csv` hands
 each column (numeric arrays, categorical strings) to `fileio.csv_lines`, and
 returns the row lines it wrote; a dataset whose rows were picked from one
 already written (`Dataset.source_rows`) is written from that one's lines.
-`load_csv` streams the file through `fileio.csv_records` and parses it
-column by column, one block of at most `fileio._BLOCK_CELLS` cells at a
-time, so besides the dataset it holds one block's cells, whatever the row
-count.
+`load_csv` streams the file through `fileio.csv_blocks`, one block of at
+most `fileio._BLOCK_CELLS` cells at a time, so besides the dataset it holds
+one block's cells, whatever the row count.  A plain block is parsed by
+numpy into float64 and fixed-width str fields, and each categorical field
+is coded against the vocabulary in one step.  A block with a missing cell,
+an undeclared level or a new level a sidecar cannot store is left to the
+csv path, which parses `csv.reader`'s records column by column with
+`float` and a dict; it alone reports bad cells, so the errors and their
+rows do not depend on the path.
 """
 
+from collections import ChainMap
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -33,14 +40,15 @@ import numpy as np
 
 from . import fileio
 from .errors import DomainError, ParseError
-from .fileio import (atomic_write_text, csv_join, csv_lines, csv_records, open_text,
-                     read_text)
+from .fileio import (atomic_write_text, csv_blocks, csv_join, csv_lines, csv_records,
+                     open_text, read_text)
 from .rng import substream
 
 KINDS = ("numeric", "categorical")
 ROLES = ("feature", "label", "duration", "event", "id")
 _SINGLETON_ROLES = ("label", "duration", "event", "id")
 MISSING_TOKENS = ("", "NA")
+_MISSING = frozenset(MISSING_TOKENS)
 MISSING_CODE = -1
 
 
@@ -320,27 +328,31 @@ def load_csv(data_path: "str | Path", schema: "Sequence[ColumnSpec] | str | Path
     if isinstance(schema, (str, Path)):
         schema = read_schema(schema)
     specs = list(schema)
+    columns = [_Column(s) for s in specs]
+    dtype = None
+    if specs and all(c.field for c in columns):
+        dtype = np.dtype([("", c.field) for c in columns])
     with open_text(data_path) as fh:
-        reader = csv_records(fh, data_path, DELIMITER)
-        header = next(reader, None)
+        header = next(csv_records(fh, data_path, DELIMITER), None)
         if header is None:
             raise ParseError(f"{data_path}: empty file (missing header row)")
         if header != [s.name for s in specs]:
             raise ParseError(
                 f"{data_path}: header {header!r} does not match schema names "
                 f"{[s.name for s in specs]!r}")
-        columns = [_Column(s) for s in specs]
         block_rows = max(1, fileio._BLOCK_CELLS // max(1, len(specs)))
-        first_row = 2
-        while block := list(islice(reader, block_rows)):
-            if set(map(len, block)) - {len(specs)}:
-                r, row = next((r, row) for r, row in enumerate(block, start=first_row)
-                              if len(row) != len(specs))
-                raise ParseError(f"{data_path}:{r}: expected {len(specs)} fields, "
-                                 f"got {len(row)}")
-            for column, tokens in zip(columns, zip(*block)):
-                column.add(tokens, first_row)
-            first_row += len(block)
+        take = partial(_take_table, columns)
+        for first_row, records in csv_blocks(fh, data_path, DELIMITER, dtype, block_rows,
+                                             take):
+            while block := list(islice(records, block_rows)):
+                if set(map(len, block)) - {len(specs)}:
+                    r, row = next((r, row) for r, row in enumerate(block, start=first_row)
+                                  if len(row) != len(specs))
+                    raise ParseError(f"{data_path}:{r}: expected {len(specs)} fields, "
+                                     f"got {len(row)}")
+                for column, tokens in zip(columns, zip(*block)):
+                    column.add(tokens, first_row)
+                first_row += len(block)
     for column in columns:
         if column.bad is not None:
             error, row, message = column.bad
@@ -349,12 +361,43 @@ def load_csv(data_path: "str | Path", schema: "Sequence[ColumnSpec] | str | Path
                    {c.spec.name: c.values() for c in columns})
 
 
+def _take_table(columns: list, table: np.ndarray) -> bool:
+    """Add a block that `np.loadtxt` parsed to `columns` if each column takes
+    its cells as they are, without a missing, undeclared or unstorable cell;
+    otherwise leave every column as it was.  A column that met a bad cell
+    takes them too: `load_csv` raises its error all the same."""
+    cells = [table[name] for name in table.dtype.names]
+    # The float parts share one array: a copy per column, amid numpy's
+    # short-lived buffers, left the heap fragmented, and a 20k-row load and
+    # write peaked 2 MB higher (test_round_trip_memory_scales_with_blocks).
+    numeric = [j for j, c in enumerate(columns) if c.spec.kind == "numeric"]
+    floats = np.empty((len(numeric), len(table)))
+    for row, j in zip(floats, numeric):
+        row[:] = cells[j]
+        cells[j] = row
+    parsed = [c.parse_table(column_cells) for c, column_cells in zip(columns, cells)]
+    if None in parsed:
+        return False
+    for column, (values, new_levels) in zip(columns, parsed):
+        column.parts.append(values)
+        for level in new_levels:
+            column.index[level] = len(column.index)
+    return True
+
+
 class _Column:
     """One column's cells, parsed a block of rows at a time.
 
     The first bad cell is kept in `bad` as (error class, file row, message)
     and ends the column's parsing.  `load_csv` raises it only once every row
     has been read, since a ragged row anywhere in the file is reported first.
+
+    `field` is the column's type in the table `np.loadtxt` reads a plain
+    block into: float64, or a str one char wider than the longest declared
+    level (at most `fileio._STR_WIDTH`), so a cell that fills it is not a
+    level.  It
+    is None where numpy's str cannot hold a declared level (it drops
+    trailing NULs); then no block of the file is read by numpy.
     """
 
     def __init__(self, spec: ColumnSpec):
@@ -362,6 +405,13 @@ class _Column:
         self.bad = None
         self.parts = []
         self.index = {v: i for i, v in enumerate(spec.vocabulary)}
+        if spec.kind == "numeric":
+            self.field = "f8"
+        elif "\x00" in "".join(spec.vocabulary):
+            self.field = None
+        else:
+            longest = max(map(len, spec.vocabulary), default=fileio._STR_WIDTH)
+            self.field = f"U{min(fileio._STR_WIDTH, longest + 1)}"
 
     def add(self, tokens: tuple, first_row: int) -> None:
         """Parse one block of cells; the first lies on file row `first_row`."""
@@ -374,6 +424,24 @@ class _Column:
         else:
             error, i, message = bad
             self.bad = (error, first_row + i, message)
+
+    def parse_table(self, cells: np.ndarray):
+        """(values, new levels) for this column's cells of a block that numpy
+        parsed, or None where `add` would find a missing or bad cell."""
+        if self.spec.kind == "numeric":
+            return cells, ()
+        levels, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
+        levels = levels.tolist()
+        known = self.index
+        new = [level for level in levels if level not in known]
+        if not _MISSING.isdisjoint(levels) or (
+                new and (self.spec.vocabulary or any(map(_unstorable, new)))):
+            return None
+        if new:   # numbered in order of first appearance, as in `_parse_levels`
+            first_at = dict(zip(levels, first.tolist()))
+            new.sort(key=first_at.__getitem__)
+            known = ChainMap(known, {level: len(known) + k for k, level in enumerate(new)})
+        return np.array([known[level] for level in levels], np.int32)[inverse], new
 
     def _parse_levels(self, tokens) -> tuple:
         """(int32 codes, None), or (None, bad cell); new levels are appended
@@ -390,7 +458,7 @@ class _Column:
             return None, (DomainError, i,
                           f"value {tokens[i]!r} is not in the declared vocabulary")
         for code, level in enumerate(list(index)[known:], start=known):
-            if "|" in level or level.splitlines() != [level]:
+            if _unstorable(level):
                 return None, (DomainError, int(np.argmax(codes == code)),
                               f"value {level!r} holds '|' or a line break, which a "
                               f"schema sidecar cannot store")
@@ -408,6 +476,11 @@ class _Column:
         if s.kind == "numeric":
             return s
         return ColumnSpec(s.name, s.kind, s.role, tuple(self.index))
+
+
+def _unstorable(level: str) -> bool:
+    """Whether a level cannot be stored in a schema sidecar's vocabulary."""
+    return "|" in level or level.splitlines() != [level]
 
 
 _NAN_FOR_MISSING = dict.fromkeys(MISSING_TOKENS, "nan")

@@ -19,6 +19,17 @@ gives for those rows.
 unreadable or non-UTF-8 file is a `DataError`, also when the bad bytes are
 met while the caller streams the file.  `csv_records` reads its records and
 turns a record csv cannot read into a `ParseError` that names it.
+
+`csv_blocks` is the one block reader, for datasets and `labels.csv`.  It
+reads the lines after the header a block at a time.  A plain block, one
+that csv would split at each delimiter and nowhere else, goes to
+`np.loadtxt`, whose C reader hands each number to CPython's own correctly
+rounded `PyOS_string_to_double` and so gives `float`'s bits, in less time
+than `csv.reader` and `float` take.  Its caller takes the table or declines
+it.  A block with a quote, a blank line, a line over csv's field limit or a
+NUL, one numpy rejects and one its caller declines go to `csv.reader`
+instead, as every block did before; so csv's rules and the callers'
+error messages hold whichever path a block takes.
 """
 
 import contextlib
@@ -36,6 +47,7 @@ from .errors import DataError, ParseError
 
 _float_repr = float.__repr__   # repr(np.float64) would read 'np.float64(...)'
 _BLOCK_CELLS = 1 << 14
+_STR_WIDTH = 64   # widest str field a `csv_blocks` caller has numpy read a cell into
 _WRITE_CHARS = 1 << 20
 
 
@@ -84,8 +96,8 @@ def text_cells(values) -> list:
     """One column's cells as CSV text: None and NaN become an empty cell, a
     float its shortest round-trip repr (numpy floats included), anything else
     its str."""
-    return ["" if v is None or v != v else _float_repr(v) if isinstance(v, float)
-            else str(v) for v in values]
+    return [v if type(v) is str else "" if v is None or v != v
+            else _float_repr(v) if isinstance(v, float) else str(v) for v in values]
 
 
 def csv_text(header, columns, delimiter: str) -> str:
@@ -151,19 +163,74 @@ def _row_lines(cells: list, delimiter: str) -> list:
     return [row + "\n" for row in map(delimiter.join, zip(*cells))]
 
 
-def csv_records(fh, path: "str | Path", delimiter: str):
-    """The records of the open text `fh`, as `csv.reader` lists them.
+def csv_records(lines, path: "str | Path", delimiter: str, first: int = 1):
+    """The records of `lines` (an open text or its lines), as `csv.reader`
+    lists them.
 
     A record that csv cannot read, such as one with a field longer than
     `csv.field_size_limit()`, raises `ParseError` naming `path` and the
-    record's number (the first record is 1).
+    record's number (the first record is `first`).
     """
-    number = 0
+    number = first - 1
     try:
-        for number, record in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
+        for number, record in enumerate(csv.reader(lines, delimiter=delimiter),
+                                        start=first):
             yield record
     except csv.Error as exc:
         raise ParseError(f"{path}:{number + 1}: {exc}") from exc
+
+
+def csv_blocks(fh, path: "str | Path", delimiter: str, dtype, block_rows: int, take):
+    """The records of the open text `fh` after its header record, read a
+    block of at most `block_rows` lines at a time, that `take` does not
+    consume.
+
+    A plain block (`_plain_table`) is parsed by `np.loadtxt` into a
+    structured array of `dtype` (None: no block is) and handed to
+    `take(table)`, which consumes it by returning True.  Every other
+    block is yielded as (number of its first record, lazy `csv_records` of
+    its lines).  From the first block that holds a quote, the rest of the
+    file is yielded as one such record stream, since a quoted field may span
+    lines.
+    """
+    first = 2
+    while lines := list(itertools.islice(fh, block_rows)):
+        text = "".join(lines)
+        if '"' in text:
+            yield first, csv_records(itertools.chain(lines, fh), path, delimiter, first)
+            return
+        table = None if dtype is None else _plain_table(lines, text, delimiter, dtype)
+        if table is None or not take(table):
+            yield first, csv_records(lines, path, delimiter, first)
+        first += len(lines)
+
+
+def _plain_table(lines: list, text: str, delimiter: str, dtype):
+    """Quote-free `lines` parsed by `np.loadtxt`, one row each, or None where
+    numpy would not give the cells `csv.reader` gives.
+
+    Before numpy reads them, these leave them to csv: a blank line (csv
+    reads an empty record, numpy skips it), a line longer than csv's field
+    limit (csv raises) and a NUL (numpy's str drops trailing ones).  numpy
+    itself raises `ValueError` on a ragged row and on a number that `float`
+    reads another way or alone (`''`, `NA`, `1_0`, `١٢`).  After it, a str
+    cell that fills its field may have been cut short.  A str cell that is
+    empty or "NA" is left for `take` to judge.
+    """
+    if ("\n" in lines or "\x00" in text
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    try:
+        table = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None,
+                           ndmin=1)
+    except ValueError:
+        return None
+    raw = table.view(np.uint8).reshape(len(table), dtype.itemsize)
+    for field, offset in dtype.fields.values():
+        end = offset + field.itemsize
+        if field.kind == "U" and raw[:, end - 4:end].any():
+            return None
+    return table
 
 
 @contextlib.contextmanager

@@ -36,7 +36,15 @@ def _norm(v):
 
 
 def check_aliased(design: np.ndarray, names) -> list:
-    """Names of columns linearly dependent on earlier ones."""
+    """Names of columns linearly dependent on earlier ones.
+
+    Each column is first divided by its largest magnitude (when that is
+    finite and not 0), which keeps the answer the same at any scale: a sum of
+    squares of raw cells overflows from about 1e154 and underflows below
+    1e-162.
+    """
+    scale = np.max(np.abs(design), axis=0, initial=0.0)
+    design = design / np.where(np.isfinite(scale) & (scale > 0), scale, 1.0)
     basis = np.empty((design.shape[0], 0))
     aliased = []
     for j, name in enumerate(names):

@@ -492,7 +492,7 @@ def predict_stage(data: Dataset, scores, cutoff_low, cutoff_high) -> tuple:
     """(abstention result, artifacts, detail) for labels.csv."""
     result = classify_scores(scores, cutoff_low, cutoff_high)
     artifacts = {"labels.csv": csv_text(("id", "probability", "label"), (
-        row_ids(data), result.probabilities.tolist(), result.labels), ",")}
+        row_ids(data), result.probabilities, result.labels), ",")}
     detail = {"rows": data.n_rows, "counts": dict(result.counts),
               "fractions": dict(result.fractions)}
     return result, artifacts, detail

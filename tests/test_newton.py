@@ -282,3 +282,40 @@ class TestErrorKinds:
             reference_cox_fit(design, durations, events)
         with pytest.raises(DomainError, match=message):
             cox_fit(design, durations, events)
+
+
+# -- alias screen ----------------------------------------------------------------
+
+
+class TestAliasScreenAtAnyScale:
+    """`check_aliased` judges each column at unit scale: a sum of squares of
+    raw cells overflows from about 1e154 and underflows below 1e-162, and the
+    unscaled screen called such a column aliased."""
+
+    SCALES = (1e-300, 1e-170, 1e-9, 1.0, 1e155, 1e300)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_independent_and_dependent_columns(self, scale):
+        x = np.random.default_rng(4).normal(size=40)
+        design = np.column_stack([np.ones(40), x * scale, 2.0 * x * scale,
+                                  np.full(40, 3.0 * scale), np.zeros(40)])
+        assert newton.check_aliased(design, ["(intercept)", "x0", "x1", "c", "z"]) == [
+            "x1", "c", "z"]
+
+    def test_logit_feature_at_1e155_is_not_aliased(self):
+        # The fit overflows at this scale; that is a numeric failure, not a
+        # design column dependent on the intercept.
+        rng = np.random.default_rng(5)
+        data = logit_data(rng.normal(size=40) * 1e155, rng.integers(0, 2, 40))
+        assert newton.check_aliased(*logit_design(data)[::2]) == []
+        with pytest.raises(ConvergenceError, match="singular Hessian"):
+            fit_logit(data, LogitParams())
+
+    def test_cox_covariate_at_1e155_is_kept(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=30)
+        data = Dataset([ColumnSpec("big", "numeric"), ColumnSpec("twice", "numeric")],
+                       {"big": x * 1e155, "twice": 2.0 * x * 1e155})
+        design = cox.build_design(data, ["big", "twice"])
+        assert design.column_names == ("big",)
+        assert design.dropped_columns == (("twice", "aliased with earlier columns"),)
