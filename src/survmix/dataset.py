@@ -31,7 +31,7 @@ rows do not depend on the path.
 
 from collections import ChainMap
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -443,10 +443,24 @@ class _Column:
             known = ChainMap(known, {level: len(known) + k for k, level in enumerate(new)})
         return np.array([known[level] for level in levels], np.int32)[inverse], new
 
+    @cached_property
+    def declared_codes(self) -> Optional[dict]:
+        """The code of each declared level and missing token, or None where
+        the vocabulary is inferred; built when the csv path first needs it."""
+        if not self.spec.vocabulary:
+            return None
+        return {**self.index, **dict.fromkeys(MISSING_TOKENS, MISSING_CODE)}
+
     def _parse_levels(self, tokens) -> tuple:
         """(int32 codes, None), or (None, bad cell); new levels are appended
         in order of first appearance and rejected when a vocabulary was
         declared."""
+        if self.declared_codes is not None:
+            try:   # every cell declared or missing
+                return np.fromiter(map(self.declared_codes.__getitem__, tokens), np.int32,
+                                   count=len(tokens)), None
+            except KeyError:
+                pass
         index = self.index
         known = len(index)
         codes = np.array([MISSING_CODE if tok in MISSING_TOKENS
