@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from survmix import cli, dataset, fileio
+from survmix import dataset, fileio
 from survmix.cli import _read_labels
 from survmix.dataset import (MISSING_CODE, MISSING_TOKENS, ColumnSpec, Dataset,
                              SyntheticSpec, generate_synthetic, load_csv, read_schema,
@@ -257,10 +257,10 @@ def corpus_text(case):
     if case in ("bad_number", "mixed"):
         rows[some_row(rng, rows, N_ROWS // 2)][2] = str(rng.choice(["oops", " ", "0x10"]))
     if case == "bom":
-        prefix = "﻿"
+        prefix = "\ufeff"
     if case == "bom_in_cells":
-        rows[some_row(rng, rows)][3] = "﻿a"
-        rows[some_row(rng, rows)][1] = "﻿1"
+        rows[some_row(rng, rows)][3] = "\ufeffa"
+        rows[some_row(rng, rows)][1] = "\ufeff1"
     if case == "crlf":
         line_end = "\r\n"
     if case == "lone_cr":
@@ -410,7 +410,7 @@ def labels_case(case):
     if case == "bad_header":
         head = "id,label,probability"
     if case == "bom":
-        head = "﻿" + head
+        head = "\ufeff" + head
     if case == "empty_probability":
         rows[late][1] = ""
     text = line_end.join([head] + [",".join(row) for row in rows]) + line_end
