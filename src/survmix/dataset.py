@@ -517,8 +517,9 @@ def _parse_numbers(tokens) -> tuple:
 
 def write_csv(data: Dataset, path: "str | Path", source_lines: Optional[list] = None) -> list:
     """Write a dataset as ';'-separated text, numeric cells in shortest
-    round-trip float form and missing cells empty, and return its rows' lines
-    (`fileio.csv_lines`).
+    round-trip float form (`float.__repr__`'s text, which `fileio` renders
+    for a block of cells at a time) and missing cells empty, and return its
+    rows' lines (`fileio.csv_lines`).
 
     `source_lines` are the lines `write_csv` returned for the dataset that
     `data`'s rows were picked from (`Dataset.source_rows`).  A picked row is

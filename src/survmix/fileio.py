@@ -5,15 +5,18 @@ and renamed into place, so a crash never leaves a half-written artifact
 behind, and a failed write removes its temporary file.  JSON is serialized
 with sorted keys and a fixed layout to keep outputs byte-stable across runs.
 `csv_text` is the one CSV writer: datasets (';'-separated) and the CSV
-artifacts (','-separated) both pass it their columns, and `text_cells` is the
-one place a cell becomes text.  It renders a block of rows at a time, at
-most `_BLOCK_CELLS` cells, so besides the text it holds one block's cells
-whatever the row count.  `csv_lines` renders the same rows as a list of
-lines, one per row, for a caller that writes some rows more than once.  A
-row's line depends on that row alone, since quoting is decided per cell and
-the empty cell of a one-column row is quoted per row, so the lines of any
-picked rows, joined under the header by `csv_join`, are the text `csv_text`
-gives for those rows.
+artifacts (','-separated) both pass it their columns.  A cell becomes text
+in one of two places: the cells of a block's float64 arrays in one
+`_shortest.float_cells` call, which spells each as `float.__repr__` does
+with numpy integer arithmetic, and every other column's through
+`text_cells`.  It renders a block of rows at a time, at most `_BLOCK_CELLS`
+cells, so besides the text it holds one block's cells whatever the row
+count.  `csv_lines` renders the same rows as a list of lines, one per row,
+for a caller that writes some rows more than once.  A row's line depends on
+that row alone, since quoting is decided per cell and the empty cell of a
+one-column row is quoted per row, so the lines of any picked rows, joined
+under the header by `csv_join`, are the text `csv_text` gives for those
+rows.
 
 `open_text` is the one place a file is opened for reading: a missing,
 unreadable or non-UTF-8 file is a `DataError`, also when the bad bytes are
@@ -43,6 +46,7 @@ from typing import Any
 
 import numpy as np
 
+from ._shortest import float_cells
 from .errors import DataError, ParseError
 
 _float_repr = float.__repr__   # repr(np.float64) would read 'np.float64(...)'
@@ -102,8 +106,9 @@ def text_cells(values) -> list:
 
 def csv_text(header, columns, delimiter: str) -> str:
     """Delimited text with one header row; `columns` holds one sequence of
-    values per header name.  A float64 array renders through `float.__repr__`
-    (NaN empty), any other sequence through `text_cells`.  Cells are quoted as
+    values per header name.  A float64 array renders as `float.__repr__`
+    spells it (NaN empty) through `_shortest.float_cells`, any other sequence
+    through `text_cells`.  Cells are quoted as
     csv's QUOTE_MINIMAL quotes them: a cell holding the delimiter, a quote or
     a line feed, and the empty cell of a one-column row."""
     return csv_join(header, map("".join, _line_blocks(columns, delimiter)), delimiter)
@@ -127,23 +132,22 @@ def csv_join(header, lines, delimiter: str) -> str:
 
 def _line_blocks(columns, delimiter: str):
     """The lines of the rows of `columns`, one block of at most
-    `_BLOCK_CELLS` cells at a time."""
+    `_BLOCK_CELLS` cells at a time.  The float64 arrays' cells of a block are
+    rendered by one `float_cells` call; a float's text never holds a
+    delimiter, a quote or a line feed."""
     n_rows = len(columns[0]) if len(columns) else 0
     step = max(1, _BLOCK_CELLS // max(1, len(columns)))
+    floats = [j for j, col in enumerate(columns)
+              if isinstance(col, np.ndarray) and col.dtype == np.float64]
     for lo in range(0, n_rows, step):
-        yield _row_lines([_block_cells(col[lo:lo + step], delimiter) for col in columns],
-                         delimiter)
-
-
-def _block_cells(block, delimiter: str) -> list:
-    """One block of a column as quoted cells."""
-    if isinstance(block, np.ndarray) and block.dtype == np.float64:
-        # a float's repr never holds a delimiter, a quote or a line feed
-        cells = list(map(_float_repr, block.tolist()))
-        for i in np.flatnonzero(np.isnan(block)).tolist():
-            cells[i] = ""
-        return cells
-    return _quoted(text_cells(block), delimiter)
+        cells = [None if j in floats else _quoted(text_cells(col[lo:lo + step]), delimiter)
+                 for j, col in enumerate(columns)]
+        if floats:
+            rendered = float_cells(np.concatenate([columns[j][lo:lo + step] for j in floats]))
+            size = len(rendered) // len(floats)
+            for i, j in enumerate(floats):
+                cells[j] = rendered[i * size:(i + 1) * size]
+        yield _row_lines(cells, delimiter)
 
 
 def _quoted(cells: list, delimiter: str) -> list:

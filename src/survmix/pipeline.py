@@ -274,16 +274,12 @@ def write_dataset(data: Dataset, path, source_lines=None) -> list:
 
 def km_csv(curves: dict) -> str:
     """One row per distinct event time per group; undefined cells left empty."""
-    columns = [[] for _ in range(8)]
-    for group in sorted(curves):
-        c = curves[group]
-        sd = np.sqrt(np.where(c.variance_defined, c.variance, np.nan))
-        lo = np.where(c.ci_defined, c.ci_lower, np.nan)
-        hi = np.where(c.ci_defined, c.ci_upper, np.nan)
-        columns[0].extend([group] * len(c.times))
-        for column, values in zip(columns[1:], (c.times, c.at_risk, c.deaths,
-                                                c.survival, sd, lo, hi)):
-            column.extend(values.tolist())
+    per_group = [(np.full(len(c.times), group, dtype=object), c.times, c.at_risk, c.deaths,
+                  c.survival, np.sqrt(np.where(c.variance_defined, c.variance, np.nan)),
+                  np.where(c.ci_defined, c.ci_lower, np.nan),
+                  np.where(c.ci_defined, c.ci_upper, np.nan))
+                 for group, c in sorted(curves.items())]
+    columns = [np.concatenate(parts) for parts in zip(*per_group)] or [()] * 8
     return csv_text(("group", "time", "at_risk", "deaths", "survival",
                      "sd", "ci_lo", "ci_hi"), columns, ",")
 
@@ -454,7 +450,7 @@ def evaluate_stage(models: dict, data: Dataset) -> tuple:
                          "separation": separation_score(scores, labels),
                          "cutoffs": cutoffs, "confusion": matrices, "scores": scores}
         artifacts[f"roc_{name}.csv"] = csv_text(("threshold", "fpr", "tpr"), (
-            curve.thresholds.tolist(), curve.fpr.tolist(), curve.tpr.tolist()), ",")
+            curve.thresholds, curve.fpr, curve.tpr), ",")
     ranking = rank_algorithms(metrics)
     public = {a: {k: v for k, v in m.items() if k != "scores"}
               for a, m in metrics.items()}
