@@ -313,6 +313,12 @@ def _ctree_statistics(data, rows, starts):
     for j, (name, kind) in enumerate(data.schema.features):
         if kind == "numeric":
             column = data.values[data.numeric[name]][rows]
+            # The statistic does not depend on scale, and a power-of-two
+            # scale is exact: bring the column to unit size, so that its
+            # squares neither overflow nor underflow.
+            peak = np.abs(column).max()
+            if np.isfinite(peak) and peak > 0.0:
+                column = np.ldexp(column, -np.frexp(peak)[1])
             centred = column - np.repeat(np.add.reduceat(column, heads) / n, lengths)
             t = np.add.reduceat(centred * y, heads)
             variance = n1 * n0 / (n * (n - 1.0)) * np.add.reduceat(centred * centred,

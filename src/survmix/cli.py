@@ -25,7 +25,8 @@ from .classifiers import (ALGORITHMS, ClassifierSpec, algorithm_of, fit,
                           load_model, save_model)
 from .cleansing import clean
 from .cox import TIES_METHODS, parse_formula
-from .dataset import Dataset, SyntheticSpec, generate_synthetic, load_csv
+from .dataset import (Dataset, SyntheticSpec, generate_synthetic, load_csv,
+                      schema_path, write_dataset)
 from .errors import (DataError, DomainError, NumericError, ParseError,
                      SurvmixError)
 from .evaluation import score_histogram
@@ -34,8 +35,7 @@ from .fileio import (atomic_write_text, csv_blocks, csv_records, json_text, open
 from .mixture import ABSTENTION_LABELS, MixtureModel
 from .pipeline import (PipelineConfig, classified_rows, cox_stage,
                        evaluate_stage, km_stage, mix_stage, parse_config,
-                       predict_stage, row_ids, run_pipeline, write_artifacts,
-                       write_dataset)
+                       predict_stage, row_ids, run_pipeline, write_artifacts)
 from .resampling import SmoteSpec, SplitSpec, smote, split
 
 
@@ -50,14 +50,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _schema_path(data_path, explicit):
-    return explicit if explicit else str(Path(data_path).with_suffix(".schema"))
-
-
 def _load(args) -> Dataset:
     if not Path(args.data).exists():  # name the flag's own path, not the sidecar
         raise DataError(f"input file not found: {args.data}")
-    return load_csv(args.data, _schema_path(args.data, args.schema))
+    return load_csv(args.data, args.schema or schema_path(args.data))
 
 
 def _parse_pairs(pairs, flag) -> dict:

@@ -19,7 +19,7 @@ information at 0 on the fit, for `cox_tests`.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class DesignMatrix:
     column_names: tuple
     reference_levels: dict
     matrix: np.ndarray
-    term_map: dict          # column name -> originating formula term
     row_index: np.ndarray   # dataset rows kept (no missing formula cells)
     dropped_columns: tuple  # (column name, reason) removed during assembly
 
@@ -136,7 +135,7 @@ def build_design(data: Dataset, formula, references=None) -> DesignMatrix:
     encoded = {name: _encode_column(data, name, keep, references) for name in base}
     reference_levels = {n: ref for n, (_, _, ref) in encoded.items() if ref is not None}
 
-    names, cols, term_map = [], [], {}
+    names, cols = [], []
     for term in terms:
         parts = term.split(":")
         combo_names, combo_cols = [""], [np.ones(row_index.size)]
@@ -148,7 +147,6 @@ def build_design(data: Dataset, formula, references=None) -> DesignMatrix:
         for cname, col in zip(combo_names, combo_cols):
             names.append(cname)
             cols.append(col)
-            term_map[cname] = term
 
     dropped = []
     matrix = np.column_stack(cols) if cols else np.empty((row_index.size, 0))
@@ -170,10 +168,8 @@ def build_design(data: Dataset, formula, references=None) -> DesignMatrix:
         matrix = matrix[:, keep_j]
     if not names:
         raise DomainError("empty design after removing aliased columns")
-    term_map = {n: term_map[n] for n in names}
     return DesignMatrix(column_names=tuple(names), reference_levels=reference_levels,
-                        matrix=matrix, term_map=term_map, row_index=row_index,
-                        dropped_columns=tuple(dropped))
+                        matrix=matrix, row_index=row_index, dropped_columns=tuple(dropped))
 
 
 # -- partial likelihood --------------------------------------------------------
@@ -259,23 +255,12 @@ def _loglik(prep, beta):
     return loglik, score, info
 
 
-def cox_loglik(matrix, durations, events, beta, ties: str = "efron"):
-    """Partial log-likelihood, score, and observed information at `beta`."""
-    if ties not in TIES_METHODS:
-        raise DomainError(f"unknown ties method {ties!r}")
-    matrix = np.asarray(matrix, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (matrix.shape[1],):
-        raise DomainError("beta length must match the design column count")
-    return _loglik(_prepare(matrix, durations, events, ties), beta)
-
-
 # -- fitting -------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CoxFit:
-    """A fitted model.  `cox_fit` also keeps the observed information at
-    beta and the score and information at 0, which `cox_tests` reads."""
+    """A fitted model, with the observed information at beta and the score
+    and information at 0, which `cox_tests` reads."""
 
     names: tuple
     beta: np.ndarray
@@ -284,10 +269,9 @@ class CoxFit:
     loglik_fit: float
     iterations: int
     converged: bool
-    ties_method: str
-    information: Optional[np.ndarray] = None
-    score_null: Optional[np.ndarray] = None
-    information_null: Optional[np.ndarray] = None
+    information: np.ndarray
+    score_null: np.ndarray
+    information_null: np.ndarray
 
 
 def _raise_singular(matrix, names):
@@ -318,9 +302,8 @@ def cox_fit(design: DesignMatrix, durations, events, ties: str = "efron") -> Cox
     loglik_null, score_null, info_null = fit.start
     return CoxFit(names=names, beta=fit.beta, se=se, loglik_null=loglik_null,
                   loglik_fit=fit.loglik, iterations=fit.iterations,
-                  converged=fit.converged, ties_method=ties,
-                  information=fit.information, score_null=score_null,
-                  information_null=info_null)
+                  converged=fit.converged, information=fit.information,
+                  score_null=score_null, information_null=info_null)
 
 
 # -- inference -----------------------------------------------------------------
@@ -354,8 +337,6 @@ def cox_tests(fit: CoxFit) -> CoxTests:
     p = len(fit.names)
     if p == 0:
         raise DomainError("no coefficients to test")
-    if fit.information is None or fit.score_null is None or fit.information_null is None:
-        raise DomainError("tests need the information and null score that cox_fit keeps")
     wald_stat = float(fit.beta @ fit.information @ fit.beta)
     wald = ChiSquareTest(wald_stat, p, chi_square_sf(wald_stat, p))
     lr_stat = max(0.0, 2.0 * (fit.loglik_fit - fit.loglik_null))
@@ -375,10 +356,6 @@ class HazardRatio:
     ratio: float
     ci_lower: float
     ci_upper: float
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "ratio": self.ratio,
-                "ci_lower": self.ci_lower, "ci_upper": self.ci_upper}
 
 
 def hazard_ratios(fit: CoxFit) -> tuple:

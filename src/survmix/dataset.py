@@ -539,6 +539,20 @@ def write_csv(data: Dataset, path: "str | Path", source_lines: Optional[list] = 
     return lines
 
 
+def schema_path(csv_path: "str | Path") -> Path:
+    """Where a dataset CSV's schema sidecar lives: the same path with .schema."""
+    return Path(csv_path).with_suffix(".schema")
+
+
+def write_dataset(data: Dataset, path: "str | Path",
+                  source_lines: Optional[list] = None) -> list:
+    """`write_csv`, then the schema sidecar at `schema_path(path)`; returns
+    the CSV's row lines."""
+    lines = write_csv(data, path, source_lines)
+    write_schema(data.specs, schema_path(path))
+    return lines
+
+
 def _dataset_lines(data: Dataset) -> list:
     return csv_lines([data.column(n) if data.spec(n).kind == "numeric" else data.strings(n)
                       for n in data.names], DELIMITER)

@@ -9,10 +9,9 @@ absolute error well below 1e-12), plus Wichura's AS 241 (PPND16) rational
 approximation for the normal quantile (absolute error below 1e-9; in
 practice ~1e-15).
 
-Identities used:
+Identity used:
 
     chi-square survival:   sf(x; k) = Q(k/2, x/2)
-    normal cdf:            Phi(x) = erfc(-x/sqrt(2)) / 2
 """
 
 import math
@@ -69,11 +68,6 @@ def reg_upper_gamma(a: float, x: float) -> float:
     if x < a + 1.0:
         return 1.0 - _gamma_p_series(a, x)
     return _gamma_q_contfrac(a, x)
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal cumulative distribution function."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def normal_quantile(p: float) -> float:

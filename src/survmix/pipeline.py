@@ -29,14 +29,14 @@ from .cleansing import clean
 from .cox import (TIES_METHODS, build_design, cox_fit, cox_tests,
                   detect_separation, hazard_ratios, parse_formula)
 from .dataset import (ColumnSpec, Dataset, SyntheticSpec, generate_synthetic,
-                      load_csv, write_csv, write_schema)
+                      load_csv, schema_path, write_dataset)
 from .errors import DomainError, ParseError, SurvmixError
 from .evaluation import (CUTOFF_CRITERIA, confusion, roc_curve, select_cutoff,
                          separation_score)
 from .fileio import atomic_write_text, csv_text, json_text, write_json
 from .mixture import MixtureModel, classify_scores, mix_scores, optimize_weight
 from .resampling import SmoteSpec, SplitSpec, smote, split
-from .survival import greenwood_variance, km_confidence, km_fit, logrank_test
+from .survival import km_fit, logrank_test
 from .svg import render_svg
 
 SCHEMA_VERSION = 1
@@ -132,7 +132,7 @@ class PipelineConfig:
         "mixture.cutoff_low": ("cutoff_low", float),
         "mixture.cutoff_high": ("cutoff_high", float),
         "km.confidence": ("km_confidence", float),
-        "cox.formulas": ("cox_formulas", "formulas"),
+        "cox.formulas": ("cox_formulas", "list"),
         "cox.ties": ("cox_ties", str),
         "cox.references": ("cox_references", "refs"),
     }
@@ -169,8 +169,6 @@ class PipelineConfig:
             try:
                 if kind == "list":
                     values[name] = _csv_list(raw)
-                elif kind == "formulas":
-                    values[name] = tuple(f.strip() for f in raw.split(",") if f.strip())
                 elif kind == "refs":
                     refs = {}
                     for pair in _csv_list(raw):
@@ -264,20 +262,10 @@ def write_artifacts(out_dir, artifacts: dict) -> None:
         atomic_write_text(out / name, artifacts[name])
 
 
-def write_dataset(data: Dataset, path, source_lines=None) -> list:
-    """A dataset CSV plus its schema sidecar (the same path with .schema);
-    returns the CSV's row lines (see `write_csv`, which takes `source_lines`)."""
-    lines = write_csv(data, path, source_lines)
-    write_schema(data.specs, Path(path).with_suffix(".schema"))
-    return lines
-
-
 def km_csv(curves: dict) -> str:
     """One row per distinct event time per group; undefined cells left empty."""
     per_group = [(np.full(len(c.times), group, dtype=object), c.times, c.at_risk, c.deaths,
-                  c.survival, np.sqrt(np.where(c.variance_defined, c.variance, np.nan)),
-                  np.where(c.ci_defined, c.ci_lower, np.nan),
-                  np.where(c.ci_defined, c.ci_upper, np.nan))
+                  c.survival, np.sqrt(c.variance), c.ci_lower, c.ci_upper)
                  for group, c in sorted(curves.items())]
     columns = [np.concatenate(parts) for parts in zip(*per_group)] or [()] * 8
     return csv_text(("group", "time", "at_risk", "deaths", "survival",
@@ -421,7 +409,7 @@ def km_svg(curves: dict) -> str:
         x = np.concatenate([[0.0], c.times])
         y = np.concatenate([[1.0], c.survival])
         series.append((group, x, y))
-    return render_svg(series, "step", title="Survival by predicted group",
+    return render_svg(series, title="Survival by predicted group",
                       x_label="time", y_label="survival")
 
 
@@ -501,8 +489,7 @@ def km_stage(data: Dataset, groups, confidence: float) -> tuple:
     curves = {}
     for value in np.unique(groups):
         mask = groups == value
-        curve = km_fit(durations[mask], events[mask])
-        curves[str(value)] = km_confidence(greenwood_variance(curve), confidence)
+        curves[str(value)] = km_fit(durations[mask], events[mask], confidence)
     if len(curves) == 2 and events.sum() > 0:
         logrank = logrank_test(durations, events, groups).to_dict()
     else:
@@ -545,7 +532,7 @@ def _load_era(config: PipelineConfig, era: str) -> Dataset:
     if config.synthetic_rows <= 0:
         path, schema = ((config.train_path, config.train_schema) if era == "train"
                         else (config.predict_path, config.predict_schema))
-        return load_csv(path, schema or str(Path(path).with_suffix(".schema")))
+        return load_csv(path, schema or schema_path(path))
     rows, seed = config.synthetic_rows, config.seed
     if era == "predict":
         rows = config.synthetic_predict_rows or config.synthetic_rows

@@ -104,12 +104,8 @@ def _distances(z: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return d2
 
 
-def smote(data: Dataset, spec: SmoteSpec, return_provenance: bool = False):
-    """Rebalance by synthetic minority oversampling plus majority undersampling.
-
-    With return_provenance=True also returns, per synthetic row, the original
-    row indices of its seed and neighbor and the interpolation position u.
-    """
+def smote(data: Dataset, spec: SmoteSpec) -> Dataset:
+    """Rebalance by synthetic minority oversampling plus majority undersampling."""
     y = data.label_values()
     minority = _minority_value(y)
     min_idx = np.flatnonzero(y == minority)
@@ -185,11 +181,5 @@ def smote(data: Dataset, spec: SmoteSpec, return_provenance: bool = False):
         else:
             part_syn = part_min[:0]
         columns[s.name] = np.concatenate([part_min, part_syn, part_maj])
-    out = Dataset(data.specs, columns,
-                  source_rows=np.concatenate([min_idx, np.full(n_syn, -1), kept_maj]))
-
-    if not return_provenance:
-        return out
-    provenance = [(int(min_idx[s]), int(min_idx[nb]), float(uu))
-                  for s, nb, uu in zip(seeds_local, neighbors_local, u)]
-    return out, provenance
+    return Dataset(data.specs, columns,
+                   source_rows=np.concatenate([min_idx, np.full(n_syn, -1), kept_maj]))

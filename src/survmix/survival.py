@@ -1,5 +1,6 @@
-"""Kaplan-Meier estimation, Greenwood variance, log-minus-log confidence
-bands, and the two-group log-rank test.
+"""Kaplan-Meier estimation and the two-group log-rank test.  One `km_fit`
+call gives the curve, its Greenwood variance and its log-minus-log
+confidence bands.
 
 Ties follow the standard convention: at equal times deaths are processed
 before censorings, so a subject censored exactly at an event time is still
@@ -12,7 +13,6 @@ so on fully-observed data the curve equals the empirical survivor fraction
 bit for bit.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,37 +37,30 @@ def _check_samples(durations, events):
 
 @dataclass(frozen=True)
 class KMCurve:
-    """Step-function survival estimate over the distinct event times.
+    """Step-function survival estimate over the distinct event times, with
+    Greenwood's variance and log-minus-log confidence bounds.
 
-    `variance` / confidence fields are None until the corresponding pass has
-    run; the *_defined masks flag times where the quantity exists (Greenwood
-    breaks once the risk set empties; the log-minus-log transform breaks
-    where the curve sits at 1 or 0).
+    A value that does not exist is NaN: the variance once a time exhausts
+    its risk set, and the bounds wherever the variance is NaN or the curve
+    sits at 0 (the transform is singular there).
     """
 
     times: np.ndarray
     at_risk: np.ndarray
     deaths: np.ndarray
     survival: np.ndarray
-    n_subjects: int
-    variance: np.ndarray | None = None
-    variance_defined: np.ndarray | None = None
-    ci_lower: np.ndarray | None = None
-    ci_upper: np.ndarray | None = None
-    ci_defined: np.ndarray | None = None
-    confidence_level: float | None = None
-
-    def survival_at(self, t) -> np.ndarray:
-        """Step-function evaluation; 1.0 before the first event time."""
-        t = np.asarray(t, dtype=float)
-        index = np.searchsorted(self.times, t, side="right")
-        padded = np.concatenate([[1.0], self.survival])
-        return padded[index]
+    variance: np.ndarray
+    ci_lower: np.ndarray
+    ci_upper: np.ndarray
 
 
-def km_fit(durations, events) -> KMCurve:
-    """Product-limit estimate over distinct event times."""
+def km_fit(durations, events, level: float) -> KMCurve:
+    """Product-limit estimate over distinct event times, its Greenwood
+    variance S(t)^2 * sum d / (r (r - d)), and log-minus-log bounds
+    S^exp(+-z*sd/(S ln S)) at confidence `level`."""
     durations, events = _check_samples(durations, events)
+    if not 0.0 < level < 1.0:
+        raise DomainError("confidence level must lie strictly between 0 and 1")
     n = durations.size
     event_times, deaths = np.unique(durations[events == 1], return_counts=True)
     all_sorted = np.sort(durations)
@@ -85,49 +78,20 @@ def km_fit(durations, events) -> KMCurve:
         else:
             running = running * (r - d) / r
         survival[i] = running
-    return KMCurve(times=event_times, at_risk=at_risk.astype(np.int64),
-                   deaths=deaths, survival=survival, n_subjects=n)
 
-
-def greenwood_variance(curve: KMCurve) -> KMCurve:
-    """Attach Greenwood's variance: S(t)^2 * sum d / (r (r - d)).
-
-    Once a time exhausts its risk set (d == r) the sum is undefined from
-    that point on; those entries are NaN and flagged False.
-    """
-    r = curve.at_risk.astype(float)
-    d = curve.deaths.astype(float)
-    defined = np.cumprod(r > d).astype(bool)
-    terms = np.where(defined, d / (r * np.maximum(r - d, 1.0)), np.nan)
-    variance = np.where(defined, curve.survival ** 2 * np.cumsum(terms), np.nan)
-    return dataclasses.replace(curve, variance=variance, variance_defined=defined)
-
-
-def km_confidence(curve: KMCurve, level: float = 0.95) -> KMCurve:
-    """Attach log-minus-log confidence bands.
-
-    Bounds are S^exp(+-z*sd/(S ln S)); they are undefined where the curve is
-    exactly 1 or 0 (the transform is singular) or where the variance is.
-    """
-    if curve.variance is None:
-        raise DomainError("compute the Greenwood variance before the bands")
-    if not 0.0 < level < 1.0:
-        raise DomainError("confidence level must lie strictly between 0 and 1")
+    r = at_risk.astype(float)
+    d = deaths.astype(float)
     z = normal_quantile(1.0 - (1.0 - level) / 2.0)
-    s = curve.survival
-    defined = curve.variance_defined & (s > 0.0) & (s < 1.0)
-    lower = np.full(len(s), np.nan)
-    upper = np.full(len(s), np.nan)
-    where = np.flatnonzero(defined)
-    if where.size:
-        sd = np.sqrt(curve.variance[where])
-        theta = z * sd / (s[where] * np.log(s[where]))
-        a = s[where] ** np.exp(theta)
-        b = s[where] ** np.exp(-theta)
-        lower[where] = np.minimum(a, b)
-        upper[where] = np.maximum(a, b)
-    return dataclasses.replace(curve, ci_lower=lower, ci_upper=upper,
-                               ci_defined=defined, confidence_level=level)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # d == r makes a term, and every sum from there on, infinite
+        greenwood = np.cumsum(d / (r * (r - d)))
+        variance = np.where(np.isfinite(greenwood), survival ** 2 * greenwood, np.nan)
+        theta = z * np.sqrt(variance) / (survival * np.log(survival))
+        a = survival ** np.exp(theta)
+        b = survival ** np.exp(-theta)
+    return KMCurve(times=event_times, at_risk=at_risk.astype(np.int64), deaths=deaths,
+                   survival=survival, variance=variance,
+                   ci_lower=np.minimum(a, b), ci_upper=np.maximum(a, b))
 
 
 @dataclass(frozen=True)

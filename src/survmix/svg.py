@@ -1,7 +1,7 @@
-"""Minimal standalone SVG charts: line plots and step plots with axes and a
-legend.  Output is a pure function of the input — coordinates are formatted
-with fixed precision and nothing environmental (time, ids, hashes) leaks in —
-so re-rendering the same series yields identical bytes.
+"""Minimal standalone SVG charts: step plots with axes and a legend.
+Output is a pure function of the input — coordinates are formatted with
+fixed precision and nothing environmental (time, ids, hashes) leaks in — so
+re-rendering the same series yields identical bytes.
 """
 
 import warnings
@@ -10,8 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-
-KINDS = ("line", "step")
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
@@ -61,16 +59,14 @@ def _escape(text: str) -> str:
             .replace('"', "&quot;"))
 
 
-def render_svg(series, kind: str, title: str = "",
+def render_svg(series, title: str = "",
                x_label: str = "", y_label: str = "") -> str:
     """Render named series to SVG text.
 
-    `series` is a sequence of (name, x, y) triples or Series objects.  Step
-    plots hold each y flat until the next x, then drop — the survival-curve
+    `series` is a sequence of (name, x, y) triples or Series objects.  Each
+    holds its y flat until the next x, then drops — the survival-curve
     convention.
     """
-    if kind not in KINDS:
-        raise DomainError(f"unknown plot kind {kind!r}")
     named = [s if isinstance(s, Series) else _as_series(*s) for s in series]
     if not named:
         raise DomainError("render_svg needs at least one series")
@@ -127,11 +123,8 @@ def render_svg(series, kind: str, title: str = "",
         color = PALETTE[idx % len(PALETTE)]
         parts = [f"M {_fmt(sx(s.x[0]))} {_fmt(sy(s.y[0]))}"]
         for j in range(1, s.x.size):
-            if kind == "step":
-                parts.append(f"H {_fmt(sx(s.x[j]))}")
-                parts.append(f"V {_fmt(sy(s.y[j]))}")
-            else:
-                parts.append(f"L {_fmt(sx(s.x[j]))} {_fmt(sy(s.y[j]))}")
+            parts.append(f"H {_fmt(sx(s.x[j]))}")
+            parts.append(f"V {_fmt(sy(s.y[j]))}")
         out.append(f'<path d="{" ".join(parts)}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"/>')
         if s.x.size == 1:  # a path with no segments is invisible; mark the point

@@ -16,13 +16,15 @@ import numpy as np
 import pytest
 
 from survmix.cleansing import clean, profile_missing
-from survmix.cox import CoxFit, DesignMatrix, cox_fit, cox_loglik, cox_tests, hazard_ratios
+from survmix.cox import CoxFit, DesignMatrix, cox_fit, cox_tests, hazard_ratios
 from survmix.dataset import ColumnSpec, Dataset, SyntheticSpec, generate_synthetic
 from survmix.evaluation import roc_curve, select_cutoff
 from survmix.mixture import optimize_weight
 from survmix.pipeline import PipelineConfig, run_pipeline
 from survmix.resampling import SmoteSpec, smote
-from survmix.survival import greenwood_variance, km_fit, logrank_test
+from survmix.survival import km_fit, logrank_test
+
+from helpers import cox_evaluation, smote_parents
 
 Z95 = 1.959963984540054
 
@@ -30,7 +32,7 @@ Z95 = 1.959963984540054
 def single_column_design(x):
     x = np.asarray(x, dtype=float)
     return DesignMatrix(column_names=("g",), reference_levels={},
-                        matrix=x[:, None], term_map={"g": "g"},
+                        matrix=x[:, None],
                         row_index=np.arange(x.size), dropped_columns=())
 
 
@@ -42,16 +44,17 @@ def test_01_km_oracle_suite():
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 51))
         durations = np.round(rng.exponential(5.0, n), 1) + 0.1
-        curve = km_fit(durations, np.ones(n, dtype=int))
+        curve = km_fit(durations, np.ones(n, dtype=int), 0.95)
         for t, s in zip(curve.times, curve.survival):
             assert s == np.count_nonzero(durations > t) / n
 
     # worked 10-subject fixture: 2 deaths at t=1 of 10, 1 death at t=2 of 8
     durations = np.array([1.0, 1.0, 2.0] + [10.0] * 7)
     events = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
-    curve = greenwood_variance(km_fit(durations, events))
-    assert curve.survival_at(1.0) == 0.8
-    assert curve.survival_at(2.0) == 0.7
+    curve = km_fit(durations, events, 0.95)
+    step = np.array([1.0, *curve.survival])
+    assert step[np.searchsorted(curve.times, 1.0, side="right")] == 0.8
+    assert step[np.searchsorted(curve.times, 2.0, side="right")] == 0.7
     assert curve.variance[0] == pytest.approx(0.016, abs=1e-12)
     assert time.perf_counter() - t0 < 1.0
 
@@ -95,12 +98,12 @@ def test_03_cox_correctness():
         events[0] = 1
         beta = rng.normal(scale=0.4, size=2)
         for ties in ("efron", "breslow"):
-            ll, score, info = cox_loglik(x, durations, events, beta, ties)
+            ll, score, info = cox_evaluation(x, durations, events, beta, ties)
             for j in range(2):
                 step = np.zeros(2)
                 step[j] = eps
-                lp = cox_loglik(x, durations, events, beta + step, ties)
-                lm = cox_loglik(x, durations, events, beta - step, ties)
+                lp = cox_evaluation(x, durations, events, beta + step, ties)
+                lm = cox_evaluation(x, durations, events, beta - step, ties)
                 fd_grad = (lp[0] - lm[0]) / (2 * eps)
                 assert abs(score[j] - fd_grad) <= 1e-6 * max(1.0, abs(score[j]))
                 fd_hess = -(lp[1] - lm[1]) / (2 * eps)
@@ -149,8 +152,8 @@ def test_04_score_test_equals_logrank():
             continue
         done += 1
         chi_logrank = logrank_test(durations, events, groups).chi_square
-        _, score, info = cox_loglik(groups.astype(float)[:, None],
-                                    durations, events, np.zeros(1))
+        _, score, info = cox_evaluation(groups.astype(float)[:, None],
+                                        durations, events, np.zeros(1))
         chi_score = float(score[0] ** 2 / info[0, 0]) if info[0, 0] > 0 else 0.0
         assert chi_score == pytest.approx(chi_logrank, abs=1e-8)
     assert time.perf_counter() - t0 < 10.0
@@ -160,7 +163,8 @@ def test_05_hazard_ratio_anchor():
     # exp(-0.428) must read as 0.6518, i.e. "a 35% lower hazard".
     fit = CoxFit(names=("x",), beta=np.array([-0.428]), se=np.array([0.1]),
                  loglik_null=0.0, loglik_fit=0.0, iterations=1,
-                 converged=True, ties_method="efron")
+                 converged=True, information=np.eye(1), score_null=np.zeros(1),
+                 information_null=np.eye(1))
     ratio = hazard_ratios(fit)[0].ratio
     assert f"{ratio:.4f}" == "0.6518"
     assert f"{ratio:.2f}" == "0.65"
@@ -188,26 +192,38 @@ def test_06_smote_properties():
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            out, provenance = smote(
-                data, SmoteSpec(k, 200.0, 100.0, seed), return_provenance=True)
+            out = smote(data, SmoteSpec(k, 200.0, 100.0, seed))
 
         k_eff = min(k, n_min - 1)
         minority = features[:n_min]
         mu, sd = minority.mean(axis=0), minority.std(axis=0)
         sd = np.where(sd == 0.0, 1.0, sd)
         z = (minority - mu) / sd
-        for row, (seed_row, nb_row, u) in enumerate(provenance, start=n_min):
-            assert 0.0 < u < 1.0
+
+        def among_nearest(seed_row, nb_row):
             d2 = ((z - z[seed_row]) ** 2).sum(axis=1)
             d2[seed_row] = np.inf
-            kth = np.sort(d2)[k_eff - 1]
-            assert d2[nb_row] <= kth + 1e-12
-            for j in range(p):
-                value = out.column(f"f{j}")[row]
-                low = min(features[seed_row, j], features[nb_row, j])
-                high = max(features[seed_row, j], features[nb_row, j])
-                pad = 1e-12 * (1.0 + abs(high))
-                assert low - pad <= value <= high + pad
+            return d2[nb_row] <= np.sort(d2)[k_eff - 1] + 1e-12
+
+        n_syn = int((out.column("label") == 1.0).sum()) - n_min
+        assert n_syn == 2 * n_min
+        for i in range(n_syn):
+            # over_pct = 200 gives each minority row two synthetic rows, drawn
+            # in row order after the originals: row n_min + i has seed i // 2.
+            seed_row = i // 2
+            point = np.array([out.column(f"f{j}")[n_min + i] for j in range(p)])
+            from_seed = [(nb_row, u) for s, nb_row, u
+                         in smote_parents(point, minority) if s == seed_row]
+            if p > 1:  # no third minority row lies on the seed's line
+                assert len(from_seed) == 1
+            drawn = [nb_row for nb_row, u in from_seed
+                     if 0.0 < u < 1.0 and among_nearest(seed_row, nb_row)]
+            assert drawn
+            for nb_row in drawn:
+                low = np.minimum(features[seed_row], features[nb_row])
+                high = np.maximum(features[seed_row], features[nb_row])
+                pad = 1e-12 * (1.0 + np.abs(high))
+                assert ((low - pad <= point) & (point <= high + pad)).all()
     assert time.perf_counter() - t0 < 10.0
 
 

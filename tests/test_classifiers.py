@@ -608,6 +608,23 @@ class TestCtree:
         root = model.nodes[0]
         assert root["feature"] == "c" and root["subset"] in (["a"], ["b"])
 
+    @pytest.mark.parametrize("scale", [1e200, 1e300, 1e-170, 1e-310])
+    def test_same_tree_at_any_scale_of_a_feature(self, scale):
+        # The statistic is scale-free: a feature scaled far out of unit range
+        # must neither overflow its sums of squares nor underflow them to 0.
+        rng = np.random.default_rng(2)
+        y = rng.integers(0, 2, 400).astype(float)
+        x0 = rng.normal(size=400) + 1.2 * y
+        x1 = rng.normal(size=400) + 0.6 * y
+        base = make_dataset({"x0": x0, "x1": x1}, labels=y)
+        scaled = make_dataset({"x0": x0 * scale, "x1": x1}, labels=y)
+        want = fit_ctree(base, CtreeParams())
+        got = fit_ctree(scaled, CtreeParams())
+        assert len(want.nodes) > 3
+        assert [{k: v for k, v in node.items() if k != "threshold"} for node in got.nodes] \
+            == [{k: v for k, v in node.items() if k != "threshold"} for node in want.nodes]
+        assert np.array_equal(got.predict_proba(scaled), want.predict_proba(base))
+
     def test_same_tree_for_every_seed(self):
         data = random_dataset(np.random.default_rng(9), 80, signal=1.5)
         trees_fitted = [fit(data, ClassifierSpec("ctree", seed=seed,

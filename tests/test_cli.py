@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from survmix.cli import main
-from survmix.dataset import ColumnSpec, Dataset, load_csv, write_csv, write_schema
+from survmix.dataset import ColumnSpec, Dataset, load_csv, write_dataset
 
 
 def call(*args):
@@ -15,11 +15,6 @@ def call(*args):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in args])
     return code, out.getvalue(), err.getvalue()
-
-
-def write_dataset(data, path):
-    write_csv(data, path)
-    write_schema(data.specs, path.with_suffix(".schema"))
 
 
 def separable_fixture(tmp_path):

@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from survmix.cox import (CoxFit, build_design, cox_fit, cox_loglik, cox_tests,
-                         detect_separation, hazard_ratios, parse_formula)
+from survmix.cox import (DesignMatrix, build_design, cox_fit,
+                         cox_tests, detect_separation, hazard_ratios,
+                         parse_formula)
 from survmix.dataset import ColumnSpec, Dataset, SyntheticSpec, generate_synthetic
 from survmix.distributions import chi_square_sf
 from survmix.errors import DomainError, SeparationError
 from survmix.survival import logrank_test
+
+from helpers import cox_evaluation
 
 
 def make_data(numeric=None, categorical=None, vocab=("a", "b", "c")):
@@ -58,9 +61,7 @@ def random_cox_fixture(rng, n, p, tie_scale=None):
 def design_of(matrix, names=None):
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     names = tuple(names or (f"x{j}" for j in range(matrix.shape[1])))
-    from survmix.cox import DesignMatrix
     return DesignMatrix(column_names=names, reference_levels={}, matrix=matrix,
-                        term_map={n: n for n in names},
                         row_index=np.arange(matrix.shape[0]),
                         dropped_columns=())
 
@@ -79,7 +80,6 @@ class TestFormulaAndDesign:
         design = build_design(data, ["inno"])
         assert design.column_names == ("inno",)
         assert design.matrix[:, 0].tolist() == [1.0, 0.0, 1.0, 0.0]
-        assert design.term_map == {"inno": "inno"}
         assert design.row_index.tolist() == [0, 1, 2, 3]
 
     def test_categorical_reference_override(self):
@@ -108,7 +108,6 @@ class TestFormulaAndDesign:
             parent = names.index(f"sector={level}")
             want = design.matrix[:, names.index("inno")] * design.matrix[:, parent]
             assert np.array_equal(design.matrix[:, j], want)
-            assert design.term_map[f"inno:sector={level}"] == "inno:sector"
 
     def test_rows_with_missing_cells_are_dropped(self):
         data = make_data(numeric={"x": [1.0, np.nan, 3.0, 4.0]},
@@ -157,7 +156,7 @@ class TestPartialLikelihood:
             x, durations, events = random_cox_fixture(rng, 25, 2, tie_scale=6)
             beta = rng.standard_normal(2) * 0.7
             for ties in ("efron", "breslow"):
-                ll, _, _ = cox_loglik(x, durations, events, beta, ties)
+                ll, _, _ = cox_evaluation(x, durations, events, beta, ties)
                 want = loglik_oracle(x, durations, events, beta, ties)
                 assert ll == pytest.approx(want, rel=1e-12)
 
@@ -165,8 +164,8 @@ class TestPartialLikelihood:
         rng = np.random.default_rng(11)
         x, durations, events = random_cox_fixture(rng, 40, 3)
         beta = rng.standard_normal(3) * 0.5
-        le, ge, ie = cox_loglik(x, durations, events, beta, "efron")
-        lb, gb, ib = cox_loglik(x, durations, events, beta, "breslow")
+        le, ge, ie = cox_evaluation(x, durations, events, beta, "efron")
+        lb, gb, ib = cox_evaluation(x, durations, events, beta, "breslow")
         assert le == pytest.approx(lb, rel=1e-10)
         assert np.allclose(ge, gb, atol=1e-10)
         assert np.allclose(ie, ib, atol=1e-10)
@@ -177,12 +176,12 @@ class TestPartialLikelihood:
             rng = np.random.default_rng(40 + seed)
             x, durations, events = random_cox_fixture(rng, 40, 3, tie_scale=8)
             beta = rng.standard_normal(3) * 0.4
-            ll, score, info = cox_loglik(x, durations, events, beta, ties)
+            ll, score, info = cox_evaluation(x, durations, events, beta, ties)
             for j in range(3):
                 step = np.zeros(3)
                 step[j] = eps
-                lp, sp, _ = cox_loglik(x, durations, events, beta + step, ties)
-                lm, sm, _ = cox_loglik(x, durations, events, beta - step, ties)
+                lp, sp, _ = cox_evaluation(x, durations, events, beta + step, ties)
+                lm, sm, _ = cox_evaluation(x, durations, events, beta - step, ties)
                 grad = (lp - lm) / (2 * eps)
                 assert abs(grad - score[j]) <= 1e-6 * max(1.0, abs(score[j]))
                 hess_col = (sp - sm) / (2 * eps)  # info is minus the Hessian
@@ -190,12 +189,10 @@ class TestPartialLikelihood:
                                    atol=1e-6 * max(1.0, np.abs(info).max()))
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            cox_loglik(np.ones((3, 1)), [1.0, 2.0, 3.0], [1, 1, 1], [0.0], "exact")
-        with pytest.raises(DomainError):
-            cox_loglik(np.ones((3, 1)), [1.0, 2.0], [1, 1], [0.0])
-        with pytest.raises(DomainError):
-            cox_loglik(np.ones((3, 1)), [1.0, 2.0, 3.0], [0, 0, 0], [0.0])
+        with pytest.raises(DomainError, match="align"):
+            cox_evaluation(np.ones((3, 1)), [1.0, 2.0], [1, 1], [0.0])
+        with pytest.raises(DomainError, match="at least one event"):
+            cox_evaluation(np.ones((3, 1)), [1.0, 2.0, 3.0], [0, 0, 0], [0.0])
 
 
 class TestCoxFit:
@@ -210,7 +207,6 @@ class TestCoxFit:
         assert fit.beta[0] == pytest.approx(0.5 * math.log(2.0), abs=1e-8)
         assert fit.loglik_null == pytest.approx(-math.log(12.0), rel=1e-12)
         assert fit.se[0] > 0.0
-        assert fit.ties_method == "efron"
 
     def test_zero_column_design(self):
         empty = design_of(np.empty((3, 0)))
@@ -259,11 +255,11 @@ class TestCoxFit:
 
     def test_validation(self):
         design = design_of([[1.0], [0.0]], names=("x",))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="align"):
             cox_fit(design, [1.0, 2.0, 3.0], [1, 1, 1])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="at least one event"):
             cox_fit(design, [1.0, 2.0], [0, 0])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="ties"):
             cox_fit(design, [1.0, 2.0], [1, 1], ties="exact")
 
 
@@ -274,12 +270,12 @@ class TestInference:
         design = design_of(x)
         fit = cox_fit(design, durations, events)
         tests = cox_tests(fit)
-        _, _, info_hat = cox_loglik(x, durations, events, fit.beta, "efron")
+        _, _, info_hat = cox_evaluation(x, durations, events, fit.beta, "efron")
         assert tests.wald.statistic == pytest.approx(
             float(fit.beta @ info_hat @ fit.beta), rel=1e-12)
         assert tests.lr.statistic == pytest.approx(
             2.0 * (fit.loglik_fit - fit.loglik_null), rel=1e-12)
-        _, score0, info0 = cox_loglik(x, durations, events, np.zeros(2), "efron")
+        _, score0, info0 = cox_evaluation(x, durations, events, np.zeros(2), "efron")
         want_score = float(score0 @ np.linalg.solve(info0, score0))
         assert tests.score.statistic == pytest.approx(want_score, rel=1e-10)
         for t in (tests.wald, tests.lr, tests.score):
@@ -292,18 +288,11 @@ class TestInference:
         x, durations, events = random_cox_fixture(rng, 80, 3, tie_scale=9)
         for ties in ("efron", "breslow"):
             fit = cox_fit(design_of(x), durations, events, ties=ties)
-            _, _, info_hat = cox_loglik(x, durations, events, fit.beta, ties)
-            _, score0, info0 = cox_loglik(x, durations, events, np.zeros(3), ties)
+            _, _, info_hat = cox_evaluation(x, durations, events, fit.beta, ties)
+            _, score0, info0 = cox_evaluation(x, durations, events, np.zeros(3), ties)
             assert fit.information.tobytes() == info_hat.tobytes()
             assert fit.score_null.tobytes() == score0.tobytes()
             assert fit.information_null.tobytes() == info0.tobytes()
-
-    def test_fit_without_kept_evaluations_is_rejected(self):
-        fit = CoxFit(names=("x",), beta=np.array([0.1]), se=np.array([0.1]),
-                     loglik_null=0.0, loglik_fit=0.0, iterations=1,
-                     converged=True, ties_method="efron")
-        with pytest.raises(DomainError, match="information"):
-            cox_tests(fit)
 
     def test_score_test_equals_logrank_without_ties(self):
         for seed in range(5):

@@ -130,7 +130,7 @@ def reference_cox_fit(design, durations, events, ties="efron"):
         se = np.sqrt(np.diag(covariance))
     return CoxFit(names=names, beta=beta, se=se, loglik_null=loglik_null,
                   loglik_fit=loglik, iterations=iterations, converged=bool(converged),
-                  ties_method=ties, information=info, score_null=score_null,
+                  information=info, score_null=score_null,
                   information_null=info_null)
 
 
@@ -156,7 +156,6 @@ def cox_design(matrix, names=None):
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     names = tuple(names or (f"x{j}" for j in range(matrix.shape[1])))
     return DesignMatrix(column_names=names, reference_levels={}, matrix=matrix,
-                        term_map={n: n for n in names},
                         row_index=np.arange(matrix.shape[0]), dropped_columns=())
 
 

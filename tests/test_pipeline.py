@@ -132,6 +132,12 @@ class TestPipelineConfig:
         config = PipelineConfig.from_mapping(mapping)
         assert config.cox_references == {"cat_00": "b", "cat_01": "d"}
 
+    def test_formulas_parsed(self, tmp_path):
+        mapping = {"data.output": str(tmp_path), "synthetic.rows": "10",
+                   "cox.formulas": " a + b ,, a*b ,"}
+        config = PipelineConfig.from_mapping(mapping)
+        assert config.cox_formulas == ("a + b", "a*b")
+
 
 class TestRunPipeline:
     def test_all_stages_complete(self, finished_run):

@@ -8,9 +8,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Tests check the fitted code through these three; `entrypoint` is the
-# console script that pyproject.toml names.
-KEPT = {"cox_loglik", "KMCurve.survival_at", "normal_cdf", "entrypoint"}
+# `entrypoint` is the console script that pyproject.toml names.
+KEPT = {"entrypoint"}
 
 
 def parse(directory):

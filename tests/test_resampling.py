@@ -7,7 +7,7 @@ from survmix.dataset import ColumnSpec, Dataset, SyntheticSpec, generate_synthet
 from survmix.errors import DomainError
 from survmix.resampling import SmoteSpec, SplitSpec, smote, split
 
-from helpers import datasets_equal
+from helpers import datasets_equal, smote_parents
 
 
 def labeled_points(points, labels, extra_cats=None):
@@ -102,17 +102,21 @@ class TestSmoteGeometry:
             labels = np.r_[np.ones(m), np.zeros(n_maj)]
             d = labeled_points(pts, labels)
             k = int(rng.integers(1, 4))
-            out, prov = smote(d, SmoteSpec(k=k, over_pct=150.0, under_pct=100.0,
-                                           seed=int(rng.integers(1e6))),
-                              return_provenance=True)
+            out = smote(d, SmoteSpec(k=k, over_pct=150.0, under_pct=100.0,
+                                     seed=int(rng.integers(1e6))))
             minority_pts = pts[:m]
-            for row, (seed_i, nb_i, u) in enumerate(prov):
-                assert 0.0 < u < 1.0
-                assert nb_i in [j for j in brute_force_knn(minority_pts, seed_i, k)]
-                # synthetic rows sit right after the m originals
-                syn_vec = np.array([out.numeric(f"x{j}")[m + row] for j in range(3)])
-                expect = pts[seed_i] + u * (pts[nb_i] - pts[seed_i])
-                np.testing.assert_allclose(syn_vec, expect, rtol=0, atol=1e-12)
+            n_syn = int((out.label_values() == 1).sum()) - m
+            for row in range(m, m + n_syn):  # synthetic rows follow the m originals
+                syn_vec = np.array([out.numeric(f"x{j}")[row] for j in range(3)])
+                # In 3-d one line through two minority points holds the row;
+                # either end may be the seed.
+                parents = smote_parents(syn_vec, minority_pts)
+                assert len({frozenset(pair[:2]) for pair in parents}) == 1
+                drawn = [(seed_i, nb_i, u) for seed_i, nb_i, u in parents
+                         if nb_i in brute_force_knn(minority_pts, seed_i, k)]
+                assert drawn
+                for seed_i, nb_i, u in drawn:
+                    assert 0.0 < u < 1.0
                 lo = np.minimum(pts[seed_i], pts[nb_i])
                 hi = np.maximum(pts[seed_i], pts[nb_i])
                 assert ((syn_vec >= lo) & (syn_vec <= hi)).all()

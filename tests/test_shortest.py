@@ -31,7 +31,7 @@ from survmix._shortest import float_cells
 from survmix.evaluation import roc_curve
 from survmix.fileio import csv_join, csv_lines, csv_text, text_cells
 from survmix.pipeline import km_csv
-from survmix.survival import greenwood_variance, km_confidence, km_fit
+from survmix.survival import km_fit
 
 
 def reprs(values) -> list:
@@ -307,12 +307,9 @@ def oracle_km_csv(curves: dict) -> str:
     columns = [[] for _ in range(8)]
     for group in sorted(curves):
         c = curves[group]
-        sd = np.sqrt(np.where(c.variance_defined, c.variance, np.nan))
-        lo = np.where(c.ci_defined, c.ci_lower, np.nan)
-        hi = np.where(c.ci_defined, c.ci_upper, np.nan)
         columns[0].extend([group] * len(c.times))
-        for column, values in zip(columns[1:], (c.times, c.at_risk, c.deaths,
-                                                c.survival, sd, lo, hi)):
+        for column, values in zip(columns[1:], (c.times, c.at_risk, c.deaths, c.survival,
+                                                np.sqrt(c.variance), c.ci_lower, c.ci_upper)):
             column.extend(values.tolist())
     return oracle_csv_text(("group", "time", "at_risk", "deaths", "survival",
                             "sd", "ci_lo", "ci_hi"), columns, ",")
@@ -325,7 +322,7 @@ def test_csv_artifacts_keep_their_bytes():
         durations = np.round(rng.exponential(5.0, n), 3)
         events = (rng.random(n) < 0.7).astype(int)
         events[-1] = 1   # the last death empties a risk set: NaN variance and bands
-        curves[group] = km_confidence(greenwood_variance(km_fit(durations, events)))
+        curves[group] = km_fit(durations, events, 0.95)
     text = km_csv(curves)
     assert ",," in text   # undefined cells left empty
     assert text == oracle_km_csv(curves)

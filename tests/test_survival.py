@@ -8,7 +8,7 @@ import pytest
 from survmix.dataset import SyntheticSpec, generate_synthetic
 from survmix.distributions import chi_square_sf
 from survmix.errors import DomainError
-from survmix.survival import greenwood_variance, km_confidence, km_fit, logrank_test
+from survmix.survival import km_fit, logrank_test
 
 
 def km_oracle(durations, events):
@@ -24,6 +24,13 @@ def km_oracle(durations, events):
     return out
 
 
+def survival_at(curve, t):
+    """The curve as a right-continuous step function: 1.0 before the first
+    event time."""
+    index = np.searchsorted(curve.times, np.asarray(t, dtype=float), side="right")
+    return np.array([1.0, *curve.survival])[index]
+
+
 def random_sample(rng, n, censor_fraction=0.3, tie_scale=None):
     if tie_scale is None:
         durations = rng.exponential(5.0, n) + 0.01
@@ -37,7 +44,7 @@ class TestKaplanMeier:
     def test_textbook_fixture(self):
         durations = [1.0, 1.0, 2.0] + [10.0] * 7
         events = [1, 1, 1] + [0] * 7
-        curve = km_fit(durations, events)
+        curve = km_fit(durations, events, 0.95)
         assert curve.times.tolist() == [1.0, 2.0]
         assert curve.at_risk.tolist() == [10, 8]
         assert curve.deaths.tolist() == [2, 1]
@@ -45,33 +52,33 @@ class TestKaplanMeier:
         assert curve.survival[1] == 0.7
 
     def test_all_censored_curve_is_flat_one(self):
-        curve = km_fit([2.0, 5.0, 7.0], [0, 0, 0])
+        curve = km_fit([2.0, 5.0, 7.0], [0, 0, 0], 0.95)
         assert curve.times.size == 0
-        assert curve.survival_at([0.1, 2.0, 100.0]).tolist() == [1.0, 1.0, 1.0]
+        assert survival_at(curve, [0.1, 2.0, 100.0]).tolist() == [1.0, 1.0, 1.0]
 
     def test_single_subject_event(self):
-        curve = km_fit([3.0], [1])
+        curve = km_fit([3.0], [1], 0.95)
         assert curve.survival.tolist() == [0.0]
-        assert curve.survival_at(2.999) == 1.0
-        assert curve.survival_at(3.0) == 0.0
+        assert survival_at(curve, 2.999) == 1.0
+        assert survival_at(curve, 3.0) == 0.0
 
     def test_no_censoring_matches_counting_exactly(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(3, 51))
             durations = rng.integers(1, 8, n).astype(float)  # forces ties
-            curve = km_fit(durations, np.ones(n, dtype=int))
+            curve = km_fit(durations, np.ones(n, dtype=int), 0.95)
             for t, s in zip(curve.times, curve.survival):
                 assert s == np.count_nonzero(durations > t) / n
 
     def test_censoring_shrinks_risk_set(self):
-        curve = km_fit([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 1])
+        curve = km_fit([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 1], 0.95)
         assert curve.times.tolist() == [1.0, 3.0, 4.0]
         assert curve.at_risk.tolist() == [4, 2, 1]
         assert np.allclose(curve.survival, [0.75, 0.375, 0.0], rtol=1e-15)
 
     def test_tie_censoring_counts_in_risk_set_then_leaves(self):
-        curve = km_fit([1.0, 1.0, 2.0], [1, 0, 1])
+        curve = km_fit([1.0, 1.0, 2.0], [1, 0, 1], 0.95)
         assert curve.at_risk.tolist() == [3, 1]
         assert np.allclose(curve.survival, [2.0 / 3.0, 0.0], rtol=1e-15)
 
@@ -81,7 +88,7 @@ class TestKaplanMeier:
             durations, events = random_sample(rng, 60, tie_scale=10)
             if events.sum() == 0:
                 continue
-            curve = km_fit(durations, events)
+            curve = km_fit(durations, events, 0.95)
             expected = km_oracle(durations.tolist(), events.tolist())
             assert curve.times.tolist() == [row[0] for row in expected]
             assert curve.at_risk.tolist() == [row[1] for row in expected]
@@ -90,28 +97,28 @@ class TestKaplanMeier:
                                rtol=1e-12)
 
     def test_step_lookup_is_right_continuous(self):
-        curve = km_fit([1.0, 2.0, 4.0], [1, 1, 1])
-        got = curve.survival_at([0.5, 1.0, 1.5, 2.0, 3.9, 4.0, 9.0])
+        curve = km_fit([1.0, 2.0, 4.0], [1, 1, 1], 0.95)
+        got = survival_at(curve, [0.5, 1.0, 1.5, 2.0, 3.9, 4.0, 9.0])
         want = [1.0, 2 / 3, 2 / 3, 1 / 3, 1 / 3, 0.0, 0.0]
         assert np.allclose(got, want, rtol=1e-15)
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
-            km_fit([], [])
+            km_fit([], [], 0.95)
         with pytest.raises(DomainError):
-            km_fit([1.0, 2.0], [1])
+            km_fit([1.0, 2.0], [1], 0.95)
         with pytest.raises(DomainError):
-            km_fit([0.0, 2.0], [1, 1])
+            km_fit([0.0, 2.0], [1, 1], 0.95)
         with pytest.raises(DomainError):
-            km_fit([1.0, 2.0], [1, 2])
+            km_fit([1.0, 2.0], [1, 2], 0.95)
 
 
 class TestGreenwood:
     def test_textbook_fixture_variance(self):
         durations = [1.0, 1.0, 2.0] + [10.0] * 7
         events = [1, 1, 1] + [0] * 7
-        curve = greenwood_variance(km_fit(durations, events))
-        assert curve.variance_defined.all()
+        curve = km_fit(durations, events, 0.95)
+        assert not np.isnan(curve.variance).any()
         assert curve.variance[0] == pytest.approx(0.016, abs=1e-12)
         assert math.sqrt(curve.variance[0]) == pytest.approx(0.1265, abs=5e-5)
         want_second = 0.7 ** 2 * (2 / (10 * 8) + 1 / (8 * 7))
@@ -122,8 +129,8 @@ class TestGreenwood:
             rng = np.random.default_rng(200 + seed)
             n = int(rng.integers(5, 40))
             durations = rng.integers(1, 6, n).astype(float)
-            curve = greenwood_variance(km_fit(durations, np.ones(n, dtype=int)))
-            keep = curve.variance_defined
+            curve = km_fit(durations, np.ones(n, dtype=int), 0.95)
+            keep = ~np.isnan(curve.variance)
             s = curve.survival[keep]
             assert np.allclose(curve.variance[keep], s * (1.0 - s) / n, rtol=1e-10)
 
@@ -131,27 +138,26 @@ class TestGreenwood:
         for seed in range(10):
             rng = np.random.default_rng(300 + seed)
             durations, events = random_sample(rng, 80, tie_scale=12)
-            curve = greenwood_variance(km_fit(durations, events))
-            keep = curve.variance_defined & (curve.survival > 0.0)
+            curve = km_fit(durations, events, 0.95)
+            keep = ~np.isnan(curve.variance) & (curve.survival > 0.0)
             cum = curve.variance[keep] / curve.survival[keep] ** 2
             assert (np.diff(cum) >= -1e-15).all()
 
     def test_undefined_once_risk_set_exhausts(self):
-        curve = greenwood_variance(km_fit([1.0, 2.0, 2.0], [1, 1, 1]))
-        assert curve.variance_defined.tolist() == [True, False]
-        assert np.isnan(curve.variance[1])
-        assert not np.isnan(curve.variance[0])
+        curve = km_fit([1.0, 2.0, 2.0], [1, 1, 1], 0.95)
+        assert np.isnan(curve.variance).tolist() == [False, True]
 
     def test_no_events_gives_empty_variance(self):
-        curve = greenwood_variance(km_fit([1.0, 2.0], [0, 0]))
+        curve = km_fit([1.0, 2.0], [0, 0], 0.95)
         assert curve.variance.size == 0
+        assert curve.ci_lower.size == curve.ci_upper.size == 0
 
 
 class TestConfidenceBands:
     def fixture_curve(self, level=0.95):
         durations = [1.0, 1.0, 2.0] + [10.0] * 7
         events = [1, 1, 1] + [0] * 7
-        return km_confidence(greenwood_variance(km_fit(durations, events)), level)
+        return km_fit(durations, events, level)
 
     def test_hand_log_minus_log_bounds(self):
         curve = self.fixture_curve()
@@ -161,7 +167,6 @@ class TestConfidenceBands:
         lo, hi = sorted([s ** math.exp(theta), s ** math.exp(-theta)])
         assert curve.ci_lower[0] == pytest.approx(lo, abs=1e-6)
         assert curve.ci_upper[0] == pytest.approx(hi, abs=1e-6)
-        assert curve.confidence_level == 0.95
 
     def test_bounds_bracket_curve_inside_unit_interval(self):
         for seed in range(10):
@@ -169,8 +174,9 @@ class TestConfidenceBands:
             durations, events = random_sample(rng, 50, tie_scale=9)
             if events.sum() == 0:
                 continue
-            curve = km_confidence(greenwood_variance(km_fit(durations, events)))
-            keep = curve.ci_defined
+            curve = km_fit(durations, events, 0.95)
+            keep = ~np.isnan(curve.ci_lower)
+            assert (keep == ~np.isnan(curve.ci_upper)).all()
             assert (curve.ci_lower[keep] >= 0.0).all()
             assert (curve.ci_upper[keep] <= 1.0).all()
             assert (curve.ci_lower[keep] <= curve.survival[keep]).all()
@@ -179,24 +185,19 @@ class TestConfidenceBands:
     def test_higher_level_widens_band(self):
         narrow = self.fixture_curve(level=0.90)
         wide = self.fixture_curve(level=0.99)
-        keep = narrow.ci_defined
+        keep = ~np.isnan(narrow.ci_lower)
         assert (wide.ci_lower[keep] < narrow.ci_lower[keep]).all()
         assert (wide.ci_upper[keep] > narrow.ci_upper[keep]).all()
 
     def test_undefined_where_curve_hits_zero(self):
-        curve = km_confidence(greenwood_variance(km_fit([1.0, 2.0], [1, 1])))
-        assert curve.ci_defined.tolist() == [True, False]
-        assert np.isnan(curve.ci_lower[1]) and np.isnan(curve.ci_upper[1])
-
-    def test_variance_required_first(self):
-        with pytest.raises(DomainError):
-            km_confidence(km_fit([1.0], [1]))
+        curve = km_fit([1.0, 2.0], [1, 1], 0.95)
+        assert np.isnan(curve.ci_lower).tolist() == [False, True]
+        assert np.isnan(curve.ci_upper).tolist() == [False, True]
 
     def test_level_validation(self):
-        curve = greenwood_variance(km_fit([1.0], [1]))
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(DomainError):
-                km_confidence(curve, bad)
+                km_fit([1.0], [1], bad)
 
 
 class TestLogrank:

@@ -17,40 +17,34 @@ class TestRendering:
         rng = np.random.default_rng(0)
         series = [("one", np.sort(rng.random(40)), rng.random(40)),
                   ("two", np.sort(rng.random(25)), rng.random(25))]
-        first = render_svg(series, "line", title="t", x_label="x", y_label="y")
-        second = render_svg(series, "line", title="t", x_label="x", y_label="y")
+        first = render_svg(series, title="t", x_label="x", y_label="y")
+        second = render_svg(series, title="t", x_label="x", y_label="y")
         assert first == second
 
     def test_step_segment_counts(self):
         # Step paths hold then drop: n points make M + (n-1) H/V pairs.
         x = np.array([0.0, 1.0, 2.5, 4.0])
         y = np.array([1.0, 0.8, 0.5, 0.2])
-        (d,) = path_commands(render_svg([("s", x, y)], "step"))
+        (d,) = path_commands(render_svg([("s", x, y)]))
         assert d.count("H ") == 3
         assert d.count("V ") == 3
         assert d.startswith("M ")
 
-    def test_line_segment_counts(self):
-        x = np.arange(5.0)
-        (d,) = path_commands(render_svg([("s", x, x)], "line"))
-        assert d.count("L ") == 4
-        assert "H " not in d and "V " not in d
-
     def test_well_formed_document(self):
-        text = render_svg([("a", [0, 1], [1, 0])], "line")
+        text = render_svg([("a", [0, 1], [1, 0])])
         assert text.startswith("<svg ")
         assert text.rstrip().endswith("</svg>")
         assert f'width="{WIDTH}"' in text and f'height="{HEIGHT}"' in text
 
     def test_one_path_per_series_with_palette_colors(self):
         series = [(f"s{i}", [0, 1], [i, i + 1]) for i in range(3)]
-        text = render_svg(series, "line")
+        text = render_svg(series)
         assert len(path_commands(text)) == 3
         for i in range(3):
             assert f'stroke="{PALETTE[i]}"' in text
 
     def test_title_and_labels_escaped(self):
-        text = render_svg([("a<b", [0, 1], [0, 1])], "line",
+        text = render_svg([("a<b", [0, 1], [0, 1])],
                           title='x & "y"', x_label="t<", y_label=">s")
         assert "a&lt;b" in text
         assert "x &amp; &quot;y&quot;" in text
@@ -59,43 +53,39 @@ class TestRendering:
 
     def test_series_objects_accepted(self):
         s = Series("a", np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-        assert render_svg([s], "step") == render_svg([("a", [0, 1], [1, 0])], "step")
+        assert render_svg([s]) == render_svg([("a", [0, 1], [1, 0])])
 
 
 class TestDegenerateInput:
     def test_single_point_marks_a_circle(self):
         with pytest.warns(UserWarning):
-            text = render_svg([("p", [2.0], [3.0])], "line")
+            text = render_svg([("p", [2.0], [3.0])])
         assert "<circle " in text
 
     def test_constant_axis_padded_with_warning(self):
         with pytest.warns(UserWarning, match="degenerate y range"):
-            text = render_svg([("flat", [0.0, 1.0], [0.7, 0.7])], "line")
+            text = render_svg([("flat", [0.0, 1.0], [0.7, 0.7])])
         # Padded range keeps the flat line strictly inside the plot box.
         assert "<path " in text
 
     def test_constant_at_zero_padded(self):
         with pytest.warns(UserWarning):
-            render_svg([("z", [0.0, 1.0], [0.0, 0.0])], "line")
+            render_svg([("z", [0.0, 1.0], [0.0, 0.0])])
 
 
 class TestValidation:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(DomainError, match="kind"):
-            render_svg([("a", [0, 1], [0, 1])], "scatter")
-
     def test_no_series_rejected(self):
         with pytest.raises(DomainError):
-            render_svg([], "line")
+            render_svg([])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError, match="equal-length"):
-            render_svg([("a", [0, 1, 2], [0, 1])], "line")
+            render_svg([("a", [0, 1, 2], [0, 1])])
 
     def test_empty_series_rejected(self):
         with pytest.raises(DomainError, match="empty"):
-            render_svg([("a", [], [])], "line")
+            render_svg([("a", [], [])])
 
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError, match="non-finite"):
-            render_svg([("a", [0.0, np.nan], [0.0, 1.0])], "line")
+            render_svg([("a", [0.0, np.nan], [0.0, 1.0])])
