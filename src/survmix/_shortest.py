@@ -1,15 +1,16 @@
 """CSV cells of float64 arrays in Python's shortest round-trip form, computed
 for a whole array at once with numpy integer arithmetic.
 
-`float_cells(values)` gives `[float.__repr__(v) for v in values]`, except
-that a NaN is the empty cell.  A normal value goes through Schubfach
-(R. Giulietti, "The Schubfach way to render doubles", 2020; the algorithm of
-Java 19's `Double.toString`): with one 126-bit multiplier g(k) per decimal
-exponent, three 64×128-bit products rounded to odd give the value and the
-two ends of its rounding interval scaled by 10^-k, and from them the
-shortest decimal in the interval, the closest to the value and the even one
-on a tie, as CPython's dtoa picks it.  ±0.0 skips the core; ±inf and
-subnormals are rendered by `float.__repr__`, one cell at a time.
+`fill_cells(words, values)` spells each value as `float.__repr__` does, a
+NaN as the empty cell, into a fixed row of uint32 words.  A normal value
+goes through Schubfach (R. Giulietti, "The Schubfach way to render
+doubles", 2020; the algorithm of Java 19's `Double.toString`): with one
+126-bit multiplier g(k) per decimal exponent, three 64×128-bit products
+rounded to odd give the value and the two ends of its rounding interval
+scaled by 10^-k, and from them the shortest decimal in the interval, the
+closest to the value and the even one on a tie, as CPython's dtoa picks
+it.  ±0.0 skips the core; ±inf and subnormals are rendered by
+`float.__repr__`, one cell at a time.
 
 The digits are laid out as `format_float_short` does in 'r' mode: exponent
 form iff the decimal point's position is at most -4 or above 16, a signed
@@ -17,8 +18,10 @@ exponent of at least two digits, and ".0" after an integer not in exponent
 form.  Each cell is written into a fixed row of `_WIDTH` uint32 words from
 tables of 4 and 8 ASCII bytes, with NUL bytes where it holds no character:
 leading zeros of the integer part and trailing zeros of the fraction come
-from tables that spell them as NULs.  One pass that deletes the NULs then
-leaves the cells, one line each.
+from tables that spell them as NULs.  The row's last byte is left to the
+caller, which puts the cell's terminator (a delimiter or a line feed)
+there; one pass that deletes the NULs then leaves the cells, each followed
+by its terminator.
 """
 
 import numpy as np
@@ -73,12 +76,13 @@ _LEAD, _UNITS, _TRAIL = 10_000, 20_000, 30_000
 # "." with 0-3 zeros and the first fraction digit; last, nothing
 _POINT = _eight_bytes([f".{'0' * z}{d}" for z in range(4) for d in range(10)] + [""])
 _NO_POINT = 40
-# "e", the exponent x - 400 and the line feed that ends a cell; last, the line feed alone
-_EXPONENT = _eight_bytes([f"e{x - 400:+03d}\n" for x in range(800)] + ["\n"])
+# "e" and the exponent x - 400; last, nothing.  At most 5 bytes, so a
+# cell's last byte stays free for its terminator.
+_EXPONENT = _eight_bytes([f"e{x - 400:+03d}" for x in range(800)] + [""])
 _NO_EXPONENT = 800
 # A cell's row of uint32 words: sign, integer part (4 words), an empty word
 # that aligns the next, point, zeros and first fraction digit (2), rest of
-# the fraction (4), exponent and line feed (2).
+# the fraction (4), exponent and the caller's terminator (2).
 _WIDTH = 14
 
 
@@ -136,8 +140,11 @@ def _schubfach(bits):
     return f, k
 
 
-def float_cells(values: np.ndarray) -> list:
-    """`float.__repr__` of each float64 of `values`, NaN as the empty string."""
+def fill_cells(words: np.ndarray, values: np.ndarray) -> None:
+    """Spell each float64 of `values` into its row of `_WIDTH` uint32 words
+    in `words` (shape `values.shape + (_WIDTH,)`, last axis contiguous, rows
+    8-byte aligned, all NUL), as `float.__repr__` spells it, a NaN as no
+    character.  A cell's last byte is left NUL for the caller's terminator."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     bits = values.view(_U64)
     magnitude = bits & _M63
@@ -169,29 +176,27 @@ def float_cells(values: np.ndarray) -> list:
     fh = fh.astype(np.uint32)
     no_point = expo & (frac == 0)
 
-    buf = bytearray(len(values) * _WIDTH * 4)
-    rows = np.frombuffer(buf, np.uint32).reshape(len(values), _WIDTH)
-    slots = rows.view(_U64)
-    rows[:, 0] = (bits >> _U64(63)).astype(np.uint32) * 45
+    slots = words.view(_U64)
+    words[..., 0] = (bits >> _U64(63)).astype(np.uint32) * 45
     w3, w1 = ih // 10_000, il // 10_000
-    rows[:, 1] = _WORDS[w3 + _LEAD]
-    rows[:, 2] = _WORDS[ih - w3 * 10_000 + _LEAD * (w3 == 0)]
-    rows[:, 3] = _WORDS[w1 + _LEAD * (ih == 0)]
-    rows[:, 4] = _WORDS[il - w1 * 10_000 + _UNITS * ((ih == 0) & (w1 == 0))]
-    slots[:, 3] = _POINT[np.maximum(-split, 0) * 10 + first.astype(np.int64) + _NO_POINT * no_point]
+    words[..., 1] = _WORDS[w3 + _LEAD]
+    words[..., 2] = _WORDS[ih - w3 * 10_000 + _LEAD * (w3 == 0)]
+    words[..., 3] = _WORDS[w1 + _LEAD * (ih == 0)]
+    words[..., 4] = _WORDS[il - w1 * 10_000 + _UNITS * ((ih == 0) & (w1 == 0))]
+    slots[..., 3] = _POINT[np.maximum(-split, 0) * 10 + first.astype(np.int64)
+                           + _NO_POINT * no_point]
     w3, w1 = fh // 10_000, fl // 10_000
     w2, w0 = fh - w3 * 10_000, fl - w1 * 10_000
-    rows[:, 8] = _WORDS[w3 + _TRAIL * ((w2 == 0) & (fl == 0))]
-    rows[:, 9] = _WORDS[w2 + _TRAIL * (fl == 0)]
-    rows[:, 10] = _WORDS[w1 + _TRAIL * (w0 == 0)]
-    rows[:, 11] = _WORDS[w0 + _TRAIL]
-    slots[:, 6] = _EXPONENT[(point + 399) * expo + _NO_EXPONENT * ~expo]
+    words[..., 8] = _WORDS[w3 + _TRAIL * ((w2 == 0) & (fl == 0))]
+    words[..., 9] = _WORDS[w2 + _TRAIL * (fl == 0)]
+    words[..., 10] = _WORDS[w1 + _TRAIL * (w0 == 0)]
+    words[..., 11] = _WORDS[w0 + _TRAIL]
+    slots[..., 6] = _EXPONENT[(point + 399) * expo + _NO_EXPONENT * ~expo]
 
-    other = np.flatnonzero(~normal & (magnitude != 0))
-    slots[other] = 0
-    slots[other, 6] = _EXPONENT[_NO_EXPONENT]
-    cells = buf.translate(None, b"\0").decode("ascii").split("\n")
-    cells.pop()
-    for i in other[~np.isnan(values[other])].tolist():
-        cells[i] = float.__repr__(float(values[i]))
-    return cells
+    other = ~normal & (magnitude != 0)
+    if other.any():
+        words[other] = 0
+        cells = words.view(np.uint8)
+        for at in zip(*np.nonzero(other & ~np.isnan(values))):
+            text = float.__repr__(float(values[at])).encode("ascii")
+            cells[at][:len(text)] = np.frombuffer(text, np.uint8)

@@ -27,7 +27,7 @@ from typing import Callable, Mapping
 
 from ..dataset import Dataset
 from ..errors import DataError, DomainError
-from ..fileio import atomic_write_text, read_text
+from ..fileio import atomic_write, read_text
 from ._encoding import DummyEncoder, FeatureSchema
 from .bagging import BaggingModel, BagParams, fit_bagging
 from .logistic import LogitModel, LogitParams, fit_logit
@@ -147,7 +147,7 @@ def algorithm_of(model) -> str:
 def save_model(model, path) -> None:
     document = {"format": _FORMAT, "version": _VERSION,
                 "algorithm": algorithm_of(model), "state": model.to_state()}
-    atomic_write_text(path, json.dumps(document, sort_keys=True) + "\n")
+    atomic_write(path, (json.dumps(document, sort_keys=True), "\n"))   # no second copy
 
 
 def load_model(path):

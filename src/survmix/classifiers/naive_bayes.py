@@ -5,7 +5,10 @@ per-class mean and maximum-likelihood variance (floored to keep densities
 finite on constant features); categorical features get add-one smoothed
 level frequencies over the training levels.  Posteriors are evaluated in
 log space and normalized pairwise, so an absent class simply keeps posterior
-zero instead of poisoning the arithmetic.
+zero instead of poisoning the arithmetic.  A row whose cell lies so far from
+the means that the squared distance overflows in both classes is redone as
+a log-odds with the two classes' quadratic terms compared at a common
+power-of-two scale; every other row keeps the direct form's bits.
 """
 
 from dataclasses import dataclass
@@ -43,23 +46,53 @@ class NaiveBayesModel:
         mapped = self.schema.map_columns(data)
         n = data.n_rows
         scores = np.zeros((2, n))
-        for c in (0, 1):
-            if self.priors[c] == 0.0:
-                scores[c] = -np.inf
-                continue
-            scores[c] += np.log(self.priors[c])
+        with np.errstate(over="ignore", invalid="ignore"):   # such rows are redone below
+            for c in (0, 1):
+                if self.priors[c] == 0.0:
+                    scores[c] = -np.inf
+                    continue
+                scores[c] += np.log(self.priors[c])
+                for name, kind in self.schema.features:
+                    if kind == "numeric":
+                        mean, var = self.numeric_stats[name]
+                        x = mapped[name]
+                        scores[c] += -0.5 * (_LOG_2PI + np.log(var[c])) \
+                            - (x - mean[c]) ** 2 / (2.0 * var[c])
+                    else:
+                        scores[c] += self.level_logprob[name][c][mapped[name]]
+            top = np.maximum(scores[0], scores[1])
+            e0 = np.exp(scores[0] - top)
+            e1 = np.exp(scores[1] - top)
+            proba = e1 / (e0 + e1)
+        redo = ~np.isfinite(top)   # a quadratic term overflowed in both classes
+        if redo.any():
+            log_odds = self._log_odds(mapped, redo)
+            tail = np.exp(-np.abs(log_odds))
+            proba[redo] = np.where(log_odds >= 0, 1.0 / (1.0 + tail), tail / (1.0 + tail))
+        return proba
+
+    def _log_odds(self, mapped: dict, rows: np.ndarray) -> np.ndarray:
+        """Class 1's score less class 0's for the `rows` (a mask).  Each
+        numeric feature's two quadratic terms are compared at the scale of
+        the larger distance to a mean, a power of two, so neither
+        overflows; their difference may, to an infinity of the right
+        sign."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_odds = np.full(np.count_nonzero(rows),
+                               np.log(self.priors[1]) - np.log(self.priors[0]))
             for name, kind in self.schema.features:
+                x = mapped[name][rows]
                 if kind == "numeric":
                     mean, var = self.numeric_stats[name]
-                    x = mapped[name]
-                    scores[c] += -0.5 * (_LOG_2PI + np.log(var[c])) \
-                        - (x - mean[c]) ** 2 / (2.0 * var[c])
+                    d0, d1 = x - mean[0], x - mean[1]
+                    scale = np.frexp(np.maximum(np.abs(d0), np.abs(d1)))[1]
+                    a0, a1 = np.ldexp(d0, -scale), np.ldexp(d1, -scale)
+                    log_odds += 0.5 * (np.log(var[0]) - np.log(var[1])) + np.ldexp(
+                        a0 * a0 / (2.0 * var[0]) - a1 * a1 / (2.0 * var[1]), 2 * scale)
                 else:
-                    scores[c] += self.level_logprob[name][c][mapped[name]]
-        top = np.maximum(scores[0], scores[1])
-        e0 = np.exp(scores[0] - top)
-        e1 = np.exp(scores[1] - top)
-        return e1 / (e0 + e1)
+                    table = self.level_logprob[name]
+                    log_odds += table[1][x] - table[0][x]
+        return log_odds
 
     def to_state(self) -> dict:
         return {"schema": self.schema.to_state(), "priors": list(self.priors),

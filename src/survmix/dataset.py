@@ -15,9 +15,11 @@ line per column:
 
 The vocab part is optional for categorical columns; when absent the vocabulary
 is inferred from the data in order of first appearance.  `write_csv` hands
-each column (numeric arrays, categorical strings) to `fileio.csv_lines`, and
-returns the row lines it wrote; a dataset whose rows were picked from one
-already written (`Dataset.source_rows`) is written from that one's lines.
+each column (numeric arrays, categorical codes with their vocabulary) to
+`fileio.write_columns`, which writes the rows a block at a time as bytes
+and returns them (`fileio.CsvRows`); a dataset whose rows were picked from
+one already written (`Dataset.source_rows`) is written from that one's
+bytes, and only its rows made anew are rendered.
 `load_csv` streams the file through `fileio.csv_blocks`, one block of at
 most `fileio._BLOCK_CELLS` cells at a time, so besides the dataset it holds
 one block's cells, whatever the row count.  A plain block is parsed by
@@ -40,8 +42,8 @@ import numpy as np
 
 from . import fileio
 from .errors import DomainError, ParseError
-from .fileio import (atomic_write_text, csv_blocks, csv_join, csv_lines, csv_records,
-                     open_text, read_text)
+from .fileio import (Coded, CsvRows, atomic_write_text, csv_blocks, csv_records, csv_rows,
+                     open_text, read_text, write_columns, write_rows)
 from .rng import substream
 
 KINDS = ("numeric", "categorical")
@@ -515,28 +517,23 @@ def _parse_numbers(tokens) -> tuple:
         raise
 
 
-def write_csv(data: Dataset, path: "str | Path", source_lines: Optional[list] = None) -> list:
+def write_csv(data: Dataset, path: "str | Path", source: Optional[CsvRows] = None) -> CsvRows:
     """Write a dataset as ';'-separated text, numeric cells in shortest
-    round-trip float form (`float.__repr__`'s text, which `fileio` renders
-    for a block of cells at a time) and missing cells empty, and return its
-    rows' lines (`fileio.csv_lines`).
+    round-trip float form (`float.__repr__`'s text) and missing cells empty,
+    and return its rows (`fileio.CsvRows`).
 
-    `source_lines` are the lines `write_csv` returned for the dataset that
+    `source` holds the rows `write_csv` returned for the dataset that
     `data`'s rows were picked from (`Dataset.source_rows`).  A picked row is
-    written from its source's line, and only a row made anew is rendered; a
-    row's line depends on that row alone, so the bytes are the same.  The
-    header and the lines become one text, written in one call.
+    written from its source's bytes, and only the rows made anew are
+    rendered; a row's bytes depend on that row alone, so the file is the
+    same.  Without `source`, each block of rows is written as it is rendered.
     """
-    if source_lines is None:
-        lines = _dataset_lines(data)
-    else:
-        source = data.source_rows
-        lines = [source_lines[i] if i >= 0 else None for i in source.tolist()]
-        new = np.flatnonzero(source < 0)
-        for i, line in zip(new.tolist(), _dataset_lines(data.take_rows(new))):
-            lines[i] = line
-    atomic_write_text(path, csv_join(data.names, lines, DELIMITER))
-    return lines
+    if source is None:
+        return write_columns(path, data.names, _columns(data), DELIMITER)
+    made = data.take_rows(data.source_rows < 0)
+    rows = source.pick(data.source_rows, csv_rows(_columns(made), DELIMITER))
+    write_rows(path, data.names, rows, DELIMITER)
+    return rows
 
 
 def schema_path(csv_path: "str | Path") -> Path:
@@ -545,17 +542,17 @@ def schema_path(csv_path: "str | Path") -> Path:
 
 
 def write_dataset(data: Dataset, path: "str | Path",
-                  source_lines: Optional[list] = None) -> list:
+                  source: Optional[CsvRows] = None) -> CsvRows:
     """`write_csv`, then the schema sidecar at `schema_path(path)`; returns
-    the CSV's row lines."""
-    lines = write_csv(data, path, source_lines)
+    the CSV's rows."""
+    rows = write_csv(data, path, source)
     write_schema(data.specs, schema_path(path))
-    return lines
+    return rows
 
 
-def _dataset_lines(data: Dataset) -> list:
-    return csv_lines([data.column(n) if data.spec(n).kind == "numeric" else data.strings(n)
-                      for n in data.names], DELIMITER)
+def _columns(data: Dataset) -> list:
+    return [data.column(s.name) if s.kind == "numeric"
+            else Coded(data.codes(s.name), s.vocabulary) for s in data.specs]
 
 
 # -- synthetic data -----------------------------------------------------------

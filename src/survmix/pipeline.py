@@ -522,11 +522,11 @@ def cox_stage(data: Dataset, formulas, ties: str, references: dict) -> tuple:
 # Each stage reads the config and earlier stages' values from `run`, stores
 # its own values there, and returns (artifacts, detail).  A dataset is dropped
 # from `run` by the last stage that reads it: `raw` by clean, `cleaned` by
-# split, `train` by smote.  Each dataset row is rendered as text once per run:
-# clean keeps the row lines `write_csv` returns for cleaned.csv, split writes
-# train.csv and test.csv from them by source row and keeps train's, and smote
-# writes train_balanced.csv from train's lines, rendering only its synthetic
-# rows, and drops the lines.
+# split, `train` by smote.  Each dataset row is rendered once per run: clean
+# keeps the rows `write_csv` returns for cleaned.csv, split writes train.csv
+# and test.csv from their bytes by source row and keeps train's, and smote
+# writes train_balanced.csv from train's, rendering only its synthetic rows,
+# and drops them.
 
 def _load_era(config: PipelineConfig, era: str) -> Dataset:
     if config.synthetic_rows <= 0:
@@ -569,7 +569,7 @@ def _clean(run) -> tuple:
     detail = {"rows_in": run.raw.n_rows, "rows_out": run.cleaned.n_rows,
               "stages": mva["stages"]}
     del run.raw
-    run.lines = write_dataset(run.cleaned, run.out / "cleaned.csv")
+    run.rows = write_dataset(run.cleaned, run.out / "cleaned.csv")
     return {"mva_report.json": json_text(mva)}, detail
 
 
@@ -578,9 +578,9 @@ def _split(run) -> tuple:
     run.train, run.test = split(run.cleaned,
                                 SplitSpec(config.train_fraction, config.seed))
     del run.cleaned
-    train_lines = write_dataset(run.train, run.out / "train.csv", run.lines)
-    write_dataset(run.test, run.out / "test.csv", run.lines)
-    run.lines = train_lines
+    train_rows = write_dataset(run.train, run.out / "train.csv", run.rows)
+    write_dataset(run.test, run.out / "test.csv", run.rows)
+    run.rows = train_rows
     return {}, {"train_rows": run.train.n_rows, "test_rows": run.test.n_rows,
                 "train_balance": _class_balance(run.train),
                 "test_balance": _class_balance(run.test)}
@@ -594,8 +594,8 @@ def _smote(run) -> tuple:
               "balance_before": _class_balance(run.train),
               "balance_after": _class_balance(run.balanced)}
     del run.train
-    write_dataset(run.balanced, run.out / "train_balanced.csv", run.lines)
-    del run.lines
+    write_dataset(run.balanced, run.out / "train_balanced.csv", run.rows)
+    del run.rows
     return {}, detail
 
 

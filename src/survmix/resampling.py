@@ -18,7 +18,7 @@ majority rows (ascending original index).
 
 Both hand back each output row's source row as `Dataset.source_rows`: the
 row's index in the input, -1 for a synthetic row.  A caller that wrote the
-input can then write the output from the input's row lines (`write_csv`).
+input can then write the output from the input's rows (`write_csv`).
 """
 
 import warnings
@@ -82,16 +82,23 @@ def _minority_value(y: np.ndarray) -> int:
 
 
 def _neighbor_table(z: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k nearest other rows of `z`, nearest first; the stable
-    argsort breaks ties toward the smaller row index.  Rows are taken in
-    blocks of at most `_BLOCK_ELEMENTS` cells of the difference tensor, and
-    each row's distances and order are the ones the whole tensor gives."""
+    """Each row's k nearest other rows of `z`, nearest first, ties broken
+    toward the smaller row index, as a stable sort of each row's distances
+    orders them.  Rows are taken in blocks of at most `_BLOCK_ELEMENTS`
+    cells of the difference tensor, and each row's distances are the ones
+    the whole tensor gives.  Only the candidates up to a row's k-th
+    distance, ties at it included, are sorted (NaN, as sorts place it,
+    counts as the largest distance)."""
     m, p = z.shape
     step = max(1, _BLOCK_ELEMENTS // (m * p))
     table = np.empty((m, k), dtype=np.intp)
     for lo in range(0, m, step):
         d2 = _distances(z, lo, min(m, lo + step))
-        table[lo:lo + len(d2)] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        rows, cols = np.nonzero(~(d2 > kth))   # each row's candidates, by index
+        order = np.lexsort((d2[rows, cols], rows))   # stable: ties keep index order
+        firsts = np.searchsorted(rows[order], np.arange(len(d2)))
+        table[lo:lo + len(d2)] = cols[order][firsts[:, None] + np.arange(k)]
     return table
 
 

@@ -9,8 +9,9 @@ constant forced to 1, to a small odd value and to more than the input holds,
 and must match its oracle byte for byte.  The Cox log-likelihood and score
 match theirs byte for byte too; the information, now matrix products, is
 held to rounding of the oracle and of exact rational arithmetic.  A dataset
-written from lines picked out of its source's rendering must match the
-writer's oracle too.  Cox's information and logit's fit keep their bytes
+written from rows picked out of its source's rendered bytes must match the
+writer's oracle too, and SMOTE's partial neighbour selection must pick what
+the full stable sort picked, ties included.  Cox's information and logit's fit keep their bytes
 under one OpenBLAS thread and under two.
 """
 
@@ -29,7 +30,7 @@ from survmix import cox, dataset, fileio, resampling
 from survmix.dataset import (MISSING_CODE, MISSING_TOKENS, ColumnSpec, Dataset,
                              SyntheticSpec, generate_synthetic, load_csv, write_csv)
 from survmix.errors import DomainError, ParseError
-from survmix.fileio import csv_join, csv_lines, csv_text, text_cells
+from survmix.fileio import CsvRows, csv_rows, csv_text, text_cells
 
 from helpers import datasets_equal
 
@@ -357,9 +358,15 @@ class TestWriterMatchesOracle:
                     oracle_csv_text(header, columns[:len(header)], delimiter)
 
 
+def row_bytes(rows: CsvRows) -> list:
+    return [rows.blocks[b][lo:hi] for b, lo, hi in
+            zip(rows.block.tolist(), rows.start.tolist(), rows.end.tolist())]
+
+
 class TestPickedLinesMatchFreshRendering:
-    """`write_csv(data, path, source_lines)` writes the rows picked from a
-    source from that source's lines, and renders only rows made anew."""
+    """`write_csv(data, path, source)` writes the rows picked from a source
+    from the bytes of that source's rows (`CsvRows`), and renders only rows
+    made anew."""
 
     @staticmethod
     def picks(n):
@@ -375,25 +382,37 @@ class TestPickedLinesMatchFreshRendering:
                 else one_column_dataset(kind))
         for rows in block_sizes(data.n_rows):
             monkeypatch.setattr(fileio, "_BLOCK_CELLS", rows * len(data.names))
-            lines = write_csv(data, tmp_path / "source.csv")
-            assert lines == csv_lines(dataset_columns(data), ";")
+            source = write_csv(data, tmp_path / "source.csv")
+            assert row_bytes(source) == row_bytes(csv_rows(dataset_columns(data), ";"))
+            assert b"".join(row_bytes(source)) == \
+                oracle_write_text(data).encode().partition(b"\n")[2]
             for name, index in self.picks(data.n_rows).items():
                 picked = data.take_rows(index)
                 want = oracle_write_text(picked)
                 assert csv_text(picked.names, dataset_columns(picked), ";") == want, name
-                assert csv_join(picked.names, [lines[i] for i in index], ";") == want, name
-                write_csv(picked, tmp_path / "picked.csv", lines)
+                rows = write_csv(picked, tmp_path / "picked.csv", source)
                 assert (tmp_path / "picked.csv").read_bytes() == want.encode(), name
+                assert rows.blocks == source.blocks   # shared, not copied
+                assert row_bytes(rows) == [row_bytes(source)[i] for i in index], name
+                # a pick of a pick reads the same blocks
+                again = picked.take_rows(index[::-1] % max(1, len(index)))
+                write_csv(again, tmp_path / "again.csv", rows)
+                assert (tmp_path / "again.csv").read_bytes() == \
+                    oracle_write_text(again).encode(), name
 
     def test_rows_made_anew_are_rendered(self, tmp_path):
         rng = np.random.default_rng(8)
         data = special_dataset(rng, 40)
-        lines = write_csv(data, tmp_path / "source.csv")
+        source = write_csv(data, tmp_path / "source.csv")
         order = rng.integers(0, 40, size=60)
         made = Dataset(data.specs, {n: data.column(n)[order[::-1]] for n in data.names},
                        source_rows=np.where(rng.random(60) < 0.3, -1, order[::-1]))
-        write_csv(made, tmp_path / "made.csv", lines)
+        rows = write_csv(made, tmp_path / "made.csv", source)
         assert (tmp_path / "made.csv").read_bytes() == oracle_write_text(made).encode()
+        assert len(rows.blocks) > len(source.blocks)   # the rows made anew, rendered
+        again = made.take_rows(np.arange(59, -1, -3))
+        write_csv(again, tmp_path / "again.csv", rows)
+        assert (tmp_path / "again.csv").read_bytes() == oracle_write_text(again).encode()
 
     def test_smote_output_with_replacement(self, tmp_path):
         data = generate_synthetic(SyntheticSpec(n_rows=300, n_numeric=3, n_categorical=1,
@@ -401,10 +420,10 @@ class TestPickedLinesMatchFreshRendering:
         awkward = ColumnSpec("cat_00", "categorical", "feature", AWKWARD[:4])
         data = Dataset([awkward if s.name == "cat_00" else s for s in data.specs],
                        {n: data.column(n) for n in data.names})
-        lines = write_csv(data, tmp_path / "train.csv")
+        source = write_csv(data, tmp_path / "train.csv")
         with pytest.warns(UserWarning, match="with replacement"):
             balanced = resampling.smote(data, resampling.SmoteSpec(under_pct=1000.0, seed=2))
-        write_csv(balanced, tmp_path / "balanced.csv", lines)
+        write_csv(balanced, tmp_path / "balanced.csv", source)
         assert (tmp_path / "balanced.csv").read_bytes() == \
             oracle_write_text(balanced).encode()
 
@@ -428,6 +447,46 @@ class TestNeighborsMatchOracle:
                                   for lo in range(0, m, step)])
             assert got.tobytes() == want.tobytes()
             assert resampling._neighbor_table(z, k).tobytes() == table.tobytes()
+
+
+def oracle_neighbor_table(z, k):
+    """`resampling._neighbor_table` as it stood: a full stable argsort of
+    every row of distances."""
+    m, p = z.shape
+    step = max(1, resampling._BLOCK_ELEMENTS // (m * p))
+    table = np.empty((m, k), dtype=np.intp)
+    for lo in range(0, m, step):
+        d2 = resampling._distances(z, lo, min(m, lo + step))
+        table[lo:lo + len(d2)] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return table
+
+
+def tied_points():
+    rng = np.random.default_rng(12)
+    z = rng.standard_normal((30, 3))
+    z[5] = np.nan   # NaN distances sort last
+    return {
+        "integer grid": rng.integers(0, 3, size=(60, 2)).astype(float),
+        "one integer feature": rng.integers(0, 4, size=(40, 1)).astype(float),
+        "all equal": np.zeros((12, 3)),
+        "two points": np.array([[0.0], [1.0]]),
+        "distinct": rng.standard_normal((50, 4)),
+        "duplicated rows": np.repeat(rng.standard_normal((15, 2)), 3, axis=0),
+        "a NaN row": z,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(tied_points()))
+def test_neighbor_table_keeps_the_full_sort_choice(monkeypatch, name):
+    # Ties at the k-th distance are common here, and each must go to the
+    # smaller row index, as the full stable sort gives them.
+    z = tied_points()[name]
+    m, p = z.shape
+    for k in range(1, min(6, m)):
+        for elements in (1, 3 * m * p + 1, m * m * p + 1):
+            monkeypatch.setattr(resampling, "_BLOCK_ELEMENTS", elements)
+            assert resampling._neighbor_table(z, k).tolist() == \
+                oracle_neighbor_table(z, k).tolist(), (k, elements)
 
 
 # -- Cox -------------------------------------------------------------------------

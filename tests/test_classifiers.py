@@ -17,7 +17,7 @@ from survmix.classifiers import (
 from survmix.classifiers._encoding import DummyEncoder, FeatureSchema
 from survmix.classifiers.bagging import BagParams, bootstrap_indices, fit_bagging
 from survmix.classifiers.logistic import LogitModel, LogitParams, fit_logit
-from survmix.classifiers.naive_bayes import NbParams, fit_naive_bayes
+from survmix.classifiers.naive_bayes import NaiveBayesModel, NbParams, fit_naive_bayes
 from survmix.classifiers import trees
 from survmix.classifiers.neural import (
     AnnModel,
@@ -827,6 +827,37 @@ class TestNaiveBayes:
         data = make_dataset({"x": []}, labels=[])
         with pytest.raises(DomainError, match="zero rows"):
             fit_naive_bayes(data, NbParams())
+
+    def test_cells_of_1e160_score_without_nan(self):
+        # (x - mean)² overflows for both classes at 1e160: the direct form
+        # gave inf - inf, a NaN, for every such row.
+        data = make_dataset({"x": [0.0, 1.0, 2.0, 3.0, 5.0, 9.0], "y": [0.0, 1, 0, 1, 0, 1]},
+                            {"c": ["a", "b", "a", "b", "b", "a"]},
+                            [0, 0, 0, 1, 1, 1], vocab=("a", "b"))
+        model = fit_naive_bayes(data, NbParams())
+        cells = [1e160, -1e160, 1.5e154, 1e150, 2.0, 1e308]
+        query = make_dataset({"x": cells, "y": [0.0, 1.0] * 3}, {"c": ["a", "b"] * 3},
+                             [0] * 6, vocab=("a", "b"))
+        probs = model.predict_proba(query)
+        assert np.isfinite(probs).all()
+        # class 1's spread is the wider, so it takes every far cell
+        assert probs[[0, 1, 2, 5]].tolist() == [1.0, 1.0, 1.0, 1.0]
+        in_range = query.take_rows([3, 4])
+        assert probs[3:5].tobytes() == model.predict_proba(in_range).tobytes()
+
+    def test_far_cell_of_an_uninformative_feature_leaves_the_others_to_decide(self):
+        # Equal means and variances: the two quadratic terms cancel, though
+        # each alone overflows, and the levels decide as if x sat at the mean.
+        data = make_dataset({"x": [0.0, 1.0, 2.0, 3.0]}, {"c": ["a", "a", "b", "a"]},
+                            [0, 0, 1, 1], vocab=("a", "b"))
+        fitted = fit_naive_bayes(data, NbParams())
+        model = NaiveBayesModel(fitted.schema, fitted.priors,
+                                {"x": ((0.5, 0.5), (2.0, 2.0))}, fitted.level_logprob)
+
+        def scores(x):
+            return model.predict_proba(make_dataset({"x": x}, {"c": ["a", "b"]}, [0, 0],
+                                                    vocab=("a", "b")))
+        np.testing.assert_allclose(scores([1e160, -1e160]), scores([0.5, 0.5]), rtol=1e-12)
 
 
 def masked_sigmoid(z):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from survmix import fileio
 from survmix.errors import DataError
-from survmix.fileio import (atomic_write_text, csv_text, json_text, open_text, read_text,
-                            text_cells)
+from survmix.fileio import (atomic_write, atomic_write_text, csv_text, json_text, open_text,
+                            read_text, text_cells, write_columns)
 
 
 class TestAtomicWriteText:
@@ -28,6 +29,37 @@ class TestAtomicWriteText:
     def test_missing_directory_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError, match="cannot write"):
             atomic_write_text(tmp_path / "no" / "a.txt", "text")
+
+
+class TestAtomicWrite:
+    def test_str_and_bytes_chunks_in_order(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_WRITE_CHARS", 3)   # a str encoded in slices
+        atomic_write(tmp_path / "a.txt", ("é1234", b"ab", memoryview(b"xcd")[1:], "", "\n"))
+        assert (tmp_path / "a.txt").read_bytes() == "é1234abcd\n".encode()
+
+    def test_chunks_that_raise_midway_leave_no_file(self, tmp_path):
+        def chunks():
+            yield "header\n"
+            yield b"row\n"
+            raise RuntimeError("rendering failed")
+        with pytest.raises(RuntimeError, match="rendering failed"):
+            atomic_write(tmp_path / "d.csv", chunks())
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "d.csv").write_text("old\n")
+        with pytest.raises(RuntimeError, match="rendering failed"):
+            atomic_write(tmp_path / "d.csv", chunks())
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+        assert (tmp_path / "d.csv").read_text() == "old\n"
+
+    def test_a_block_that_fails_to_render_leaves_no_file(self, tmp_path, monkeypatch):
+        class Unprintable:
+            def __str__(self):
+                raise ValueError("no text")
+        monkeypatch.setattr(fileio, "_BLOCK_CELLS", 2)   # earlier blocks are written first
+        with pytest.raises(ValueError, match="no text"):
+            write_columns(tmp_path / "d.csv", ("x", "y"),
+                          [np.arange(9.0), [1] * 8 + [Unprintable()]], ";")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCsvText:

@@ -303,7 +303,7 @@ class TestTracedEntryPoints:
                             monkeypatch.setattr(module, attr, wrapper)
 
         for func in (resampling.split, resampling.smote, dataset.write_csv,
-                     fileio.atomic_write_text):
+                     fileio.atomic_write, fileio.atomic_write_text):
             spy(func)
         with pytest.warns(UserWarning):  # undersampling draws with replacement here
             report = run_pipeline(small_config(tmp_path, algorithms=("logit", "nb")))
@@ -314,10 +314,12 @@ class TestTracedEntryPoints:
         assert sorted(written) == ["cleaned.csv", "test.csv", "train.csv",
                                    "train_balanced.csv"]
         assert all(isinstance(data, Dataset) for data in written.values())
-        paths, texts = zip(*[(args[0] if args else kwargs["path"],
-                              args[1] if len(args) > 1 else kwargs["text"])
-                             for args, kwargs in calls["atomic_write_text"]])
-        assert all(type(text) is str for text in texts)
+        # the tracer counts the bytes of `atomic_write_text`'s one str
+        texts = [args[1] if len(args) > 1 else kwargs["text"]
+                 for args, kwargs in calls["atomic_write_text"]]
+        assert texts and all(type(text) is str for text in texts)
+        # every file the run leaves went through the one atomic writer
+        paths = [args[0] if args else kwargs["path"] for args, kwargs in calls["atomic_write"]]
         assert sorted(Path(p).name for p in paths) == \
             sorted(p.name for p in tmp_path.iterdir())
 

@@ -1,19 +1,22 @@
 """The vectorised float renderer against `float.__repr__`, and the CSV writer
 against the per-cell writer it replaced.
 
-`_shortest.float_cells` must give `float.__repr__` of every float64, a NaN
-as the empty cell.  It is checked on a million seeded random bit patterns,
-on seeded sets of the values CSV data holds, on every power of 2 and of 10
-with both its float neighbours, and on named cases: each of Schubfach's
-choices, found for its value by `schubfach_choice` in exact rationals, each
-layout, the cells that skip the core and the ones rendered one at a time.
+`_shortest.fill_cells` must spell every float64 as `float.__repr__` does, a
+NaN as the empty cell, and leave each cell's last byte free.  It is checked
+on a million seeded random bit patterns, on seeded sets of the values CSV
+data holds, on every power of 2 and of 10 with both its float neighbours,
+and on named cases: each of Schubfach's choices, found for its value by
+`schubfach_choice` in exact rationals, each layout, the cells that skip the
+core and the ones rendered one at a time.
 
-`oracle_csv_text` and `oracle_csv_lines` are `fileio.csv_text` and
-`fileio.csv_lines` as they stood before: every float64 cell through
-`float.__repr__`, one at a time.  The writer must match them byte for byte
-at several `fileio._BLOCK_CELLS` values.  `km.csv` and `roc_<algorithm>.csv`,
-whose float columns now reach the writer as arrays, must keep the bytes
-they had when they reached it as lists of Python floats.
+`oracle_csv_text` and `oracle_csv_lines` are the writer as it stood before
+rows were written as bytes: every float64 cell through `float.__repr__`,
+one at a time, and the rows as lines of text joined under the header.  Its
+parts (`text_cells`, `_quoted`, `_row_lines`, `csv_join`) are copied here as
+they stood.  The writer's text, its streamed file and its rows must match
+them byte for byte at several `fileio._BLOCK_CELLS` values.  `km.csv` and
+`roc_<algorithm>.csv`, whose float columns now reach the writer as arrays,
+must keep the bytes they had when they reached it as lists of Python floats.
 
 One test pins the numpy behaviours the renderer relies on, so a numpy
 release that changes one fails there and not deep in the oracle.
@@ -27,11 +30,24 @@ import numpy as np
 import pytest
 
 from survmix import _shortest, fileio
-from survmix._shortest import float_cells
 from survmix.evaluation import roc_curve
-from survmix.fileio import csv_join, csv_lines, csv_text, text_cells
+from survmix.fileio import Coded, csv_rows, csv_text, write_columns
 from survmix.pipeline import km_csv
 from survmix.survival import km_fit
+
+
+def float_cells(values) -> list:
+    """The cells `fill_cells` spells for `values`, as str; each cell's last
+    byte must be free, and a line feed put there splits them."""
+    values = np.asarray(values)
+    words = np.zeros(values.shape + (_shortest._WIDTH,), dtype=np.uint32)
+    _shortest.fill_cells(words, values)
+    last = words.view(np.uint8)[..., -1]
+    assert not last.any()
+    last[...] = 10
+    cells = words.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    cells.pop()
+    return cells
 
 
 def reprs(values) -> list:
@@ -49,29 +65,67 @@ def assert_renders(values):
 # -- the oracles ---------------------------------------------------------------------
 
 
+def oracle_text_cells(values) -> list:
+    return [v if type(v) is str else "" if v is None or v != v
+            else float.__repr__(v) if isinstance(v, float) else str(v) for v in values]
+
+
+def oracle_quoted(cells: list, delimiter: str) -> list:
+    joined = "".join(cells)
+    if delimiter in joined or '"' in joined or "\n" in joined:
+        cells = ['"' + c.replace('"', '""') + '"'
+                 if delimiter in c or '"' in c or "\n" in c else c for c in cells]
+    return cells
+
+
+def oracle_row_lines(cells: list, delimiter: str) -> list:
+    if len(cells) == 1:
+        return [(c or '""') + "\n" for c in cells[0]]
+    return [row + "\n" for row in map(delimiter.join, zip(*cells))]
+
+
+def oracle_csv_join(header, lines, delimiter: str) -> str:
+    header_cells = [[cell] for cell in oracle_quoted(oracle_text_cells(header), delimiter)]
+    head = "".join(oracle_row_lines(header_cells, delimiter)) or "\n"
+    return "".join([head, *lines])
+
+
 def oracle_block_cells(block, delimiter: str) -> list:
     if isinstance(block, np.ndarray) and block.dtype == np.float64:
         cells = list(map(float.__repr__, block.tolist()))
         for i in np.flatnonzero(np.isnan(block)).tolist():
             cells[i] = ""
         return cells
-    return fileio._quoted(text_cells(block), delimiter)
+    return oracle_quoted(oracle_text_cells(block), delimiter)
+
+
+def plain(columns) -> list:
+    """`columns` with each `Coded` column as its levels, None where missing."""
+    return [[col.levels[c] if c >= 0 else None for c in col.codes.tolist()]
+            if isinstance(col, Coded) else col for col in columns]
 
 
 def oracle_line_blocks(columns, delimiter: str):
+    columns = plain(columns)
     n_rows = len(columns[0]) if len(columns) else 0
     step = max(1, fileio._BLOCK_CELLS // max(1, len(columns)))
     for lo in range(0, n_rows, step):
-        yield fileio._row_lines([oracle_block_cells(col[lo:lo + step], delimiter)
-                                 for col in columns], delimiter)
+        yield oracle_row_lines([oracle_block_cells(col[lo:lo + step], delimiter)
+                                for col in columns], delimiter)
 
 
 def oracle_csv_text(header, columns, delimiter: str) -> str:
-    return csv_join(header, map("".join, oracle_line_blocks(columns, delimiter)), delimiter)
+    return oracle_csv_join(header, map("".join, oracle_line_blocks(columns, delimiter)),
+                           delimiter)
 
 
 def oracle_csv_lines(columns, delimiter: str) -> list:
     return [line for block in oracle_line_blocks(columns, delimiter) for line in block]
+
+
+def row_bytes(rows) -> list:
+    return [rows.blocks[b][lo:hi] for b, lo, hi in
+            zip(rows.block.tolist(), rows.start.tolist(), rows.end.tolist())]
 
 
 def floor_log2(x: Fraction) -> int:
@@ -271,6 +325,9 @@ def test_numpy_behaviours_the_renderer_relies_on():
 
 # -- the writer -------------------------------------------------------------------
 
+LEVELS = ("a", "x;y", "a,b", 'q"', "line\nfeed", "é", "nul\0byte", "", " pad ", "NA")
+
+
 def writer_tables():
     rng = np.random.default_rng(11)
     n = 40
@@ -279,6 +336,7 @@ def writer_tables():
     floats = rng.standard_normal(n)
     floats[rng.integers(0, n, 12)] = rng.choice(special, 12)
     ones = rng.choice(special, n)
+    codes = rng.integers(-1, len(LEVELS), n)
     return {
         "one float column": (("x",), [ones]),
         "one column of NaN": (("x",), [np.full(n, np.nan)]),
@@ -290,17 +348,34 @@ def writer_tables():
         "float32 and python floats": (("f", "p"), [rng.standard_normal(n).astype(np.float32),
                                                    np.round(floats, 3).tolist()]),
         "no rows": (("a", "b"), [np.empty(0), np.empty(0)]),
+        "coded levels": (("id", "x", "c", "d", "y"), [
+            Coded(rng.permutation(n), tuple(f"r{i}" for i in range(n))), floats,
+            Coded(codes, LEVELS), Coded(codes[::-1].copy(), LEVELS), ones]),
+        "coded, more levels than rows": (("c", "x"), [
+            Coded(np.array([-1, 3, 3, 0, 6]), LEVELS + tuple(map(str, range(100)))),
+            np.array([1.0, np.nan, 2.5, -0.0, 1e300])]),
+        "one coded column": (("c",), [Coded(codes, LEVELS)]),
+        "one text column": (("t",), [[None, "", "x", "a;b", "é", math.nan] * 7]),
+        "coded, no rows": (("c", "x"), [Coded(np.empty(0, np.int32), LEVELS), np.empty(0)]),
+        "text holding line feeds": (("t", "x"), [["a\nb", "", "\n"] * 9, np.arange(27.0)]),
     }
 
 
 @pytest.mark.parametrize("name", sorted(writer_tables()))
 @pytest.mark.parametrize("block_cells", (1, 3, 7, 1 << 14))
 @pytest.mark.parametrize("delimiter", (";", ","))
-def test_writer_matches_the_per_cell_writer(name, block_cells, delimiter, monkeypatch):
+def test_writer_matches_the_per_cell_writer(name, block_cells, delimiter, monkeypatch,
+                                            tmp_path):
     header, columns = writer_tables()[name]
     monkeypatch.setattr(fileio, "_BLOCK_CELLS", block_cells)
-    assert csv_text(header, columns, delimiter) == oracle_csv_text(header, columns, delimiter)
-    assert csv_lines(columns, delimiter) == oracle_csv_lines(columns, delimiter)
+    want = oracle_csv_text(header, columns, delimiter)
+    assert csv_text(header, columns, delimiter) == want
+    lines = [line.encode() for line in oracle_csv_lines(columns, delimiter)]
+    assert row_bytes(csv_rows(columns, delimiter)) == lines
+    rows = write_columns(tmp_path / "t.csv", header, columns, delimiter)
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+    assert row_bytes(rows) == lines
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 def oracle_km_csv(curves: dict) -> str:
