@@ -13,6 +13,12 @@ def datasets_equal(a, b) -> bool:
                     for s in a.specs))
 
 
+def row_bytes(rows) -> list:
+    """Each row of a `fileio.CsvRows`, as the bytes it names."""
+    return [rows.blocks[b][lo:hi] for b, lo, hi in
+            zip(rows.block.tolist(), rows.start.tolist(), rows.end.tolist())]
+
+
 def cox_evaluation(x, durations, events, beta, ties="efron"):
     """(partial log-likelihood, score, observed information) at `beta`: the
     evaluation that `cox_fit` maximises."""

@@ -30,9 +30,9 @@ from survmix import cox, dataset, fileio, resampling
 from survmix.dataset import (MISSING_CODE, MISSING_TOKENS, ColumnSpec, Dataset,
                              SyntheticSpec, generate_synthetic, load_csv, write_csv)
 from survmix.errors import DomainError, ParseError
-from survmix.fileio import CsvRows, csv_rows, csv_text, text_cells
+from survmix.fileio import csv_rows, csv_text, text_cells
 
-from helpers import datasets_equal
+from helpers import datasets_equal, row_bytes
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -356,11 +356,6 @@ class TestWriterMatchesOracle:
             for header in ([""], ["x"], []):
                 assert csv_text(header, columns[:len(header)], delimiter) == \
                     oracle_csv_text(header, columns[:len(header)], delimiter)
-
-
-def row_bytes(rows: CsvRows) -> list:
-    return [rows.blocks[b][lo:hi] for b, lo, hi in
-            zip(rows.block.tolist(), rows.start.tolist(), rows.end.tolist())]
 
 
 class TestPickedLinesMatchFreshRendering:

@@ -35,6 +35,8 @@ from survmix.fileio import Coded, csv_rows, csv_text, write_columns
 from survmix.pipeline import km_csv
 from survmix.survival import km_fit
 
+from helpers import row_bytes
+
 
 def float_cells(values) -> list:
     """The cells `fill_cells` spells for `values`, as str; each cell's last
@@ -121,11 +123,6 @@ def oracle_csv_text(header, columns, delimiter: str) -> str:
 
 def oracle_csv_lines(columns, delimiter: str) -> list:
     return [line for block in oracle_line_blocks(columns, delimiter) for line in block]
-
-
-def row_bytes(rows) -> list:
-    return [rows.blocks[b][lo:hi] for b, lo, hi in
-            zip(rows.block.tolist(), rows.start.tolist(), rows.end.tolist())]
 
 
 def floor_log2(x: Fraction) -> int:
