@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fileio
+from . import __version__
 from .classifiers import (ALGORITHMS, ClassifierSpec, algorithm_of, fit,
                           load_model, save_model)
 from .cleansing import clean
@@ -30,8 +30,8 @@ from .dataset import (Dataset, SyntheticSpec, generate_synthetic, load_csv,
 from .errors import (DataError, DomainError, NumericError, ParseError,
                      SurvmixError)
 from .evaluation import score_histogram
-from .fileio import (atomic_write_text, csv_blocks, csv_records, json_text, open_text,
-                     read_text, text_cells, write_json)
+from .fileio import (atomic_write_text, csv_records, json_text, open_text, read_text,
+                     text_cells, write_json)
 from .mixture import ABSTENTION_LABELS, MixtureModel
 from .pipeline import (PipelineConfig, classified_rows, cox_stage,
                        evaluate_stage, km_stage, mix_stage, parse_config,
@@ -82,38 +82,23 @@ def _read_references(path) -> dict:
 
 def _read_labels(path, data: Dataset) -> np.ndarray:
     """Predicted labels aligned to `data` rows, checked by id."""
-    expected = text_cells(row_ids(data))
-    # A plain block is read as text, each field one char wider than any
-    # expected cell (a float's repr, the unused probability, has at most 24),
-    # so a cell that fills its field sends the block to csv.
-    id_width = min(fileio._STR_WIDTH, max(map(len, expected), default=0) + 1)
-    label_width = max(map(len, ABSTENTION_LABELS)) + 1
-    dtype = np.dtype([("id", f"U{id_width}"), ("probability", "U25"),
-                      ("label", f"U{label_width}")])
     ids, labels = [], []
-
-    def take(table):
-        ids.extend(table["id"].tolist())
-        labels.extend(table["label"].tolist())
-        return True
-
     with open_text(path) as fh:
-        if next(csv_records(fh, path, ","), None) != ["id", "probability", "label"]:
+        records = csv_records(fh, path, ",")
+        if next(records, None) != ["id", "probability", "label"]:
             raise ParseError(f"{path}: expected header id,probability,label")
-        block_rows = max(1, fileio._BLOCK_CELLS // 3)
-        for first, records in csv_blocks(fh, path, ",", dtype, block_rows, take):
-            for lineno, row in enumerate(records, start=first):
-                if len(row) != 3:
-                    raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-                ids.append(row[0])
-                labels.append(row[2])
+        for lineno, row in enumerate(records, start=2):
+            if len(row) != 3:
+                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+            ids.append(row[0])
+            labels.append(row[2])
     unknown = set(labels) - set(ABSTENTION_LABELS)
     if unknown:
         raise DomainError(f"{path}: unknown labels {sorted(unknown)}")
     if len(labels) != data.n_rows:
         raise DomainError(f"{path}: {len(labels)} label rows "
                           f"for {data.n_rows} data rows")
-    if expected != ids:
+    if text_cells(row_ids(data)) != ids:
         raise DomainError(f"{path}: row ids do not match the dataset")
     return np.asarray(labels, dtype=object)
 

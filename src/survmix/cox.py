@@ -156,10 +156,7 @@ def build_design(data: Dataset, formula, references=None) -> DesignMatrix:
         dropped += [(n, "all zeros") for n in zero]
         names = [names[j] for j in keep_j]
         matrix = matrix[:, keep_j]
-    # Check rank against an intercept too: the partial likelihood only sees
-    # within-risk-set differences, so a constant column is inestimable.
-    augmented = np.column_stack([np.ones(row_index.size), matrix])
-    aliased = set(check_aliased(augmented, ["(const)"] + names)) - {"(const)"}
+    aliased = _aliased(matrix, names)
     if aliased:
         keep_j = [j for j, n in enumerate(names) if n not in aliased]
         dropped += [(n, "aliased with earlier columns") for n in names
@@ -274,10 +271,17 @@ class CoxFit:
     information_null: np.ndarray
 
 
+def _aliased(matrix, names) -> list:
+    """Names of `matrix`'s columns that depend on an intercept and the
+    columns before them.  The intercept counts because the partial
+    likelihood only sees within-risk-set differences, so a constant column
+    is inestimable."""
+    design = np.column_stack([np.ones(matrix.shape[0]), matrix])
+    return [n for n in check_aliased(design, ["(const)", *names]) if n != "(const)"]
+
+
 def _raise_singular(matrix, names):
-    aliased = check_aliased(np.column_stack([np.ones(matrix.shape[0]), matrix]),
-                            ["(const)"] + list(names))
-    aliased = [n for n in aliased if n != "(const)"]
+    aliased = _aliased(matrix, names)
     if aliased:
         raise DomainError(f"singular information matrix; dependent columns: "
                           f"{', '.join(aliased)}")

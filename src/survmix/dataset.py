@@ -16,10 +16,13 @@ line per column:
 The vocab part is optional for categorical columns; when absent the vocabulary
 is inferred from the data in order of first appearance.  `write_csv` hands
 each column (numeric arrays, categorical codes with their vocabulary) to
-`fileio.write_columns`, which writes the rows a block at a time as bytes
-and returns them (`fileio.CsvRows`); a dataset whose rows were picked from
-one already written (`Dataset.source_rows`) is written from that one's
-bytes, and only its rows made anew are rendered.
+`fileio.csv_rows`, which renders every row as bytes (`fileio.CsvRows`), and
+then writes them with `fileio.write_rows`; a dataset whose rows were picked
+from one already written (`Dataset.source_rows`) is written from that one's
+bytes, and only its rows made anew are rendered.  `write_csv` returns the
+rows for the datasets later picked from this one, so it keeps them all
+anyway, and writing each block as soon as it is rendered would save next
+to no memory.
 `load_csv` streams the file through `fileio.csv_blocks`, one block of at
 most `fileio._BLOCK_CELLS` cells at a time, so besides the dataset it holds
 one block's cells, whatever the row count.  A plain block is parsed by
@@ -43,7 +46,7 @@ import numpy as np
 from . import fileio
 from .errors import DomainError, ParseError
 from .fileio import (Coded, CsvRows, atomic_write_text, csv_blocks, csv_records, csv_rows,
-                     open_text, read_text, write_columns, write_rows)
+                     open_text, read_text, write_rows)
 from .rng import substream
 
 KINDS = ("numeric", "categorical")
@@ -52,6 +55,7 @@ _SINGLETON_ROLES = ("label", "duration", "event", "id")
 MISSING_TOKENS = ("", "NA")
 _MISSING = frozenset(MISSING_TOKENS)
 MISSING_CODE = -1
+_STR_WIDTH = 64   # widest str field numpy reads a categorical cell into
 
 
 @dataclass(frozen=True)
@@ -396,9 +400,8 @@ class _Column:
 
     `field` is the column's type in the table `np.loadtxt` reads a plain
     block into: float64, or a str one char wider than the longest declared
-    level (at most `fileio._STR_WIDTH`), so a cell that fills it is not a
-    level.  It
-    is None where numpy's str cannot hold a declared level (it drops
+    level (at most `_STR_WIDTH`), so a cell that fills it is not a level.
+    It is None where numpy's str cannot hold a declared level (it drops
     trailing NULs); then no block of the file is read by numpy.
     """
 
@@ -412,8 +415,8 @@ class _Column:
         elif "\x00" in "".join(spec.vocabulary):
             self.field = None
         else:
-            longest = max(map(len, spec.vocabulary), default=fileio._STR_WIDTH)
-            self.field = f"U{min(fileio._STR_WIDTH, longest + 1)}"
+            longest = max(map(len, spec.vocabulary), default=_STR_WIDTH)
+            self.field = f"U{min(_STR_WIDTH, longest + 1)}"
 
     def add(self, tokens: tuple, first_row: int) -> None:
         """Parse one block of cells; the first lies on file row `first_row`."""
@@ -526,12 +529,13 @@ def write_csv(data: Dataset, path: "str | Path", source: Optional[CsvRows] = Non
     `data`'s rows were picked from (`Dataset.source_rows`).  A picked row is
     written from its source's bytes, and only the rows made anew are
     rendered; a row's bytes depend on that row alone, so the file is the
-    same.  Without `source`, each block of rows is written as it is rendered.
+    same.
     """
     if source is None:
-        return write_columns(path, data.names, _columns(data), DELIMITER)
-    made = data.take_rows(data.source_rows < 0)
-    rows = source.pick(data.source_rows, csv_rows(_columns(made), DELIMITER))
+        rows = csv_rows(_columns(data), DELIMITER)
+    else:
+        made = data.take_rows(data.source_rows < 0)
+        rows = source.pick(data.source_rows, csv_rows(_columns(made), DELIMITER))
     write_rows(path, data.names, rows, DELIMITER)
     return rows
 

@@ -13,13 +13,15 @@ are laid out side by side as NUL-padded uint32 words: a run of float64
 columns spelt by `_shortest.fill_cells` as `float.__repr__` spells them, a
 `Coded` column from a table of its levels' cells indexed by its codes, any
 other column through `text_cells`.  One pass that deletes the NULs leaves
-the block's rows.  `csv_text` joins the blocks into one text;
-`write_columns` writes each block as it is made and returns the rows as
-`CsvRows`, the block bytes and each row's place in them, so besides the
-rows it holds one block's layout whatever the row count.  A row's bytes
-depend on that row alone, since quoting is decided per cell and the empty
-cell of a one-column row is quoted per row, so rows picked from those of
-another table (`CsvRows.pick`) share its blocks, and `write_rows` writes
+the block's rows.  `csv_text` joins the blocks into one text; `csv_rows`
+keeps them as `CsvRows`, the block bytes and each row's place in them, and
+`write_rows` writes a header and such rows.  Rendering every row before the
+write costs about the memory that writing each block as soon as it is
+rendered would: the rows are kept either way for the tables picked from
+them, and the write adds one piece of about `_WRITE_CHARS` bytes.  A row's
+bytes depend on that row alone, since quoting is decided per cell and the
+empty cell of a one-column row is quoted per row, so rows picked from those
+of another table (`CsvRows.pick`) share its blocks, and `write_rows` writes
 them as `csv_text` would render the picked rows.
 
 `open_text` is the one place a file is opened for reading: a missing,
@@ -27,16 +29,16 @@ unreadable or non-UTF-8 file is a `DataError`, also when the bad bytes are
 met while the caller streams the file.  `csv_records` reads its records and
 turns a record csv cannot read into a `ParseError` that names it.
 
-`csv_blocks` is the one block reader, for datasets and `labels.csv`.  It
-reads the lines after the header a block at a time.  A plain block, one
-that csv would split at each delimiter and nowhere else, goes to
-`np.loadtxt`, whose C reader hands each number to CPython's own correctly
-rounded `PyOS_string_to_double` and so gives `float`'s bits, in less time
-than `csv.reader` and `float` take.  Its caller takes the table or declines
-it.  A block with a quote, a blank line, a line over csv's field limit or a
-NUL, one numpy rejects and one its caller declines go to `csv.reader`
-instead, as every block did before; so csv's rules and the callers'
-error messages hold whichever path a block takes.
+`csv_blocks` is the dataset loader's block reader.  It reads the lines
+after the header a block at a time.  A plain block, one that csv would
+split at each delimiter and nowhere else, goes to `np.loadtxt`, whose C
+reader hands each number to CPython's own correctly rounded
+`PyOS_string_to_double` and so gives `float`'s bits, in less time than
+`csv.reader` and `float` take.  Its caller takes the table or declines it.
+A block with a quote, a blank line, a line over csv's field limit or a NUL,
+one numpy rejects and one its caller declines go to `csv.reader` instead, as
+every block did before; so csv's rules and the loader's error messages hold
+whichever path a block takes.
 """
 
 import contextlib
@@ -56,7 +58,6 @@ from .errors import DataError, ParseError
 
 _float_repr = float.__repr__   # repr(np.float64) would read 'np.float64(...)'
 _BLOCK_CELLS = 1 << 14
-_STR_WIDTH = 64   # widest str field a `csv_blocks` caller has numpy read a cell into
 _WRITE_CHARS = 1 << 20
 # A text cell's NUL and line feed travel through a block's layout as bytes
 # that UTF-8 never uses, so that deleting the padding keeps them and the
@@ -195,20 +196,6 @@ def csv_text(header, columns, delimiter: str) -> str:
 def csv_rows(columns, delimiter: str) -> CsvRows:
     """The rows of `columns` as `csv_text` renders them."""
     return CsvRows.of(list(_rendered(columns, delimiter)))
-
-
-def write_columns(path: "str | Path", header, columns, delimiter: str) -> CsvRows:
-    """Write `csv_text(header, columns, delimiter)` to `path` a block at a
-    time, each block as soon as it is rendered, and return its rows."""
-    rendered = []
-
-    def chunks():
-        yield _header(header, delimiter)
-        for block in _rendered(columns, delimiter):
-            rendered.append(block)
-            yield block[0]
-    atomic_write(path, chunks())
-    return CsvRows.of(rendered)
 
 
 def write_rows(path: "str | Path", header, rows: CsvRows, delimiter: str) -> None:

@@ -202,16 +202,14 @@ class RunReport:
     stages: list = field(default_factory=list)
     artifacts: dict = field(default_factory=dict)   # relative path -> text
     error: "dict | None" = None
-    tool_version: str = __version__
-    schema_version: int = SCHEMA_VERSION
 
     def add_stage(self, name: str, seconds: float, detail: dict) -> None:
         self.stages.append({"name": name, "seconds": round(seconds, 6), **detail})
 
     def to_dict(self) -> dict:
         return copy.deepcopy({
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
+            "schema_version": SCHEMA_VERSION,
+            "tool_version": __version__,
             "seed": self.seed,
             "config": self.config,
             "stages": self.stages,

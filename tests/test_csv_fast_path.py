@@ -1,11 +1,12 @@
-"""The CSV readers' numpy fast path against the readers it sped up.
+"""The dataset loader's numpy fast path against the reader it sped up.
 
-`reference_load_csv` and `reference_read_labels` are `dataset.load_csv` and
-`cli._read_labels` as they stood before plain blocks went to `np.loadtxt`:
-every record through `csv.reader`, every number through `float`.  A seeded
-corpus of files, built with numpy's generator, runs through both at several
-`fileio._BLOCK_CELLS` values; each must give the same dataset (arrays
-compared as bytes, specs equal) or the same error class and message.
+`reference_load_csv` is `dataset.load_csv` as it stood before plain blocks
+went to `np.loadtxt`: every record through `csv.reader`, every number
+through `float`.  `reference_read_labels` reads `labels.csv` the same way,
+as `cli._read_labels` does.  A seeded corpus of files, built with numpy's
+generator, runs through both at several `fileio._BLOCK_CELLS` values; each
+must give the same dataset (arrays compared as bytes, specs equal) or the
+same error class and message.
 
 Two more tests guard the fast path itself: one pins the numpy behaviours it
 relies on, so a numpy release that changes one fails here, and one loads a
@@ -470,7 +471,7 @@ def test_numpy_reader_behaviours_the_fast_path_relies_on():
 def test_benchmark_shaped_file_never_takes_the_csv_path(tmp_path, monkeypatch):
     # An id, 18 numeric and 2 categorical features, the label, duration and
     # event: the shape of the benchmark's eras, with no quote and no missing
-    # cell.  Neither its rows nor a labels.csv for them may fall back.
+    # cell.  Its rows may not fall back, and a labels.csv for them still reads.
     data = generate_synthetic(SyntheticSpec(n_rows=2000, n_numeric=18, n_categorical=2,
                                             seed=3))
     write_csv(data, tmp_path / "era.csv")

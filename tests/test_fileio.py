@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from survmix import fileio
+from survmix.dataset import SyntheticSpec, generate_synthetic, write_csv
 from survmix.errors import DataError
-from survmix.fileio import (atomic_write, atomic_write_text, csv_text, json_text, open_text,
-                            read_text, text_cells, write_columns)
+from survmix.fileio import (CsvRows, atomic_write, atomic_write_text, csv_text, json_text,
+                            open_text, read_text, text_cells)
 
 
 class TestAtomicWriteText:
@@ -51,15 +52,24 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
         assert (tmp_path / "d.csv").read_text() == "old\n"
 
-    def test_a_block_that_fails_to_render_leaves_no_file(self, tmp_path, monkeypatch):
-        class Unprintable:
-            def __str__(self):
-                raise ValueError("no text")
-        monkeypatch.setattr(fileio, "_BLOCK_CELLS", 2)   # earlier blocks are written first
-        with pytest.raises(ValueError, match="no text"):
-            write_columns(tmp_path / "d.csv", ("x", "y"),
-                          [np.arange(9.0), [1] * 8 + [Unprintable()]], ";")
-        assert list(tmp_path.iterdir()) == []
+    def test_a_dataset_write_that_fails_midway_keeps_the_old_file(self, tmp_path,
+                                                                  monkeypatch):
+        data = generate_synthetic(SyntheticSpec(n_rows=50, seed=1))
+        write_csv(data.take_rows(range(10)), tmp_path / "d.csv")
+        old = (tmp_path / "d.csv").read_bytes()
+        chunks = CsvRows.chunks
+
+        def fail_after_the_first(rows):
+            yield next(chunks(rows))
+            raise RuntimeError("write failed")
+        monkeypatch.setattr(fileio, "_WRITE_CHARS", 64)   # the rows come in many pieces
+        monkeypatch.setattr(CsvRows, "chunks", fail_after_the_first)
+        for name in ("new.csv", "d.csv"):
+            with pytest.raises(RuntimeError, match="write failed"):
+                write_csv(data, tmp_path / name)
+        assert not list(tmp_path.glob("*.tmp"))
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+        assert (tmp_path / "d.csv").read_bytes() == old
 
 
 class TestCsvText:

@@ -13,8 +13,8 @@ core and the ones rendered one at a time.
 rows were written as bytes: every float64 cell through `float.__repr__`,
 one at a time, and the rows as lines of text joined under the header.  Its
 parts (`text_cells`, `_quoted`, `_row_lines`, `csv_join`) are copied here as
-they stood.  The writer's text, its streamed file and its rows must match
-them byte for byte at several `fileio._BLOCK_CELLS` values.  `km.csv` and
+they stood.  The writer's text, its rows and the file written from them must
+match them byte for byte at several `fileio._BLOCK_CELLS` values.  `km.csv` and
 `roc_<algorithm>.csv`, whose float columns now reach the writer as arrays,
 must keep the bytes they had when they reached it as lists of Python floats.
 
@@ -31,7 +31,7 @@ import pytest
 
 from survmix import _shortest, fileio
 from survmix.evaluation import roc_curve
-from survmix.fileio import Coded, csv_rows, csv_text, write_columns
+from survmix.fileio import Coded, csv_rows, csv_text, write_rows
 from survmix.pipeline import km_csv
 from survmix.survival import km_fit
 
@@ -368,10 +368,10 @@ def test_writer_matches_the_per_cell_writer(name, block_cells, delimiter, monkey
     want = oracle_csv_text(header, columns, delimiter)
     assert csv_text(header, columns, delimiter) == want
     lines = [line.encode() for line in oracle_csv_lines(columns, delimiter)]
-    assert row_bytes(csv_rows(columns, delimiter)) == lines
-    rows = write_columns(tmp_path / "t.csv", header, columns, delimiter)
-    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+    rows = csv_rows(columns, delimiter)
     assert row_bytes(rows) == lines
+    write_rows(tmp_path / "t.csv", header, rows, delimiter)
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
