@@ -156,26 +156,26 @@ class DummyEncoder:
         return enc
 
     def transform(self, data: Dataset) -> np.ndarray:
+        """The design matrix, C-ordered, one column per `column_names` entry."""
+        if not self.schema.features:
+            raise DomainError("no feature columns to encode")
         mapped = self.schema.map_columns(data)
-        blocks = []
+        out = np.empty((data.n_rows, len(self.column_names)))
+        j = 0
         for name, kind in self.schema.features:
             if kind == "numeric":
                 v = mapped[name]
                 if self.standardize:
                     v = (v - self.means[name]) / self.scales[name]
-                blocks.append(v[:, None])
+                out[:, j] = v
+                j += 1
             else:
-                levels = self.schema.levels[name]
                 ref = self.schema.reference[name]
-                keep = [i for i, lv in enumerate(levels) if lv != ref]
-                codes = mapped[name]
-                block = np.zeros((len(codes), len(keep)))
-                for j, level_code in enumerate(keep):
-                    block[:, j] = codes == level_code
-                blocks.append(block)
-        if not blocks:
-            raise DomainError("no feature columns to encode")
-        return np.hstack(blocks)
+                for code, level in enumerate(self.schema.levels[name]):
+                    if level != ref:
+                        out[:, j] = mapped[name] == code
+                        j += 1
+        return out
 
     def to_state(self) -> dict:
         return {"schema": self.schema.to_state(), "standardize": self.standardize,

@@ -65,7 +65,7 @@ class BaggingModel:
         return cls(trees, state["seed"])
 
 
-def fit_bagging(train: Dataset, params: BagParams, seed: int = 0) -> BaggingModel:
+def fit_bagging(train: Dataset, params: BagParams, seed: int) -> BaggingModel:
     data = _Encoded(train)
     n = len(data.y)
     batch = _trees_per_frontier(data)

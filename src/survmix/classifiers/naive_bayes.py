@@ -2,10 +2,11 @@
 
 Class priors are the empirical label frequencies.  Numeric features get a
 per-class mean and maximum-likelihood variance (floored to keep densities
-finite on constant features); categorical features get add-one smoothed
-level frequencies over the training levels.  Posteriors are evaluated in
-log space and normalized pairwise, so an absent class simply keeps posterior
-zero instead of poisoning the arithmetic.  A row whose cell lies so far from
+finite on constant features; one that overflows is an error naming the
+feature); categorical features get add-one smoothed level frequencies over
+the training levels.  Posteriors are evaluated in log space and normalized
+pairwise, so an absent class simply keeps posterior zero instead of
+poisoning the arithmetic.  A row whose cell lies so far from
 the means that the squared distance overflows in both classes is redone as
 a log-odds with the two classes' quadratic terms compared at a common
 power-of-two scale; every other row keeps the direct form's bits.
@@ -18,6 +19,7 @@ import numpy as np
 from ..dataset import Dataset
 from ..errors import DomainError
 from ._encoding import FeatureSchema
+from .neural import _sigmoid
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -66,9 +68,7 @@ class NaiveBayesModel:
             proba = e1 / (e0 + e1)
         redo = ~np.isfinite(top)   # a quadratic term overflowed in both classes
         if redo.any():
-            log_odds = self._log_odds(mapped, redo)
-            tail = np.exp(-np.abs(log_odds))
-            proba[redo] = np.where(log_odds >= 0, 1.0 / (1.0 + tail), tail / (1.0 + tail))
+            proba[redo] = _sigmoid(self._log_odds(mapped, redo))
         return proba
 
     def _log_odds(self, mapped: dict, rows: np.ndarray) -> np.ndarray:
@@ -121,10 +121,14 @@ def fit_naive_bayes(train: Dataset, params: NbParams) -> NaiveBayesModel:
         if kind == "numeric":
             x = mapped[name]
             means, variances = np.zeros(2), np.ones(2)
-            for c in (0, 1):
-                if masks[c].any():
-                    means[c] = x[masks[c]].mean()
-                    variances[c] = max(float(x[masks[c]].var()), params.variance_floor)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                for c in (0, 1):
+                    if masks[c].any():
+                        means[c] = x[masks[c]].mean()
+                        variances[c] = max(float(x[masks[c]].var()), params.variance_floor)
+            if not np.isfinite(variances).all():
+                raise DomainError(f"naive Bayes: feature {name!r} has a class variance "
+                                  f"too large to represent; rescale the column")
             numeric_stats[name] = (means, variances)
         else:
             codes = mapped[name]

@@ -37,15 +37,22 @@ class AnnParams:
 
 
 def _sigmoid(z):
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, bit for
+    bit, without a branch: the numerator max(e, z >= 0) is 1 or e."""
     e = np.exp(-np.abs(z))  # never overflows: exp(-z) for z >= 0, exp(z) below
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.maximum(e, z >= 0) / (1.0 + e)
+
+
+def _layers(x, w1, b1, w2, b2):
+    """Hidden activations and the output's logits."""
+    hidden = _sigmoid(x @ w1 + b1)
+    return hidden, hidden @ w2 + b2
 
 
 def forward(x, w1, b1, w2, b2):
     """Hidden activations and output probabilities."""
-    hidden = _sigmoid(x @ w1 + b1)
-    prob = _sigmoid(hidden @ w2 + b2)
-    return hidden, prob
+    hidden, z2 = _layers(x, w1, b1, w2, b2)
+    return hidden, _sigmoid(z2)
 
 
 def loss_and_gradients(x, y, w1, b1, w2, b2, weight_decay):
@@ -57,9 +64,7 @@ def loss_and_gradients(x, y, w1, b1, w2, b2, weight_decay):
     n = len(y)
     b2 = np.float64(b2)
     with np.errstate(over="ignore", invalid="ignore"):
-        z1 = x @ w1 + b1
-        hidden = _sigmoid(z1)
-        z2 = hidden @ w2 + b2
+        hidden, z2 = _layers(x, w1, b1, w2, b2)
         # mean softplus(z2) - y*z2 == mean cross-entropy of sigmoid(z2)
         data_loss = float(np.mean(np.logaddexp(0.0, z2) - y * z2))
         decay = weight_decay * (np.sum(w1 ** 2) + np.sum(b1 ** 2)
@@ -103,7 +108,7 @@ class AnnModel:
                    np.array(state["w2"], dtype=float), state["b2"])
 
 
-def fit_ann(train: Dataset, params: AnnParams, seed: int = 0) -> AnnModel:
+def fit_ann(train: Dataset, params: AnnParams, seed: int) -> AnnModel:
     if train.n_rows == 0:
         raise DomainError("cannot fit a classifier on zero rows")
     y = train.label_values().astype(float)

@@ -24,7 +24,7 @@ from . import __version__
 from .classifiers import (ALGORITHMS, ClassifierSpec, algorithm_of, fit,
                           load_model, save_model)
 from .cleansing import clean
-from .cox import TIES_METHODS, parse_formula
+from .cox import DEFAULT_TIES, TIES_METHODS, parse_formula
 from .dataset import (Dataset, SyntheticSpec, generate_synthetic, load_csv,
                       schema_path, write_dataset)
 from .errors import (DataError, DomainError, NumericError, ParseError,
@@ -32,11 +32,13 @@ from .errors import (DataError, DomainError, NumericError, ParseError,
 from .evaluation import score_histogram
 from .fileio import (atomic_write_text, csv_records, json_text, open_text, read_text,
                      text_cells, write_json)
-from .mixture import ABSTENTION_LABELS, MixtureModel
+from .mixture import (ABSTENTION_LABELS, DEFAULT_CUTOFF_HIGH, DEFAULT_CUTOFF_LOW,
+                      DEFAULT_GRID_STEP, MixtureModel)
 from .pipeline import (PipelineConfig, classified_rows, cox_stage,
                        evaluate_stage, km_stage, mix_stage, parse_config,
                        predict_stage, row_ids, run_pipeline, write_artifacts)
 from .resampling import SmoteSpec, SplitSpec, smote, split
+from .survival import DEFAULT_CONFIDENCE
 
 
 class _UsageError(Exception):
@@ -255,13 +257,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="generate a seeded synthetic dataset")
     p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--numeric", type=int, default=10)
-    p.add_argument("--categorical", type=int, default=2)
-    p.add_argument("--minority", type=float, default=0.05)
-    p.add_argument("--separation", type=float, default=1.0)
-    p.add_argument("--hazard-ratio", type=float, default=1.0)
-    p.add_argument("--horizon", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--numeric", type=int, default=SyntheticSpec.n_numeric)
+    p.add_argument("--categorical", type=int, default=SyntheticSpec.n_categorical)
+    p.add_argument("--minority", type=float, default=SyntheticSpec.minority_fraction)
+    p.add_argument("--separation", type=float, default=SyntheticSpec.class_separation)
+    p.add_argument("--hazard-ratio", type=float, default=SyntheticSpec.hazard_ratio_true)
+    p.add_argument("--horizon", type=float, default=SyntheticSpec.censoring_horizon)
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_simulate)
 
@@ -273,24 +275,24 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("split", help="holdout split")
     _add_data_flags(p, out=False)
-    p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--train-fraction", type=float, default=SplitSpec.train_fraction)
+    p.add_argument("--seed", type=int, default=SplitSpec.seed)
     p.add_argument("--train-out", required=True)
     p.add_argument("--test-out", required=True)
     p.set_defaults(handler=_cmd_split)
 
     p = sub.add_parser("smote", help="rebalance the training partition")
     _add_data_flags(p)
-    p.add_argument("--smote-k", type=int, default=5)
-    p.add_argument("--smote-over", type=float, default=200.0)
-    p.add_argument("--smote-under", type=float, default=200.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--smote-k", type=int, default=SmoteSpec.k)
+    p.add_argument("--smote-over", type=float, default=SmoteSpec.over_pct)
+    p.add_argument("--smote-under", type=float, default=SmoteSpec.under_pct)
+    p.add_argument("--seed", type=int, default=SmoteSpec.seed)
     p.set_defaults(handler=_cmd_smote)
 
     p = sub.add_parser("train", help="fit one classifier")
     _add_data_flags(p, out=False)
     p.add_argument("--algo", required=True, choices=ALGORITHMS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ClassifierSpec.seed)
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
                    help="hyperparameter override (repeatable)")
     p.add_argument("--out", required=True, help="model file path")
@@ -307,9 +309,9 @@ def build_parser() -> _Parser:
     _add_data_flags(p, out=False)
     p.add_argument("--model-a", required=True)
     p.add_argument("--model-b", required=True)
-    p.add_argument("--alpha-grid-step", type=float, default=0.01)
-    p.add_argument("--cutoff-low", type=float, default=0.2)
-    p.add_argument("--cutoff-high", type=float, default=0.8)
+    p.add_argument("--alpha-grid-step", type=float, default=DEFAULT_GRID_STEP)
+    p.add_argument("--cutoff-low", type=float, default=DEFAULT_CUTOFF_LOW)
+    p.add_argument("--cutoff-high", type=float, default=DEFAULT_CUTOFF_HIGH)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(handler=_cmd_mix)
 
@@ -326,7 +328,7 @@ def build_parser() -> _Parser:
     p.add_argument("--labels", default=None, help="labels.csv from `predict`")
     p.add_argument("--group-column", default=None,
                    help="group by a dataset column instead of predicted labels")
-    p.add_argument("--confidence", type=float, default=0.95)
+    p.add_argument("--confidence", type=float, default=DEFAULT_CONFIDENCE)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(handler=_cmd_km)
 
@@ -335,7 +337,7 @@ def build_parser() -> _Parser:
     p.add_argument("--labels", default=None, help="labels.csv from `predict`")
     p.add_argument("--formula", action="append",
                    help='e.g. "group + sector + group:sector" (repeatable)')
-    p.add_argument("--ties", choices=TIES_METHODS, default="efron")
+    p.add_argument("--ties", choices=TIES_METHODS, default=DEFAULT_TIES)
     p.add_argument("--references", default=None,
                    help="reference-levels file, one 'column = level' per line")
     p.add_argument("--out-dir", default=".")

@@ -30,6 +30,7 @@ from .newton import check_aliased, newton_ascent
 from .survival import _check_samples
 
 TIES_METHODS = ("efron", "breslow")
+DEFAULT_TIES = "efron"
 
 _SCORE_TOL = 1e-9
 _LOGLIK_TOL = 1e-9
@@ -288,7 +289,7 @@ def _raise_singular(matrix, names):
     raise DomainError("singular information matrix")
 
 
-def cox_fit(design: DesignMatrix, durations, events, ties: str = "efron") -> CoxFit:
+def cox_fit(design: DesignMatrix, durations, events, ties: str = DEFAULT_TIES) -> CoxFit:
     """Maximum partial likelihood by `newton_ascent`."""
     if ties not in TIES_METHODS:
         raise DomainError(f"unknown ties method {ties!r}")

@@ -24,6 +24,7 @@ ABSTENTION_LABELS = ("negative", "positive", "unclassified")
 
 DEFAULT_CUTOFF_LOW = 0.2
 DEFAULT_CUTOFF_HIGH = 0.8
+DEFAULT_GRID_STEP = 0.01
 
 # Mixed scores optimize_weight holds at once.  Bounded in elements, not rows,
 # so its temporaries stay near 2 MB however many rows and alphas there are:
@@ -85,7 +86,7 @@ def mix_scores(alpha, scores_a, scores_b) -> np.ndarray:
     return alpha * scores_a + (1.0 - alpha) * scores_b
 
 
-def optimize_weight(scores_a, scores_b, labels, grid_step=0.01):
+def optimize_weight(scores_a, scores_b, labels, grid_step=DEFAULT_GRID_STEP):
     """Best mixture weight on the alpha grid, with the full objective trace.
 
     Returns (alpha, trace); the trace holds one GridPoint per alpha in grid

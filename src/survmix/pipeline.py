@@ -17,7 +17,7 @@ per-stage counts, and artifact inventory.
 
 import copy
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .classifiers import ALGORITHMS, ClassifierSpec, algorithm_of, fit, save_model
 from .cleansing import clean
-from .cox import (TIES_METHODS, build_design, cox_fit, cox_tests,
+from .cox import (DEFAULT_TIES, TIES_METHODS, build_design, cox_fit, cox_tests,
                   detect_separation, hazard_ratios, parse_formula)
 from .dataset import (ColumnSpec, Dataset, SyntheticSpec, generate_synthetic,
                       load_csv, schema_path, write_dataset)
@@ -34,9 +34,10 @@ from .errors import DomainError, ParseError, SurvmixError
 from .evaluation import (CUTOFF_CRITERIA, confusion, roc_curve, select_cutoff,
                          separation_score)
 from .fileio import atomic_write_text, csv_text, json_text, write_json
-from .mixture import MixtureModel, classify_scores, mix_scores, optimize_weight
+from .mixture import (DEFAULT_CUTOFF_HIGH, DEFAULT_CUTOFF_LOW, DEFAULT_GRID_STEP,
+                      MixtureModel, classify_scores, mix_scores, optimize_weight)
 from .resampling import SmoteSpec, SplitSpec, smote, split
-from .survival import km_fit, logrank_test
+from .survival import DEFAULT_CONFIDENCE, km_fit, logrank_test
 from .svg import render_svg
 
 SCHEMA_VERSION = 1
@@ -75,67 +76,60 @@ def _csv_list(value: str) -> tuple:
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
+def _references(value: str) -> dict:
+    refs = {}
+    for pair in _csv_list(value):
+        col, _, level = pair.partition("=")
+        if not col.strip() or not level.strip():
+            raise ValueError(pair)
+        refs[col.strip()] = level.strip()
+    return refs
+
+
+# How `from_mapping` parses a field's text by its declared type; str, int
+# and float parse themselves.
+_PARSERS = {tuple: _csv_list, dict: _references}
+
+
+def _key(key: str, default=MISSING, **kwargs):
+    """A config field read from the config key `key`."""
+    return field(default=default, metadata={"key": key}, **kwargs)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Resolved pipeline parameters; see `from_mapping` for the config keys."""
+    """Resolved pipeline parameters.  Each field names its config key; every
+    default is the one the code that uses the setting declares."""
 
-    output_dir: str = ""
-    train_path: str = ""
-    train_schema: str = ""
-    predict_path: str = ""
-    predict_schema: str = ""
-    synthetic_rows: int = 0          # > 0 switches both eras to synthetic data
-    synthetic_numeric: int = 10
-    synthetic_categorical: int = 2
-    synthetic_minority: float = 0.05
-    synthetic_separation: float = 1.0
-    synthetic_hazard_ratio: float = 1.0
-    synthetic_horizon: float = 10.0
-    synthetic_predict_rows: int = 0  # 0 -> same as synthetic_rows
-    seed: int = 0
-    train_fraction: float = 0.8
-    smote_k: int = 5
-    smote_over: float = 200.0
-    smote_under: float = 200.0
-    algorithms: tuple = ALGORITHMS
-    mix_components: tuple = ()       # empty -> top two by test AUC
-    alpha_grid_step: float = 0.01
-    cutoff_low: float = 0.2
-    cutoff_high: float = 0.8
-    km_confidence: float = 0.95
-    cox_formulas: tuple = ()         # empty -> auto suite from categoricals
-    cox_ties: str = "efron"
-    cox_references: dict = field(default_factory=dict)
-
-    _KEYS = {
-        "data.train": ("train_path", str),
-        "data.train_schema": ("train_schema", str),
-        "data.predict": ("predict_path", str),
-        "data.predict_schema": ("predict_schema", str),
-        "data.output": ("output_dir", str),
-        "synthetic.rows": ("synthetic_rows", int),
-        "synthetic.numeric": ("synthetic_numeric", int),
-        "synthetic.categorical": ("synthetic_categorical", int),
-        "synthetic.minority": ("synthetic_minority", float),
-        "synthetic.separation": ("synthetic_separation", float),
-        "synthetic.hazard_ratio": ("synthetic_hazard_ratio", float),
-        "synthetic.horizon": ("synthetic_horizon", float),
-        "synthetic.predict_rows": ("synthetic_predict_rows", int),
-        "pipeline.seed": ("seed", int),
-        "split.train_fraction": ("train_fraction", float),
-        "smote.k": ("smote_k", int),
-        "smote.over": ("smote_over", float),
-        "smote.under": ("smote_under", float),
-        "train.algorithms": ("algorithms", "list"),
-        "mixture.components": ("mix_components", "list"),
-        "mixture.alpha_grid_step": ("alpha_grid_step", float),
-        "mixture.cutoff_low": ("cutoff_low", float),
-        "mixture.cutoff_high": ("cutoff_high", float),
-        "km.confidence": ("km_confidence", float),
-        "cox.formulas": ("cox_formulas", "list"),
-        "cox.ties": ("cox_ties", str),
-        "cox.references": ("cox_references", "refs"),
-    }
+    output_dir: str = _key("data.output", "")
+    train_path: str = _key("data.train", "")
+    train_schema: str = _key("data.train_schema", "")
+    predict_path: str = _key("data.predict", "")
+    predict_schema: str = _key("data.predict_schema", "")
+    synthetic_rows: int = _key("synthetic.rows", 0)  # > 0: both eras synthetic
+    synthetic_numeric: int = _key("synthetic.numeric", SyntheticSpec.n_numeric)
+    synthetic_categorical: int = _key("synthetic.categorical", SyntheticSpec.n_categorical)
+    synthetic_minority: float = _key("synthetic.minority", SyntheticSpec.minority_fraction)
+    synthetic_separation: float = _key("synthetic.separation",
+                                       SyntheticSpec.class_separation)
+    synthetic_hazard_ratio: float = _key("synthetic.hazard_ratio",
+                                         SyntheticSpec.hazard_ratio_true)
+    synthetic_horizon: float = _key("synthetic.horizon", SyntheticSpec.censoring_horizon)
+    synthetic_predict_rows: int = _key("synthetic.predict_rows", 0)  # 0: synthetic_rows
+    seed: int = _key("pipeline.seed", SplitSpec.seed)  # the seed of every stage's spec
+    train_fraction: float = _key("split.train_fraction", SplitSpec.train_fraction)
+    smote_k: int = _key("smote.k", SmoteSpec.k)
+    smote_over: float = _key("smote.over", SmoteSpec.over_pct)
+    smote_under: float = _key("smote.under", SmoteSpec.under_pct)
+    algorithms: tuple = _key("train.algorithms", ALGORITHMS)
+    mix_components: tuple = _key("mixture.components", ())  # (): top two by test AUC
+    alpha_grid_step: float = _key("mixture.alpha_grid_step", DEFAULT_GRID_STEP)
+    cutoff_low: float = _key("mixture.cutoff_low", DEFAULT_CUTOFF_LOW)
+    cutoff_high: float = _key("mixture.cutoff_high", DEFAULT_CUTOFF_HIGH)
+    km_confidence: float = _key("km.confidence", DEFAULT_CONFIDENCE)
+    cox_formulas: tuple = _key("cox.formulas", ())  # (): auto suite from categoricals
+    cox_ties: str = _key("cox.ties", DEFAULT_TIES)
+    cox_references: dict = _key("cox.references", default_factory=dict)
 
     def __post_init__(self):
         if not self.output_dir:
@@ -161,24 +155,14 @@ class PipelineConfig:
 
     @classmethod
     def from_mapping(cls, mapping) -> "PipelineConfig":
+        by_key = {f.metadata["key"]: f for f in fields(cls)}
         values = {}
         for key, raw in mapping.items():
-            if key not in cls._KEYS:
+            if key not in by_key:
                 raise DomainError(f"unknown config key {key!r}")
-            name, kind = cls._KEYS[key]
+            f = by_key[key]
             try:
-                if kind == "list":
-                    values[name] = _csv_list(raw)
-                elif kind == "refs":
-                    refs = {}
-                    for pair in _csv_list(raw):
-                        col, _, level = pair.partition("=")
-                        if not col.strip() or not level.strip():
-                            raise ValueError(pair)
-                        refs[col.strip()] = level.strip()
-                    values[name] = refs
-                else:
-                    values[name] = kind(raw)
+                values[f.name] = _PARSERS.get(f.type, f.type)(raw)
             except ValueError:
                 raise DomainError(f"config key {key!r}: cannot parse {raw!r}")
         return cls(**values)
@@ -186,8 +170,6 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         out = {}
         for f in fields(self):
-            if f.name.startswith("_"):
-                continue
             value = getattr(self, f.name)
             out[f.name] = list(value) if isinstance(value, tuple) else value
         return out

@@ -20,6 +20,8 @@ import numpy as np
 from .distributions import chi_square_sf, normal_quantile
 from .errors import DomainError
 
+DEFAULT_CONFIDENCE = 0.95   # the level of the KM bands when a run names none
+
 
 def _check_samples(durations, events):
     durations = np.asarray(durations, dtype=float)

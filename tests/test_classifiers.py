@@ -18,7 +18,7 @@ from survmix.classifiers._encoding import DummyEncoder, FeatureSchema
 from survmix.classifiers.bagging import BagParams, bootstrap_indices, fit_bagging
 from survmix.classifiers.logistic import LogitModel, LogitParams, fit_logit
 from survmix.classifiers.naive_bayes import NaiveBayesModel, NbParams, fit_naive_bayes
-from survmix.classifiers import trees
+from survmix.classifiers import neural, trees
 from survmix.classifiers.neural import (
     AnnModel,
     AnnParams,
@@ -46,6 +46,7 @@ from survmix.errors import (
     DivergenceError,
     DomainError,
     SeparationError,
+    SurvmixError,
 )
 
 VOCAB = ("a", "b", "c", "d")
@@ -704,6 +705,49 @@ class TestBagging:
         assert not np.array_equal(p1, p3)
 
 
+def hstack_transform(encoder, data):
+    """The block-by-block `DummyEncoder.transform` the one-matrix fill
+    replaced: the reference."""
+    mapped = encoder.schema.map_columns(data)
+    blocks = []
+    for name, kind in encoder.schema.features:
+        if kind == "numeric":
+            v = mapped[name]
+            if encoder.standardize:
+                v = (v - encoder.means[name]) / encoder.scales[name]
+            blocks.append(v[:, None])
+        else:
+            levels = encoder.schema.levels[name]
+            ref = encoder.schema.reference[name]
+            keep = [i for i, lv in enumerate(levels) if lv != ref]
+            block = np.zeros((len(mapped[name]), len(keep)))
+            for j, level_code in enumerate(keep):
+                block[:, j] = mapped[name] == level_code
+            blocks.append(block)
+    return np.hstack(blocks)
+
+
+class TestDummyEncoder:
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_transform_equals_the_stacked_blocks(self, standardize):
+        rng = np.random.default_rng(22)
+        data = random_dataset(rng, 60, n_numeric=3, n_categorical=2)
+        # a categorical with one observed level gets no dummy column
+        data = data.with_column(ColumnSpec("one", "categorical", "feature", VOCAB),
+                                np.full(60, 2, dtype=np.int32))
+        encoder = DummyEncoder.fit(data, standardize=standardize)
+        got = encoder.transform(data)
+        assert got.flags.c_contiguous and got.dtype == np.float64
+        assert got.shape == (60, len(encoder.column_names))
+        assert not any(c.startswith("one=") for c in encoder.column_names)
+        assert got.tobytes() == hstack_transform(encoder, data).tobytes()
+
+    def test_schema_without_features_rejected(self):
+        data = make_dataset({"x": [0.0, 1.0]}, labels=[0, 1])
+        with pytest.raises(DomainError, match="no feature columns to encode"):
+            DummyEncoder(FeatureSchema((), {}, {})).transform(data)
+
+
 def loglik_grid_oracle(x, y):
     """Three-stage grid refinement of the 2-parameter log-likelihood."""
     x, y = np.asarray(x, float), np.asarray(y, float)
@@ -845,6 +889,14 @@ class TestNaiveBayes:
         in_range = query.take_rows([3, 4])
         assert probs[3:5].tobytes() == model.predict_proba(in_range).tobytes()
 
+    def test_fit_on_an_overflowing_class_variance_names_the_feature(self):
+        # (x - mean)² overflows at 1e160, so the variance would be stored as
+        # inf and every score would be NaN.
+        data = make_dataset({"x": np.array([0.0, 1, 2, 3, 5, 9]) * 1e160,
+                             "y": [0.0, 1, 0, 1, 0, 1]}, labels=[0, 0, 0, 1, 1, 1])
+        with pytest.raises(SurvmixError, match="naive Bayes: feature 'x'"):
+            fit_naive_bayes(data, NbParams())
+
     def test_far_cell_of_an_uninformative_feature_leaves_the_others_to_decide(self):
         # Equal means and variances: the two quadratic terms cancel, though
         # each alone overflows, and the levels decide as if x sat at the mean.
@@ -858,6 +910,12 @@ class TestNaiveBayes:
             return model.predict_proba(make_dataset({"x": x}, {"c": ["a", "b"]}, [0, 0],
                                                     vocab=("a", "b")))
         np.testing.assert_allclose(scores([1e160, -1e160]), scores([0.5, 0.5]), rtol=1e-12)
+
+
+def where_sigmoid(z):
+    """The `np.where` logistic function `_sigmoid` replaced."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def masked_sigmoid(z):
@@ -882,6 +940,12 @@ class TestAnn:
             got = _sigmoid(z)
         assert np.array_equal(got.view(np.int64), masked_sigmoid(z).view(np.int64))
         assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
+
+    def test_fit_equals_a_fit_with_the_where_link(self, monkeypatch):
+        data = random_dataset(np.random.default_rng(19), 120)
+        fast = fit_ann(data, AnnParams(epochs=40), seed=3).to_state()
+        monkeypatch.setattr(neural, "_sigmoid", where_sigmoid)
+        assert fit_ann(data, AnnParams(epochs=40), seed=3).to_state() == fast
 
     def test_zero_weights_predict_half(self):
         data = make_dataset({"x": [0.0, 3.0, -2.0]}, labels=[0, 1, 0])

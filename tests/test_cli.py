@@ -1,13 +1,19 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
-from survmix.cli import main
-from survmix.dataset import ColumnSpec, Dataset, load_csv, write_dataset
+from survmix import cox, mixture, survival
+from survmix.classifiers import ClassifierSpec
+from survmix.cli import build_parser, main
+from survmix.dataset import ColumnSpec, Dataset, SyntheticSpec, load_csv, write_dataset
+from survmix.pipeline import PipelineConfig
+from survmix.resampling import SmoteSpec, SplitSpec
 
 
 def call(*args):
@@ -345,3 +351,91 @@ class TestArtifactCsvRoundTrip:
         rows = read_csv_rows(tmp_path / "km.csv")
         assert {len(row) for row in rows} == {8}
         assert {row[0] for row in rows[1:]} == {"a,x", "b,x", "c,x", "d,x"}
+
+
+# (subcommand, flag's dest, PipelineConfig field or None, the owner's default)
+DEFAULT_OWNERS = [
+    ("simulate", "numeric", "synthetic_numeric", SyntheticSpec.n_numeric),
+    ("simulate", "categorical", "synthetic_categorical", SyntheticSpec.n_categorical),
+    ("simulate", "minority", "synthetic_minority", SyntheticSpec.minority_fraction),
+    ("simulate", "separation", "synthetic_separation", SyntheticSpec.class_separation),
+    ("simulate", "hazard_ratio", "synthetic_hazard_ratio", SyntheticSpec.hazard_ratio_true),
+    ("simulate", "horizon", "synthetic_horizon", SyntheticSpec.censoring_horizon),
+    ("simulate", "seed", "seed", SyntheticSpec.seed),
+    ("split", "train_fraction", "train_fraction", SplitSpec.train_fraction),
+    ("split", "seed", "seed", SplitSpec.seed),
+    ("smote", "smote_k", "smote_k", SmoteSpec.k),
+    ("smote", "smote_over", "smote_over", SmoteSpec.over_pct),
+    ("smote", "smote_under", "smote_under", SmoteSpec.under_pct),
+    ("smote", "seed", "seed", SmoteSpec.seed),
+    ("train", "seed", "seed", ClassifierSpec.seed),
+    ("mix", "alpha_grid_step", "alpha_grid_step", mixture.DEFAULT_GRID_STEP),
+    ("mix", "cutoff_low", "cutoff_low", mixture.DEFAULT_CUTOFF_LOW),
+    ("mix", "cutoff_high", "cutoff_high", mixture.DEFAULT_CUTOFF_HIGH),
+    ("km", "confidence", "km_confidence", survival.DEFAULT_CONFIDENCE),
+    ("cox", "ties", "cox_ties", cox.DEFAULT_TIES),
+]
+
+REQUIRED_FLAGS = {
+    "simulate": ["--rows", "1", "--out", "d.csv"],
+    "split": ["--data", "d.csv", "--train-out", "a.csv", "--test-out", "b.csv"],
+    "smote": ["--data", "d.csv", "--out", "b.csv"],
+    "train": ["--data", "d.csv", "--algo", "nb", "--out", "m.json"],
+    "mix": ["--data", "d.csv", "--model-a", "a.json", "--model-b", "b.json"],
+    "km": ["--data", "d.csv"],
+    "cox": ["--data", "d.csv"],
+}
+
+CONFIG_KEYS = [
+    "data.output", "data.train", "data.train_schema", "data.predict",
+    "data.predict_schema", "synthetic.rows", "synthetic.numeric",
+    "synthetic.categorical", "synthetic.minority", "synthetic.separation",
+    "synthetic.hazard_ratio", "synthetic.horizon", "synthetic.predict_rows",
+    "pipeline.seed", "split.train_fraction", "smote.k", "smote.over", "smote.under",
+    "train.algorithms", "mixture.components", "mixture.alpha_grid_step",
+    "mixture.cutoff_low", "mixture.cutoff_high", "km.confidence", "cox.formulas",
+    "cox.ties", "cox.references",
+]
+
+
+def config_text(value) -> str:
+    """A config value as the config file spells it."""
+    if isinstance(value, tuple):
+        return ",".join(value)
+    if isinstance(value, dict):
+        return ",".join(f"{k}={v}" for k, v in value.items())
+    return str(value)
+
+
+class TestSettingsHaveOneOwner:
+    def test_flag_and_config_defaults_are_their_owners(self):
+        parser = build_parser()
+        config = {f.name: f.default for f in fields(PipelineConfig)}
+        for command, dest, name, owner in DEFAULT_OWNERS:
+            flag = getattr(parser.parse_args([command, *REQUIRED_FLAGS[command]]), dest)
+            assert (type(flag), flag) == (type(owner), owner), (command, dest)
+            assert (type(config[name]), config[name]) == (type(owner), owner), name
+        grid_step = inspect.signature(mixture.optimize_weight).parameters["grid_step"]
+        assert grid_step.default == mixture.DEFAULT_GRID_STEP
+        assert inspect.signature(cox.cox_fit).parameters["ties"].default == cox.DEFAULT_TIES
+
+    def test_each_field_has_one_key_that_round_trips(self):
+        keys = [f.metadata.get("key") for f in fields(PipelineConfig)]
+        assert keys == CONFIG_KEYS and len(set(keys)) == len(keys)
+        sample = PipelineConfig(
+            output_dir="out", train_path="t.csv", train_schema="t.schema",
+            predict_path="p.csv", predict_schema="p.schema", synthetic_rows=12,
+            synthetic_numeric=3, synthetic_categorical=1, synthetic_minority=0.3,
+            synthetic_separation=2.5, synthetic_hazard_ratio=1.5, synthetic_horizon=7.0,
+            synthetic_predict_rows=9, seed=11, train_fraction=0.7, smote_k=3,
+            smote_over=150.0, smote_under=120.0, algorithms=("bag", "ann", "nb"),
+            mix_components=("ann", "bag"), alpha_grid_step=0.05, cutoff_low=0.3,
+            cutoff_high=0.75, km_confidence=0.9, cox_formulas=("a + b", "a * b"),
+            cox_ties="breslow", cox_references={"c": "x", "d": "y"})
+        mapping = {}
+        for f in fields(PipelineConfig):
+            value = getattr(sample, f.name)
+            default = f.default if f.default is not MISSING else f.default_factory()
+            assert value != default, f.name   # every key is exercised
+            mapping[f.metadata["key"]] = config_text(value)
+        assert PipelineConfig.from_mapping(mapping) == sample
