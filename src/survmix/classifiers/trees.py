@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dataset import Dataset
-from ..distributions import chi_square_sf
+from ..distributions import chi_square_log_sf, chi_square_sf
 from ..errors import DomainError
 from ._encoding import FeatureSchema
 
@@ -342,7 +342,8 @@ def _ctree_chooser(data, alpha):
     """The feature of smallest Bonferroni-adjusted p-value, the first in
     schema order among equals; none unless that p-value is below `alpha`.
     A feature is tested in a node where it can split it, and the adjustment
-    multiplies by the number of such features."""
+    multiplies by the number of such features.  p-values that underflow to
+    0 are compared by their logs."""
 
     def choose(frontier, gain):
         testable = gain > -np.inf
@@ -353,6 +354,12 @@ def _ctree_chooser(data, alpha):
         for s, j in zip(*np.nonzero(testable)):
             adjusted[s, j] = min(1.0, chi_square_sf(statistic[s, j], df[s, j]) * tested[s])
         feature = np.argmin(adjusted, axis=1)
+        # A node's features share one Bonferroni factor, so among those whose
+        # p-value underflowed the smallest log p-value is the smallest p.
+        for s in np.flatnonzero((adjusted == 0.0).any(axis=1)):
+            tied = np.flatnonzero(adjusted[s] == 0.0)
+            feature[s] = tied[np.argmin([chi_square_log_sf(statistic[s, j], df[s, j])
+                                         for j in tied])]
         return np.where(adjusted[np.arange(len(feature)), feature] < alpha, feature, -1)
     return choose
 

@@ -26,7 +26,7 @@ import numpy as np
 from .dataset import Dataset
 from .distributions import chi_square_sf, normal_quantile
 from .errors import DomainError
-from .newton import check_aliased, newton_ascent
+from .newton import check_aliased, newton_ascent, over_rows
 from .survival import _check_samples
 
 TIES_METHODS = ("efron", "breslow")
@@ -245,11 +245,9 @@ def _loglik(prep, beta):
         a = np.add.reduceat(1.0 / denom, d_starts)
         c = np.cumsum(np.bincount(starts, a, x.shape[0]))
         b = np.add.reduceat(frac / denom, d_starts)
-        # einsum, not BLAS: OpenBLAS splits a long dot product among its
-        # threads, so its bits would follow the CPU count
-        info = (np.einsum("ni,nj->ij", xw * c[:, None], x)
-                - np.einsum("ni,nj->ij", xw_death * b[gidx, None], x_death)
-                - np.einsum("mi,mj->ij", mean, mean))
+        info = (over_rows(xw * c[:, None], x)
+                - over_rows(xw_death * b[gidx, None], x_death)
+                - over_rows(mean, mean))
     return loglik, score, info
 
 

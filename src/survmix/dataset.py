@@ -26,17 +26,15 @@ to no memory.
 `load_csv` streams the file through `fileio.csv_blocks`, one block of at
 most `fileio._BLOCK_CELLS` cells at a time, so besides the dataset it holds
 one block's cells, whatever the row count.  A plain block is parsed by
-numpy into float64 and fixed-width str fields, and each categorical field
-is coded against the vocabulary in one step.  A block with a missing cell,
-an undeclared level or a new level a sidecar cannot store is left to the
-csv path, which parses `csv.reader`'s records column by column with
-`float` and a dict; it alone reports bad cells, so the errors and their
-rows do not depend on the path.
+numpy into float64 and fixed-width str fields.  Any other, such as one
+with a missing or bad number, is left to `csv.reader`, whose numeric cells
+go through `float` column by column.  Either way one coder
+(`_Column._code`) codes a block's categorical cells with `np.unique` and
+reports an undeclared or unstorable level, so the errors and their rows
+do not depend on the path.
 """
 
-from collections import ChainMap
 from dataclasses import dataclass
-from functools import cached_property, partial
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -347,18 +345,19 @@ def load_csv(data_path: "str | Path", schema: "Sequence[ColumnSpec] | str | Path
                 f"{data_path}: header {header!r} does not match schema names "
                 f"{[s.name for s in specs]!r}")
         block_rows = max(1, fileio._BLOCK_CELLS // max(1, len(specs)))
-        take = partial(_take_table, columns)
-        for first_row, records in csv_blocks(fh, data_path, DELIMITER, dtype, block_rows,
-                                             take):
-            while block := list(islice(records, block_rows)):
-                if set(map(len, block)) - {len(specs)}:
-                    r, row = next((r, row) for r, row in enumerate(block, start=first_row)
+        for first_row, block in csv_blocks(fh, data_path, DELIMITER, dtype, block_rows):
+            if isinstance(block, np.ndarray):
+                _add_table(columns, block, first_row)
+                continue
+            while records := list(islice(block, block_rows)):
+                if set(map(len, records)) - {len(specs)}:
+                    r, row = next((r, row) for r, row in enumerate(records, start=first_row)
                                   if len(row) != len(specs))
                     raise ParseError(f"{data_path}:{r}: expected {len(specs)} fields, "
                                      f"got {len(row)}")
-                for column, tokens in zip(columns, zip(*block)):
+                for column, tokens in zip(columns, zip(*records)):
                     column.add(tokens, first_row)
-                first_row += len(block)
+                first_row += len(records)
     for column in columns:
         if column.bad is not None:
             error, row, message = column.bad
@@ -367,11 +366,9 @@ def load_csv(data_path: "str | Path", schema: "Sequence[ColumnSpec] | str | Path
                    {c.spec.name: c.values() for c in columns})
 
 
-def _take_table(columns: list, table: np.ndarray) -> bool:
-    """Add a block that `np.loadtxt` parsed to `columns` if each column takes
-    its cells as they are, without a missing, undeclared or unstorable cell;
-    otherwise leave every column as it was.  A column that met a bad cell
-    takes them too: `load_csv` raises its error all the same."""
+def _add_table(columns: list, table: np.ndarray, first_row: int) -> None:
+    """Add a block that `np.loadtxt` parsed, its first row on file row
+    `first_row`, to `columns`."""
     cells = [table[name] for name in table.dtype.names]
     # The float parts share one array: a copy per column, amid numpy's
     # short-lived buffers, left the heap fragmented, and a 20k-row load and
@@ -381,14 +378,8 @@ def _take_table(columns: list, table: np.ndarray) -> bool:
     for row, j in zip(floats, numeric):
         row[:] = cells[j]
         cells[j] = row
-    parsed = [c.parse_table(column_cells) for c, column_cells in zip(columns, cells)]
-    if None in parsed:
-        return False
-    for column, (values, new_levels) in zip(columns, parsed):
-        column.parts.append(values)
-        for level in new_levels:
-            column.index[level] = len(column.index)
-    return True
+    for column, column_cells in zip(columns, cells):
+        column.add(column_cells, first_row)
 
 
 class _Column:
@@ -418,70 +409,45 @@ class _Column:
             longest = max(map(len, spec.vocabulary), default=_STR_WIDTH)
             self.field = f"U{min(_STR_WIDTH, longest + 1)}"
 
-    def add(self, tokens: tuple, first_row: int) -> None:
-        """Parse one block of cells; the first lies on file row `first_row`."""
+    def add(self, cells, first_row: int) -> None:
+        """Parse one block of cells, the first on file row `first_row`:
+        csv's tokens, or the float64 or str column of a block numpy parsed."""
         if self.bad is not None:
             return
-        parse = _parse_numbers if self.spec.kind == "numeric" else self._parse_levels
-        values, bad = parse(tokens)
+        if self.spec.kind == "categorical":
+            values, bad = self._code(cells)
+        elif isinstance(cells, np.ndarray):
+            values, bad = cells, None
+        else:
+            values, bad = _parse_numbers(cells)
         if bad is None:
             self.parts.append(values)
         else:
             error, i, message = bad
             self.bad = (error, first_row + i, message)
 
-    def parse_table(self, cells: np.ndarray):
-        """(values, new levels) for this column's cells of a block that numpy
-        parsed, or None where `add` would find a missing or bad cell."""
-        if self.spec.kind == "numeric":
-            return cells, ()
+    def _code(self, cells) -> tuple:
+        """(int32 codes, None), or (None, bad cell).  Empty and "NA" cells
+        are missing.  New levels are numbered in order of first appearance;
+        one is bad where a vocabulary was declared or a sidecar cannot
+        store it."""
+        if not isinstance(cells, np.ndarray):   # csv's tokens; object keeps a trailing NUL
+            cells = np.array(cells, dtype=object)
         levels, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
         levels = levels.tolist()
-        known = self.index
-        new = [level for level in levels if level not in known]
-        if not _MISSING.isdisjoint(levels) or (
-                new and (self.spec.vocabulary or any(map(_unstorable, new)))):
-            return None
-        if new:   # numbered in order of first appearance, as in `_parse_levels`
-            first_at = dict(zip(levels, first.tolist()))
-            new.sort(key=first_at.__getitem__)
-            known = ChainMap(known, {level: len(known) + k for k, level in enumerate(new)})
-        return np.array([known[level] for level in levels], np.int32)[inverse], new
-
-    @cached_property
-    def declared_codes(self) -> Optional[dict]:
-        """The code of each declared level and missing token, or None where
-        the vocabulary is inferred; built when the csv path first needs it."""
-        if not self.spec.vocabulary:
-            return None
-        return {**self.index, **dict.fromkeys(MISSING_TOKENS, MISSING_CODE)}
-
-    def _parse_levels(self, tokens) -> tuple:
-        """(int32 codes, None), or (None, bad cell); new levels are appended
-        in order of first appearance and rejected when a vocabulary was
-        declared."""
-        if self.declared_codes is not None:
-            try:   # every cell declared or missing
-                return np.fromiter(map(self.declared_codes.__getitem__, tokens), np.int32,
-                                   count=len(tokens)), None
-            except KeyError:
-                pass
         index = self.index
-        known = len(index)
-        codes = np.array([MISSING_CODE if tok in MISSING_TOKENS
-                          else index.setdefault(tok, len(index)) for tok in tokens],
-                         dtype=np.int32)
-        declared = len(self.spec.vocabulary)
-        if declared and len(index) > declared:
-            i = int(np.argmax(codes >= declared))
-            return None, (DomainError, i,
-                          f"value {tokens[i]!r} is not in the declared vocabulary")
-        for code, level in enumerate(list(index)[known:], start=known):
+        for i, level in sorted((i, level) for level, i in zip(levels, first.tolist())
+                               if level not in index and level not in _MISSING):
+            if self.spec.vocabulary:
+                return None, (DomainError, i,
+                              f"value {level!r} is not in the declared vocabulary")
             if _unstorable(level):
-                return None, (DomainError, int(np.argmax(codes == code)),
+                return None, (DomainError, i,
                               f"value {level!r} holds '|' or a line break, which a "
                               f"schema sidecar cannot store")
-        return codes, None
+            index[level] = len(index)
+        codes = [MISSING_CODE if level in _MISSING else index[level] for level in levels]
+        return np.array(codes, np.int32)[inverse], None
 
     def values(self) -> np.ndarray:
         """The parsed cells as one array; the blocks are let go."""

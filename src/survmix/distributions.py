@@ -12,6 +12,10 @@ practice ~1e-15).
 Identity used:
 
     chi-square survival:   sf(x; k) = Q(k/2, x/2)
+
+The continued fraction gives Q as a factor times an exponential, so its log
+is a sum, and `chi_square_log_sf` stays finite where the survival function
+itself underflows to 0.
 """
 
 import math
@@ -36,8 +40,9 @@ def _gamma_p_series(a: float, x: float) -> float:
     raise ConvergenceError(f"incomplete gamma series failed for a={a}, x={x}")
 
 
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    # Continued fraction for Q(a, x); converges fast for x >= a + 1.
+def _gamma_q_contfrac(a: float, x: float) -> tuple:
+    # Continued fraction for Q(a, x) = h · exp(e), as (h, e); converges fast
+    # for x >= a + 1.  Its log, log h + e, stays finite where Q underflows.
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -55,7 +60,7 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return h, -x + a * math.log(x) - math.lgamma(a)
     raise ConvergenceError(f"incomplete gamma fraction failed for a={a}, x={x}")
 
 
@@ -67,7 +72,8 @@ def reg_upper_gamma(a: float, x: float) -> float:
         return 1.0
     if x < a + 1.0:
         return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
+    h, e = _gamma_q_contfrac(a, x)
+    return h * math.exp(e)
 
 
 def normal_quantile(p: float) -> float:
@@ -122,3 +128,12 @@ def chi_square_sf(x: float, df: float) -> float:
     if x <= 0.0:
         return 1.0
     return reg_upper_gamma(df / 2.0, x / 2.0)
+
+
+def chi_square_log_sf(x: float, df: float) -> float:
+    """log P(X >= x) for chi-square with df > 0 degrees of freedom; finite
+    where `chi_square_sf` underflows to 0 (from x ≈ 1,485 on one degree)."""
+    if x / 2.0 < df / 2.0 + 1.0:   # the series branch never underflows
+        return math.log(chi_square_sf(x, df))
+    h, e = _gamma_q_contfrac(df / 2.0, x / 2.0)
+    return math.log(h) + e

@@ -34,11 +34,12 @@ after the header a block at a time.  A plain block, one that csv would
 split at each delimiter and nowhere else, goes to `np.loadtxt`, whose C
 reader hands each number to CPython's own correctly rounded
 `PyOS_string_to_double` and so gives `float`'s bits, in less time than
-`csv.reader` and `float` take.  Its caller takes the table or declines it.
-A block with a quote, a blank line, a line over csv's field limit or a NUL,
-one numpy rejects and one its caller declines go to `csv.reader` instead, as
-every block did before; so csv's rules and the loader's error messages hold
-whichever path a block takes.
+`csv.reader` and `float` take.  Its caller gets the table, missing and bad
+categorical cells included, and codes them as it codes csv's tokens.  A
+block with a quote, a blank line, a line over csv's field limit or a NUL,
+and one numpy rejects, go to `csv.reader` instead, as every block did
+before; so csv's rules and the loader's error messages hold whichever path
+a block takes.
 """
 
 import contextlib
@@ -327,18 +328,16 @@ def csv_records(lines, path: "str | Path", delimiter: str, first: int = 1):
         raise ParseError(f"{path}:{number + 1}: {exc}") from exc
 
 
-def csv_blocks(fh, path: "str | Path", delimiter: str, dtype, block_rows: int, take):
+def csv_blocks(fh, path: "str | Path", delimiter: str, dtype, block_rows: int):
     """The records of the open text `fh` after its header record, read a
-    block of at most `block_rows` lines at a time, that `take` does not
-    consume.
+    block of at most `block_rows` lines at a time.
 
-    A plain block (`_plain_table`) is parsed by `np.loadtxt` into a
-    structured array of `dtype` (None: no block is) and handed to
-    `take(table)`, which consumes it by returning True.  Every other
-    block is yielded as (number of its first record, lazy `csv_records` of
-    its lines).  From the first block that holds a quote, the rest of the
-    file is yielded as one such record stream, since a quoted field may span
-    lines.
+    Each block is yielded as (number of its first record, its records): a
+    plain block (`_plain_table`) as the structured array of `dtype` that
+    `np.loadtxt` parses it into (None: no block is), any other as a lazy
+    `csv_records` of its lines.  From the first block that holds a quote,
+    the rest of the file is yielded as one such record stream, since a
+    quoted field may span lines.
     """
     first = 2
     while lines := list(itertools.islice(fh, block_rows)):
@@ -347,8 +346,7 @@ def csv_blocks(fh, path: "str | Path", delimiter: str, dtype, block_rows: int, t
             yield first, csv_records(itertools.chain(lines, fh), path, delimiter, first)
             return
         table = None if dtype is None else _plain_table(lines, text, delimiter, dtype)
-        if table is None or not take(table):
-            yield first, csv_records(lines, path, delimiter, first)
+        yield first, csv_records(lines, path, delimiter, first) if table is None else table
         first += len(lines)
 
 
@@ -361,8 +359,8 @@ def _plain_table(lines: list, text: str, delimiter: str, dtype):
     limit (csv raises) and a NUL (numpy's str drops trailing ones).  numpy
     itself raises `ValueError` on a ragged row and on a number that `float`
     reads another way or alone (`''`, `NA`, `1_0`, `١٢`).  After it, a str
-    cell that fills its field may have been cut short.  A str cell that is
-    empty or "NA" is left for `take` to judge.
+    cell that fills its field may have been cut short.  A str cell is taken
+    as it is, an empty or "NA" one too: the caller judges it as csv's token.
     """
     if ("\n" in lines or "\x00" in text
             or max(map(len, lines)) > csv.field_size_limit()):

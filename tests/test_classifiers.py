@@ -572,16 +572,18 @@ class TestCtree:
             assert fit_ctree(flat_only, CtreeParams(alpha=alpha,
                                                     min_node_size=5)).nodes[0]["leaf"]
 
-    def test_underflowing_pvalues_tie_in_schema_order(self):
-        # Past χ² ≈ 1,400 a p-value underflows to 0.0, so a strong feature
-        # first in the schema wins over a stronger one after it; the greedy
-        # criterion, comparing Gini decreases, takes the stronger.
+    def test_underflowing_pvalues_are_compared_by_their_logs(self):
+        # From χ² ≈ 1,485 on one degree a p-value underflows to 0.0.  Of two
+        # such features the stronger wins, though it comes second in the
+        # schema, as it does under the greedy criterion.
         rng = np.random.default_rng(5)
         y = np.repeat([0.0, 1.0], 1000)
         data = make_dataset({"strong": y + 0.2 * rng.normal(size=2000), "exact": y},
                             labels=y)
+        statistics = root_statistics(data)
+        assert 1485 <= statistics["strong"][0] < statistics["exact"][0]
         assert root_pvalues(data) == {"strong": 0.0, "exact": 0.0}
-        assert fit_ctree(data, CtreeParams()).nodes[0]["feature"] == "strong"
+        assert fit_ctree(data, CtreeParams()).nodes[0]["feature"] == "exact"
         assert fit_cart(data, TreeParams()).nodes[0]["feature"] == "exact"
 
     def test_bonferroni_adjustment_blocks_weak_evidence(self):

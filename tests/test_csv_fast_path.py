@@ -8,10 +8,12 @@ generator, runs through both at several `fileio._BLOCK_CELLS` values; each
 must give the same dataset (arrays compared as bytes, specs equal) or the
 same error class and message.
 
-Two more tests guard the fast path itself: one pins the numpy behaviours it
-relies on, so a numpy release that changes one fails here, and one loads a
-benchmark-shaped file with the csv path made to raise, so a silent fallback,
-which would cost the speed and nothing else, fails too.
+Three more tests guard the fast path itself: one pins the numpy behaviours
+it and the categorical coder rely on, so a numpy release that changes one
+fails here, and two load files that numpy must parse, a benchmark-shaped
+one and one with missing categorical cells, with the csv path made to
+raise, so a silent fallback, which would cost the speed and nothing else,
+fails too.
 """
 
 import csv
@@ -237,7 +239,7 @@ CASES = ("plain", "missing", "padded", "underscore", "arabic_digits", "bad_numbe
          "bom", "bom_in_cells", "crlf", "lone_cr", "blank_lines", "quoted_levels",
          "quote_in_first_block", "ragged", "over_limit", "over_limit_number",
          "long_level", "nul", "whitespace_levels", "undeclared", "pipe",
-         "no_final_line_end", "mixed")
+         "no_final_line_end", "mixed", "missing_levels")
 
 
 def corpus_text(case):
@@ -249,6 +251,9 @@ def corpus_text(case):
     if case in ("missing", "mixed"):
         for column in (1, 2, 3):
             sprinkle(rng, rows, column, MISSING_TOKENS, 0.08)
+    if case == "missing_levels":   # numpy reads these blocks
+        for column in (0, 3):
+            sprinkle(rng, rows, column, MISSING_TOKENS, 0.1)
     if case in ("padded", "mixed"):
         sprinkle(rng, rows, 1, (" 1.5", "2.5 ", "\t3", " -0.0 ", " 4"), 0.2)
     if case == "underscore":
@@ -466,6 +471,20 @@ def test_numpy_reader_behaviours_the_fast_path_relies_on():
     wide = np.dtype([("", f"U{FIELD_LIMIT + 11}")])
     assert loadtxt([cell + "\n" for cell in cells], wide)["f0"].tolist() == cells
     assert loadtxt(["abcdef\n"], np.dtype([("", "U3")]))["f0"].tolist() == ["abc"]
+    # The categorical coder's `np.unique` gives the same sorted levels, first
+    # indices and inverse for numpy's str column as for csv's tokens in an
+    # object array, and the object array keeps a trailing NUL.
+    tokens = ["b", "", "NA", "a", " a", "b", "", "a ", "\x0cb", "NA", "a"]
+    str_column = loadtxt([token + ";0\n" for token in tokens],
+                         np.dtype([("", "U4"), ("", "f8")]))["f0"]
+    got = np.unique(str_column, return_index=True, return_inverse=True)
+    want = np.unique(np.array(tokens, dtype=object), return_index=True, return_inverse=True)
+    assert got[0].tolist() == want[0].tolist() == sorted(set(tokens))
+    for got_part, want_part in zip(got[1:], want[1:]):
+        assert got_part.tolist() == want_part.tolist()
+    assert want[1].tolist() == [tokens.index(level) for level in want[0].tolist()]
+    levels = np.unique(np.array(["a\x00", "a", "a\x00"], dtype=object))
+    assert levels.tolist() == ["a", "a\x00"]
 
 
 def test_benchmark_shaped_file_never_takes_the_csv_path(tmp_path, monkeypatch):
@@ -484,8 +503,37 @@ def test_benchmark_shaped_file_never_takes_the_csv_path(tmp_path, monkeypatch):
         raise AssertionError("a block took the csv path")
 
     monkeypatch.setattr(fileio, "csv_records", fallback)
-    monkeypatch.setattr(dataset._Column, "add", fallback)
+    monkeypatch.setattr(dataset, "_parse_numbers", fallback)
     loaded = load_csv(tmp_path / "era.csv", tmp_path / "era.schema")
     assert datasets_equal(loaded, data)
     labels = _read_labels(tmp_path / "labels.csv", loaded)
     assert labels.tolist() == list(predict_stage(data, scores, 0.2, 0.8)[0].labels)
+
+
+def test_missing_categorical_cells_never_take_the_csv_path(tmp_path, monkeypatch):
+    # A quote-free era with about 5 % of its id and categorical cells missing,
+    # and none of its numbers: numpy parses every block and the one coder
+    # codes its missing cells, so no block is read again by csv.
+    data = generate_synthetic(SyntheticSpec(n_rows=2000, n_numeric=18, n_categorical=2,
+                                            seed=4))
+    rng = np.random.default_rng(4)
+    columns = {name: data.column(name) for name in data.names}
+    for s in data.specs:
+        if s.kind == "categorical":
+            codes = columns[s.name].copy()
+            codes[rng.random(data.n_rows) < 0.05] = MISSING_CODE
+            columns[s.name] = codes
+    data = Dataset(data.specs, columns)
+    write_csv(data, tmp_path / "era.csv")
+    write_schema(data.specs, tmp_path / "era.schema")
+    assert ";;" in (tmp_path / "era.csv").read_text(encoding="utf-8")
+    want = reference_load_csv(tmp_path / "era.csv", tmp_path / "era.schema")
+
+    def fallback(*args, **kwargs):
+        raise AssertionError("a block took the csv path")
+
+    monkeypatch.setattr(fileio, "csv_records", fallback)
+    monkeypatch.setattr(dataset, "_parse_numbers", fallback)
+    loaded = load_csv(tmp_path / "era.csv", tmp_path / "era.schema")
+    assert datasets_equal(loaded, data)
+    assert_same_dataset(loaded, want)

@@ -12,6 +12,7 @@ import pytest
 
 from survmix.distributions import (
     _gamma_p_series,
+    chi_square_log_sf,
     chi_square_sf,
     normal_quantile,
     reg_upper_gamma,
@@ -112,3 +113,24 @@ class TestChiSquare:
         for z in (0.5, 1.0, 1.96, 3.0):
             assert chi_square_sf(z * z, 1.0) == pytest.approx(
                 2.0 * normal_cdf(-z), rel=1e-12)
+
+    @pytest.mark.parametrize("df", [1.0, 2.0, 3.0, 7.0])
+    def test_log_sf_is_the_log_of_sf(self, df):
+        for x in (0.0, 0.3, 1.0, 4.0, 30.0, 300.0, 1200.0):
+            assert chi_square_log_sf(x, df) == pytest.approx(
+                math.log(chi_square_sf(x, df)), rel=1e-12, abs=1e-15)
+
+    def test_log_sf_stays_finite_where_sf_underflows(self):
+        # df 2: sf(x) = exp(-x/2) exactly.  df 1: sf(x) = erfc(z) with z² =
+        # x/2, whose log is -z² - log(z √π) + log(1 - 1/(2z²) + 3/(4z⁴) -
+        # 15/(8z⁶)) to within 105/(16z⁸).
+        for x in (1500.0, 2000.0, 1e5):
+            assert chi_square_sf(x, 1.0) == chi_square_sf(x, 2.0) == 0.0
+            assert chi_square_log_sf(x, 2.0) == pytest.approx(-x / 2.0, rel=1e-13)
+            z2 = x / 2.0
+            asymptotic = (-z2 - math.log(math.sqrt(z2 * math.pi))
+                          + math.log(1.0 - 1.0 / (2.0 * z2) + 3.0 / (4.0 * z2 ** 2)
+                                     - 15.0 / (8.0 * z2 ** 3)))
+            assert chi_square_log_sf(x, 1.0) == pytest.approx(asymptotic, rel=1e-12)
+        assert chi_square_log_sf(1485.0, 1.0) < chi_square_log_sf(1485.0, 3.0)
+        assert chi_square_log_sf(1490.0, 1.0) < chi_square_log_sf(1485.0, 1.0)
