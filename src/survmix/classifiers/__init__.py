@@ -16,7 +16,9 @@ ann       single-hidden-layer backpropagation network
 ``predict_proba(data)``; ``save_model``/``load_model`` round-trip any model
 through a versioned JSON document.  Each algorithm is one entry of
 ``_REGISTRY`` (parameter class, fit function, model class, loader), which is
-all that the functions here consult.
+all that the functions here consult.  A parameter class is a flat dataclass
+whose fields are the names a spec may set; every fit first captures a
+`FeatureSchema`, which rejects zero rows.
 """
 
 import dataclasses
@@ -39,7 +41,7 @@ from .trees import (CtreeParams, DecisionTreeModel, TreeParams, fit_cart,
 
 @dataclass(frozen=True)
 class _Algorithm:
-    params: type        # parameter dataclass; nested ones are flattened
+    params: type        # flat parameter dataclass, one field per parameter name
     fit: Callable       # (train, params[, seed=]) -> model
     seeded: bool        # whether `fit` draws random numbers from `seed`
     model: type         # fitted model class
@@ -68,19 +70,8 @@ _FORMAT = "survmix-classifier"
 _VERSION = 1
 
 
-def _flat_fields(params_cls) -> dict:
-    """Flat parameter name -> dataclass field; a nested parameter object
-    (the bag's member tree) contributes its own fields."""
-    out = {}
-    for f in dataclasses.fields(params_cls):
-        if dataclasses.is_dataclass(f.type):
-            out.update(_flat_fields(f.type))
-        else:
-            out[f.name] = f
-    return out
-
-
-_PARAM_FIELDS = {name: _flat_fields(entry.params) for name, entry in _REGISTRY.items()}
+_PARAM_FIELDS = {name: {f.name: f for f in dataclasses.fields(entry.params)}
+                 for name, entry in _REGISTRY.items()}
 
 
 @dataclass(frozen=True)
@@ -109,22 +100,11 @@ def _coerce(value, kind):
         raise DomainError(f"expected {kind.__name__}, got {value!r}") from None
 
 
-def _instantiate(params_cls, values: dict):
-    """`params_cls` from flat values; nested parameter objects take theirs."""
-    kwargs = {}
-    for f in dataclasses.fields(params_cls):
-        if dataclasses.is_dataclass(f.type):
-            kwargs[f.name] = _instantiate(f.type, values)
-        elif f.name in values:
-            kwargs[f.name] = values[f.name]
-    return params_cls(**kwargs)
-
-
 def build_params(spec: ClassifierSpec):
     """The per-algorithm parameter object for a spec, defaults filled in."""
     fields = _PARAM_FIELDS[spec.algorithm]
-    values = {name: _coerce(raw, fields[name].type) for name, raw in spec.params.items()}
-    return _instantiate(_REGISTRY[spec.algorithm].params, values)
+    return _REGISTRY[spec.algorithm].params(
+        **{name: _coerce(raw, fields[name].type) for name, raw in spec.params.items()})
 
 
 def fit(train: Dataset, spec: ClassifierSpec):

@@ -1,8 +1,8 @@
 """Feature-schema capture and dummy encoding shared by the classifiers.
 
 A fitted model remembers the training feature columns (name, kind), each
-categorical feature's observed levels, and a reference level (the most
-frequent training level, ties broken by vocabulary order).  A weighted
+categorical feature's observed levels and reference level, by the rule of
+`dataset.observed_levels` that the Cox design shares.  A weighted
 training sample (a bagging member) gets the schema of the sample it stands
 for from `FeatureSchema.weighted`.  At prediction time columns are matched
 by name, categorical cells by level string, and any level never observed in
@@ -14,18 +14,8 @@ import warnings
 
 import numpy as np
 
-from ..dataset import Dataset
+from ..dataset import Dataset, observed_levels
 from ..errors import DomainError
-
-
-def _observed_levels(levels, counts) -> tuple:
-    """The levels with a positive count, in their given order, and the one
-    with the largest count (ties to the earliest; None when none is left)."""
-    present = np.flatnonzero(counts > 0)
-    observed = tuple(levels[i] for i in present)
-    if not observed:
-        return observed, None
-    return observed, observed[int(np.argmax(counts[present]))]
 
 
 class FeatureSchema:
@@ -38,7 +28,9 @@ class FeatureSchema:
 
     @classmethod
     def fit(cls, data: Dataset) -> "FeatureSchema":
-        """Capture the feature columns of `data`."""
+        """Capture the feature columns of `data`, which must have rows."""
+        if data.n_rows == 0:
+            raise DomainError("cannot fit a classifier on zero rows")
         names = data.feature_names()
         if not names:
             raise DomainError("dataset has no feature columns")
@@ -49,7 +41,7 @@ class FeatureSchema:
             if spec.kind == "categorical":
                 codes = data.codes(name)
                 counts = np.bincount(codes[codes >= 0], minlength=len(spec.vocabulary))
-                observed, heaviest = _observed_levels(spec.vocabulary, counts)
+                observed, heaviest = observed_levels(spec.vocabulary, counts)
                 if not observed:
                     raise DomainError(f"feature {name!r} has no observed levels")
                 levels[name], refs[name] = observed, heaviest
@@ -64,7 +56,7 @@ class FeatureSchema:
         for name, train_levels in self.levels.items():
             counts = np.bincount(mapped[name], weights=weights,
                                  minlength=len(train_levels))
-            levels[name], refs[name] = _observed_levels(train_levels, counts)
+            levels[name], refs[name] = observed_levels(train_levels, counts)
         return FeatureSchema(self.features, levels, refs)
 
     def map_columns(self, data: Dataset) -> dict:

@@ -10,11 +10,13 @@ first, in the frontier engine of `trees`, as many at a time as keep the
 frontier within its bound; a member's tree does not depend on which others
 grow beside it.  Its schema is the one the copied sample would give
 (`FeatureSchema.weighted`), and its tree equals ``fit_cart`` on the copied
-sample node for node.  The ensemble probability is the unweighted
-mean of the member tree probabilities — exactly, not a rounded vote.
+sample node for node, under the same parameters: `BagParams` is a
+`TreeParams` with a member count.  The ensemble probability is the
+unweighted mean of the member tree probabilities — exactly, not a rounded
+vote.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +28,13 @@ from .trees import (DecisionTreeModel, TreeParams, _Encoded, _grow_greedy,
 
 
 @dataclass(frozen=True)
-class BagParams:
+class BagParams(TreeParams):
+    """Each member's stopping rules, and the number of members."""
+
     members: int = 50
-    tree: TreeParams = field(default_factory=TreeParams)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.members < 1:
             raise DomainError("members must be at least 1")
 
@@ -74,7 +78,7 @@ def fit_bagging(train: Dataset, params: BagParams, seed: int) -> BaggingModel:
         members = range(first, min(first + batch, params.members))
         weights = np.array([np.bincount(bootstrap_indices(seed, t, n), minlength=n)
                             for t in members], dtype=float)
-        grown = _grow_greedy(data, weights, "gini", params.tree)
+        grown = _grow_greedy(data, weights, "gini", params)
         trees += [DecisionTreeModel("rpart", data.schema.weighted(data.mapped, w), nodes)
                   for w, nodes in zip(weights, grown)]
     return BaggingModel(trees, seed)

@@ -62,13 +62,11 @@ class LogitModel:
 
 
 def fit_logit(train: Dataset, params: LogitParams) -> LogitModel:
-    if train.n_rows == 0:
-        raise DomainError("cannot fit a classifier on zero rows")
+    encoder = DummyEncoder.fit(train)
+    x = encoder.transform(train)
     y = train.label_values().astype(float)
     if len(np.unique(y)) < 2:
         raise DomainError("logistic regression needs both classes in training data")
-    encoder = DummyEncoder.fit(train)
-    x = encoder.transform(train)
     design = np.hstack([np.ones((x.shape[0], 1)), x])
     names = ["(intercept)"] + encoder.column_names
     aliased = check_aliased(design, names)

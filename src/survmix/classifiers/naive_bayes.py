@@ -108,11 +108,9 @@ class NaiveBayesModel:
 
 
 def fit_naive_bayes(train: Dataset, params: NbParams) -> NaiveBayesModel:
-    if train.n_rows == 0:
-        raise DomainError("cannot fit a classifier on zero rows")
-    y = train.label_values()
     schema = FeatureSchema.fit(train)
     mapped = schema.map_columns(train)
+    y = train.label_values()
     n = len(y)
     masks = [y == 0, y == 1]
     priors = [masks[0].sum() / n, masks[1].sum() / n]

@@ -109,11 +109,9 @@ class AnnModel:
 
 
 def fit_ann(train: Dataset, params: AnnParams, seed: int) -> AnnModel:
-    if train.n_rows == 0:
-        raise DomainError("cannot fit a classifier on zero rows")
-    y = train.label_values().astype(float)
     encoder = DummyEncoder.fit(train, standardize=True)
     x = encoder.transform(train)
+    y = train.label_values().astype(float)
     d = x.shape[1]
     rng = substream(seed, "ann-init")
     w1 = rng.uniform(-0.5, 0.5, (d, params.hidden))
@@ -121,18 +119,16 @@ def fit_ann(train: Dataset, params: AnnParams, seed: int) -> AnnModel:
     w2 = rng.uniform(-0.5, 0.5, params.hidden)
     b2 = float(rng.uniform(-0.5, 0.5))
     eta = params.learning_rate
-    for _ in range(params.epochs):
+    for epoch in range(params.epochs + 1):   # the last pass checks the final loss
         loss, (g_w1, g_b1, g_w2, g_b2) = loss_and_gradients(
             x, y, w1, b1, w2, b2, params.weight_decay)
         if not np.isfinite(loss):
             raise DivergenceError(
                 "network training diverged (non-finite loss); try a smaller learning rate")
+        if epoch == params.epochs:
+            break
         w1 = w1 - eta * g_w1
         b1 = b1 - eta * g_b1
         w2 = w2 - eta * g_w2
         b2 = b2 - eta * g_b2
-    loss, _ = loss_and_gradients(x, y, w1, b1, w2, b2, params.weight_decay)
-    if not np.isfinite(loss):
-        raise DivergenceError(
-            "network training diverged (non-finite loss); try a smaller learning rate")
     return AnnModel(encoder, w1, b1, w2, b2)

@@ -59,35 +59,39 @@ _FRONTIER_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
-class TreeParams:
-    """Stopping rules shared by the greedy criteria."""
+class _StopRules:
+    """Stopping rules shared by every tree."""
 
     min_node_size: int = 20
     max_depth: int = 30
-    cp: float = 1e-4
 
     def __post_init__(self):
         if self.min_node_size < 1:
             raise DomainError("min_node_size must be at least 1")
         if self.max_depth < 0:
             raise DomainError("max_depth must not be negative")
+
+
+@dataclass(frozen=True)
+class TreeParams(_StopRules):
+    """The stopping rules of the greedy criteria."""
+
+    cp: float = 1e-4
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.cp < 0.0:
             raise DomainError("cp must not be negative")
 
 
 @dataclass(frozen=True)
-class CtreeParams:
+class CtreeParams(_StopRules):
     alpha: float = 0.05
-    min_node_size: int = 20
-    max_depth: int = 30
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise DomainError("alpha must be in (0, 1]")
-        if self.min_node_size < 1:
-            raise DomainError("min_node_size must be at least 1")
-        if self.max_depth < 0:
-            raise DomainError("max_depth must not be negative")
+        super().__post_init__()
 
 
 def _impurity(p, criterion):
@@ -370,9 +374,9 @@ class _Encoded:
     such row's stable argsort (int32)."""
 
     def __init__(self, train: Dataset):
-        self.y = _labels(train)
         self.schema = FeatureSchema.fit(train)
         self.mapped = self.schema.map_columns(train)
+        self.y = train.label_values().astype(float)
         names = [name for name, kind in self.schema.features if kind == "numeric"]
         self.numeric = {name: i for i, name in enumerate(names)}
         self.values = np.array([self.mapped[name] for name in names],
@@ -563,12 +567,6 @@ class DecisionTreeModel:
     @classmethod
     def from_state(cls, algorithm, state) -> "DecisionTreeModel":
         return cls(algorithm, FeatureSchema.from_state(state["schema"]), state["nodes"])
-
-
-def _labels(data: Dataset) -> np.ndarray:
-    if data.n_rows == 0:
-        raise DomainError("cannot fit a classifier on zero rows")
-    return data.label_values().astype(float)
 
 
 def fit_cart(train: Dataset, params: TreeParams) -> DecisionTreeModel:

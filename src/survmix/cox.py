@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, observed_levels
 from .distributions import chi_square_sf, normal_quantile
 from .errors import DomainError
 from .newton import check_aliased, newton_ascent, over_rows
@@ -84,33 +84,28 @@ def _encode_column(data: Dataset, name: str, keep, references) -> tuple:
         return [name], [data.numeric(name)[keep]], None
     codes = data.codes(name)[keep]
     counts = np.bincount(codes, minlength=len(spec.vocabulary))
-    observed = np.flatnonzero(counts)
+    observed, heaviest = observed_levels(spec.vocabulary, counts)
     if len(observed) < 2:
         raise DomainError(f"column {name!r} has fewer than two observed levels")
-    if name in references:
-        level = references[name]
-        if level not in spec.vocabulary or counts[spec.vocabulary.index(level)] == 0:
-            raise DomainError(
-                f"reference level {level!r} not observed in column {name!r}")
-        ref_code = spec.vocabulary.index(level)
-    else:
-        ref_code = int(observed[np.argmax(counts[observed])])
+    reference = references.get(name, heaviest)
+    if reference not in observed:
+        raise DomainError(f"reference level {reference!r} not observed in column {name!r}")
     names, cols = [], []
-    for code in observed:
-        if code == ref_code:
-            continue
-        names.append(f"{name}={spec.vocabulary[code]}")
-        cols.append((codes == code).astype(float))
-    return names, cols, spec.vocabulary[ref_code]
+    for level in observed:
+        if level != reference:
+            names.append(f"{name}={level}")
+            cols.append((codes == spec.vocabulary.index(level)).astype(float))
+    return names, cols, reference
 
 
 def build_design(data: Dataset, formula, references=None) -> DesignMatrix:
     """Assemble the design for the given terms, dropping rows with missing cells.
 
-    Categorical columns are dummy-coded against the reference level (supplied
-    per column, else the most frequent); interactions are elementwise products
-    of their parents' columns.  All-zero columns and columns linearly dependent
-    on an intercept plus their predecessors are removed and reported.
+    Categorical columns are dummy-coded over their observed levels against
+    the reference level (supplied per column, else the most frequent, ties to
+    vocabulary order: `dataset.observed_levels`); interactions are elementwise
+    products of their parents' columns.  All-zero columns and columns linearly
+    dependent on an intercept plus their predecessors are removed and reported.
     """
     references = dict(references or {})
     terms = list(formula)

@@ -245,7 +245,7 @@ class Dataset:
         return Dataset(self._specs + (spec,), cols)
 
 
-# -- quantiles ---------------------------------------------------------------
+# -- quartiles and observed levels ---------------------------------------------
 
 def quartiles(values: np.ndarray) -> tuple:
     """(Q1, median, Q3) under linear interpolation of order statistics.
@@ -258,6 +258,16 @@ def quartiles(values: np.ndarray) -> tuple:
         raise DomainError("quartiles of an empty set are undefined")
     q1, q2, q3 = np.quantile(v, [0.25, 0.5, 0.75], method="linear")
     return float(q1), float(q2), float(q3)
+
+
+def observed_levels(levels, counts) -> tuple:
+    """The levels with a positive count, in their given order, and the one
+    with the largest count (ties to the earliest; None when none is left)."""
+    present = np.flatnonzero(counts > 0)
+    observed = tuple(levels[i] for i in present)
+    if not observed:
+        return observed, None
+    return observed, observed[int(np.argmax(counts[present]))]
 
 
 # -- schema sidecar -----------------------------------------------------------

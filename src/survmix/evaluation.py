@@ -151,10 +151,7 @@ def select_cutoff(curve: RocCurve, criterion: str) -> OptimalCutoff:
         values = -np.sqrt((1.0 - curve.tpr) ** 2 + curve.fpr ** 2)
     else:
         values = curve.tpr * (1.0 - curve.fpr)
-    best = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best]:  # strict: earlier (larger) threshold wins ties
-            best = i
+    best = int(np.argmax(values))  # the first maximum: the larger threshold wins ties
     value = values[best] if criterion != "closest01" else -values[best]
     return OptimalCutoff(criterion=criterion, cutoff=float(curve.thresholds[best]),
                          tpr=float(curve.tpr[best]), fpr=float(curve.fpr[best]),

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from survmix.classifiers import (
+    _REGISTRY,
     ALGORITHMS,
     ClassifierSpec,
     fit,
@@ -646,8 +648,8 @@ class TestBagging:
         train = make_dataset({"x0": rng.normal(size=n) + y,
                               "x1": rng.integers(0, 6, n).astype(float)},
                              {"c": rng.permutation(levels).tolist()}, y)
-        params = TreeParams(min_node_size=6, cp=0.0)
-        bag = fit_bagging(train, BagParams(members=25, tree=params), seed=3)
+        params = BagParams(members=25, min_node_size=6, cp=0.0)
+        bag = fit_bagging(train, params, seed=3)
         codes = train.codes("c")
         level_missing = reference_tied = node_at_min_size = False
         for t, tree in enumerate(bag.trees):
@@ -665,8 +667,8 @@ class TestBagging:
         rng = np.random.default_rng(11)
         train = random_dataset(rng, 120, signal=1.0)
         test = random_dataset(np.random.default_rng(12), 40, signal=1.0)
-        params = TreeParams(min_node_size=10)
-        bag = fit_bagging(train, BagParams(members=3, tree=params), seed=7)
+        params = BagParams(members=3, min_node_size=10)
+        bag = fit_bagging(train, params, seed=7)
         members = []
         for t in range(3):
             sample = train.take_rows(bootstrap_indices(7, t, train.n_rows))
@@ -678,7 +680,7 @@ class TestBagging:
         # bit for bit as the mean of the stacked member probabilities, which
         # numpy sums row by row for n >= 2 but pairwise for one column
         train = random_dataset(np.random.default_rng(14), 200, signal=0.5)
-        params = BagParams(members=50, tree=TreeParams(min_node_size=3, cp=0.0))
+        params = BagParams(members=50, min_node_size=3, cp=0.0)
         bag = fit_bagging(train, params, seed=5)
         test = random_dataset(np.random.default_rng(15), 600, signal=0.5)
         members = np.vstack([tree.predict_proba(test) for tree in bag.trees])
@@ -808,6 +810,8 @@ class TestLogit:
         data = make_dataset({"x": [0, 1, 2, 3]}, labels=[1, 1, 1, 1])
         with pytest.raises(DomainError, match="both classes"):
             fit_logit(data, LogitParams())
+        with pytest.raises(DomainError, match="no feature columns"):
+            fit_logit(make_dataset(labels=[1, 1, 1, 1]), LogitParams())
 
     def test_zero_coefficient_model_is_constant(self):
         data = make_dataset({"x": [0.0, 5.0, -3.0]}, labels=[0, 1, 0])
@@ -1074,6 +1078,36 @@ class TestDispatchAndPersistence:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(DomainError, match="unknown parameter"):
             ClassifierSpec("rpart", params={"depth": 3})
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_zero_rows_rejected_by_every_algorithm(self, algo):
+        data = make_dataset({"x": []}, {"c": []}, labels=[])
+        with pytest.raises(DomainError, match="cannot fit a classifier on zero rows"):
+            fit(data, ClassifierSpec(algo))
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_features_checked_before_labels(self, algo):
+        # Every fit captures its feature schema before it reads the labels.
+        with pytest.raises(DomainError, match="no feature columns"):
+            fit(make_dataset(labels=[1.0, np.nan]), ClassifierSpec(algo))
+
+    def test_parameter_classes_are_flat(self):
+        # A parameter class's fields are exactly the names a spec accepts.
+        names = {"rpart": "cp max_depth min_node_size",
+                 "tree": "cp max_depth min_node_size",
+                 "ctree": "alpha max_depth min_node_size",
+                 "bag": "cp max_depth members min_node_size",
+                 "logit": "max_iter",
+                 "nb": "variance_floor",
+                 "ann": "epochs hidden learning_rate weight_decay"}
+        assert tuple(names) == ALGORITHMS
+        for algo, entry in _REGISTRY.items():
+            params = dataclasses.fields(entry.params)
+            assert not any(dataclasses.is_dataclass(f.type) for f in params), algo
+            assert sorted(f.name for f in params) == names[algo].split()
+            valid = ", ".join(names[algo].split())
+            with pytest.raises(DomainError, match=f"; valid: {valid}$"):
+                ClassifierSpec(algo, params={"depth": 3})
 
     def test_string_parameters_coerced(self):
         data = make_dataset({"x": [0, 1, 2, 3]}, labels=[0, 0, 1, 1])

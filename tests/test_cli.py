@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from survmix import cox, mixture, survival
-from survmix.classifiers import ClassifierSpec
+from survmix.classifiers import ClassifierSpec, fit, load_model
 from survmix.cli import build_parser, main
 from survmix.dataset import ColumnSpec, Dataset, SyntheticSpec, load_csv, write_dataset
 from survmix.pipeline import PipelineConfig
@@ -265,6 +265,27 @@ class TestStageFlow:
                             "--param", "no_such=1", "--out", tmp_path / "m.json")
         assert code == 2
         assert "no_such" in err
+
+    def test_bag_takes_its_member_tree_params_flat(self, staged, tmp_path):
+        # `members` and the member trees' stopping rules are one flat set of
+        # names; each is coerced from its string, and the stopping rules are
+        # checked before the member count.
+        data = load_csv(staged / "bal.csv", staged / "bal.schema")
+        code, _, err = call("train", "--data", staged / "bal.csv", "--algo", "bag",
+                            "--seed", 4, "--param", "members=3",
+                            "--param", "min_node_size=40", "--out", tmp_path / "m.json")
+        assert code == 0, err
+        want = fit(data, ClassifierSpec("bag", seed=4,
+                                        params={"members": 3, "min_node_size": 40}))
+        default = fit(data, ClassifierSpec("bag", seed=4, params={"members": 3}))
+        assert load_model(tmp_path / "m.json").to_state() == want.to_state() \
+            != default.to_state()
+        code, _, err = call("train", "--data", staged / "bal.csv", "--algo", "bag",
+                            "--param", "members=0", "--param", "min_node_size=0",
+                            "--out", tmp_path / "bad.json")
+        assert code == 2
+        assert "min_node_size must be at least 1" in err and "members" not in err
+        assert not (tmp_path / "bad.json").exists()
 
     @pytest.mark.parametrize("algo, param", [("ctree", "permutations=99"),
                                              ("bag", "bootstrap=false")])

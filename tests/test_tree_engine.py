@@ -3,11 +3,11 @@
 The oracle below is the recursive, one-node-at-a-time `_grow` with its
 selectors and split searches, kept as it was apart from an `events` set
 that records which stopping rules and corner cases a fit reached, and
-ctree's p-values, which it computes node by node from the plain closed
-forms.  Every model the engine grows breadth first (rpart, tree, ctree and
-each bag member) must equal the oracle's, grown in preorder, node for node,
-also with blocks and frontiers small enough that every depth spans many of
-them.
+ctree's tests, which it computes node by node from the plain closed forms
+and ranks by p-value, those that underflow to 0 by their logs.  Every model
+the engine grows breadth first (rpart, tree, ctree and each bag member) must
+equal the oracle's, grown in preorder, node for node, also with blocks and
+frontiers small enough that every depth spans many of them.
 """
 
 import collections
@@ -26,7 +26,7 @@ from survmix.classifiers.trees import (
     fit_tree,
 )
 from survmix.dataset import ColumnSpec, Dataset
-from survmix.distributions import chi_square_sf
+from survmix.distributions import chi_square_log_sf, chi_square_sf
 
 # -- the oracle: the recursive grower ------------------------------------------
 
@@ -128,13 +128,13 @@ def oracle_greedy_selector(data, weights, criterion, cp, events):
     return select
 
 
-def oracle_ctree_pvalues(data, rows):
-    """The closed-form permutation p-value of every feature that varies in
-    the node of `rows`, in schema order."""
+def oracle_ctree_tests(data, rows):
+    """The closed-form permutation statistic and its degrees of freedom of
+    every feature that varies in the node of `rows`, in schema order."""
     y = data.y[rows]
     n, n1 = len(rows), y.sum()
     n0 = n - n1
-    pvalues = {}
+    tests = {}
     for name, kind in data.schema.features:
         x = data.mapped[name][rows]
         if kind == "numeric":
@@ -142,7 +142,7 @@ def oracle_ctree_pvalues(data, rows):
                 continue
             d = x - x.mean()
             variance = n1 * n0 / (n * (n - 1)) * (d * d).sum()
-            pvalues[name] = chi_square_sf(d[y == 1].sum() ** 2 / variance, 1)
+            tests[name] = (d[y == 1].sum() ** 2 / variance, 1)
             continue
         levels = np.unique(x)
         if len(levels) < 2:
@@ -151,8 +151,8 @@ def oracle_ctree_pvalues(data, rows):
                           for level in levels], dtype=float)
         expected = np.outer(table.sum(axis=1), [n0, n1]) / n
         pearson = ((table - expected) ** 2 / expected).sum()
-        pvalues[name] = chi_square_sf(pearson * (n - 1) / n, len(levels) - 1)
-    return pvalues
+        tests[name] = (pearson * (n - 1) / n, len(levels) - 1)
+    return tests
 
 
 def oracle_ctree_selector(data, params):
@@ -160,11 +160,16 @@ def oracle_ctree_selector(data, params):
     ones = np.ones(len(data.y))
 
     def select(rows, order):
-        pvalues = oracle_ctree_pvalues(data, rows)
-        if not pvalues:
+        tests = oracle_ctree_tests(data, rows)
+        if not tests:
             return None
-        adjusted = {name: min(1.0, p * len(pvalues)) for name, p in pvalues.items()}
-        name = min(adjusted, key=adjusted.get)  # ties: the first in schema order
+        adjusted = {name: min(1.0, chi_square_sf(*test) * len(tests))
+                    for name, test in tests.items()}
+
+        def rank(name):   # ties: the first in schema order; p = 0 by the log
+            return adjusted[name], (chi_square_log_sf(*tests[name])
+                                    if adjusted[name] == 0.0 else 0.0)
+        name = min(adjusted, key=rank)
         if adjusted[name] >= params.alpha:
             return None
         if kinds[name] == "numeric":
@@ -254,7 +259,7 @@ def oracle_bag(train, params, seed, events=None):
     n = train.n_rows
     return [oracle_greedy(train, np.bincount(bootstrap_indices(seed, t, n),
                                              minlength=n).astype(float),
-                          "gini", params.tree, events)
+                          "gini", params, events)
             for t in range(params.members)]
 
 
@@ -290,6 +295,18 @@ def dataset(seed, n, n_numeric=3, n_categorical=1, discrete=True, n_levels=5):
     return Dataset(specs, columns)
 
 
+def underflow_dataset(seed, n=2000):
+    """`dataset`'s mixed shape plus two numeric features so close to the
+    labels that their p-values underflow to 0 at the root, the later one
+    the closer: ctree must tell them apart by their logs."""
+    train = dataset(seed, n)
+    rng = np.random.default_rng(seed)
+    for name, noise in (("close", 0.28), ("closer", 0.2)):
+        train = train.with_column(ColumnSpec(name, "numeric", "feature"),
+                                  train.label_values() + noise * rng.normal(size=n))
+    return train
+
+
 SHAPES = {
     "mixed": dict(n=300),
     "numeric only": dict(n=200, n_categorical=0),
@@ -319,14 +336,20 @@ class TestFrontierEngine:
                                        "one level", "two rows"])
     def test_bag_members_equal_oracle(self, shape):
         train = dataset(40 + len(shape), **SHAPES[shape])
-        params = BagParams(members=7, tree=TreeParams(min_node_size=4, cp=0.0))
+        params = BagParams(members=7, min_node_size=4, cp=0.0)
         bag = fit_bagging(train, params, seed=5)
         assert [tree.nodes for tree in bag.trees] == oracle_bag(train, params, 5)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("shape", ["mixed", "numeric only", "categorical only"])
+    @pytest.mark.parametrize("shape, seed", [
+        (shape, seed) for shape in ("mixed", "numeric only", "categorical only")
+        for seed in (0, 1, 2)] + [("underflow", 0)])
     def test_ctree_equals_oracle(self, shape, seed):
-        train = dataset(60 + seed, **SHAPES[shape])
+        if shape == "underflow":
+            train = underflow_dataset(seed)
+            tests = oracle_ctree_tests(_Encoded(train), np.arange(train.n_rows))
+            assert chi_square_sf(*tests["close"]) == chi_square_sf(*tests["closer"]) == 0.0
+        else:
+            train = dataset(60 + seed, **SHAPES[shape])
         params = CtreeParams(min_node_size=8)
         model = fit_ctree(train, params)
         assert len(model.nodes) > 1
@@ -339,25 +362,23 @@ class TestFrontierEngine:
         # frontier.  The fixture must reach each stopping rule and corner
         # case the engine handles.
         train = dataset(7, 240, n_numeric=4)
-        params = BagParams(members=12, tree=TreeParams(min_node_size=6, max_depth=5,
-                                                       cp=0.004))
+        params = BagParams(members=12, min_node_size=6, max_depth=5, cp=0.004)
         events = set()
         expected_bag = oracle_bag(train, params, 9, events)
-        expected_cart = oracle_greedy(train, np.ones(train.n_rows), "gini", params.tree,
-                                      events)
+        expected_cart = oracle_greedy(train, np.ones(train.n_rows), "gini", params, events)
         assert events == {"node at exactly min_node_size", "max_depth cut-off",
                           "cp cut-off", "feature constant in a node"}
         codes = train.codes("c0")
         assert any(len(collections.Counter(codes[bootstrap_indices(9, t, 240)]))
                    < len(LEVELS) for t in range(params.members))
         default_bag = fit_bagging(train, params, seed=9)
-        default_cart = fit_cart(train, params.tree)
+        default_cart = fit_cart(train, params)
 
         monkeypatch.setattr(trees, "_BLOCK_ELEMENTS", 64)
         if frontier is not None:
             monkeypatch.setattr(trees, "_FRONTIER_ELEMENTS", frontier)
         bag = fit_bagging(train, params, seed=9)
-        cart = fit_cart(train, params.tree)
+        cart = fit_cart(train, params)
         assert [tree.nodes for tree in bag.trees] == expected_bag
         assert [tree.nodes for tree in default_bag.trees] == expected_bag
         assert cart.nodes == default_cart.nodes == expected_cart
