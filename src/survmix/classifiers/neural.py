@@ -5,7 +5,8 @@ plus weight decay on every parameter.  Numeric inputs are standardized with
 training statistics; categoricals are dummy-encoded.  Initial weights are
 uniform in [-0.5, 0.5] drawn from the model seed, and training runs a fixed
 number of epochs, so a (data, spec, seed) triple always yields the same
-network.  A non-finite loss aborts with a divergence error.
+network, whatever the BLAS thread count: the weight gradients sum over rows
+by `newton.over_rows`.  A non-finite loss aborts with a divergence error.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ import numpy as np
 
 from ..dataset import Dataset
 from ..errors import DivergenceError, DomainError
+from ..newton import over_rows
 from ..rng import substream
 from ._encoding import DummyEncoder
 
@@ -72,11 +74,11 @@ def loss_and_gradients(x, y, w1, b1, w2, b2, weight_decay):
         loss = data_loss + float(decay)
 
         d_z2 = (_sigmoid(z2) - y) / n
-        g_w2 = hidden.T @ d_z2 + 2.0 * weight_decay * w2
+        g_w2 = over_rows(hidden, d_z2) + 2.0 * weight_decay * w2
         g_b2 = float(d_z2.sum() + 2.0 * weight_decay * b2)
         d_hidden = np.outer(d_z2, w2)
         d_z1 = d_hidden * hidden * (1.0 - hidden)
-        g_w1 = x.T @ d_z1 + 2.0 * weight_decay * w1
+        g_w1 = over_rows(x, d_z1) + 2.0 * weight_decay * w1
         g_b1 = d_z1.sum(axis=0) + 2.0 * weight_decay * b1
     return loss, (g_w1, g_b1, g_w2, g_b2)
 

@@ -102,7 +102,7 @@ def _read_labels(path, data: Dataset) -> np.ndarray:
                           f"for {data.n_rows} data rows")
     if text_cells(row_ids(data)) != ids:
         raise DomainError(f"{path}: row ids do not match the dataset")
-    return np.asarray(labels, dtype=object)
+    return np.asarray(labels, dtype=str)
 
 
 # -- subcommand handlers ---------------------------------------------------------

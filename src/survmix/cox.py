@@ -19,6 +19,7 @@ information at 0 on the fit, for `cox_tests`.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -185,23 +186,26 @@ def _prepare(matrix, durations, events, ties):
         raise DomainError("design rows must align with the survival sample")
     if events.sum() == 0:
         raise DomainError("Cox regression needs at least one event")
-    order = np.argsort(durations, kind="stable")
+    order, starts, death_rows, d_starts, gidx, frac = _risk_sets(
+        durations.tobytes(), events.tobytes(), ties)
     x = matrix[order]
-    t = durations[order]
-    e = events[order]
-    event_times = np.unique(t[e == 1])
-    starts = np.searchsorted(t, event_times, side="left")
-    death_rows = np.flatnonzero(e == 1)
-    d_starts = np.searchsorted(t[death_rows], event_times, side="left")
-    d_counts = np.diff(np.append(d_starts, death_rows.size))
-    m = death_rows.size
-    gidx = np.repeat(np.arange(d_counts.size), d_counts)
-    if ties == "efron":
-        within = np.arange(m) - np.repeat(d_starts, d_counts)
-        frac = within / np.repeat(d_counts, d_counts)
-    else:
-        frac = np.zeros(m)
     return _Prepared(x, starts, death_rows, d_starts, gidx, frac, x[death_rows])
+
+
+@lru_cache(maxsize=1)
+def _risk_sets(durations: bytes, events: bytes, ties):
+    """Duration order and tie groups, cached on the sample's bytes so that
+    consecutive fits on one row set sort it once."""
+    order = np.argsort(np.frombuffer(durations), kind="stable")
+    t, e = np.frombuffer(durations)[order], np.frombuffer(events, dtype=np.int64)[order]
+    death_rows = np.flatnonzero(e == 1)
+    event_times, d_starts, d_counts = np.unique(t[death_rows], return_index=True,
+                                                return_counts=True)
+    starts = np.searchsorted(t, event_times, side="left")
+    gidx = np.repeat(np.arange(d_counts.size), d_counts)
+    within = np.arange(death_rows.size) - np.repeat(d_starts, d_counts)
+    frac = within / np.repeat(d_counts, d_counts) * (ties == "efron")  # Breslow: 0
+    return order, starts, death_rows, d_starts, gidx, frac
 
 
 def _suffix_sums(values, starts):

@@ -158,7 +158,7 @@ def _rank_auc(rows_pos, rows_neg):
 
 
 def _row_separation(rows_pos, rows_neg):
-    """``separation_score`` of each row pair of positives and negatives."""
+    """``separation_score`` per row pair, row by row: a 2-D mean sums in another order."""
     return np.array([abs(p.mean() - q.mean()) for p, q in zip(rows_pos, rows_neg)])
 
 

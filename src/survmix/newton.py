@@ -12,8 +12,11 @@ improves means separated data and raises `SeparationError`; a singular or
 non-finite step raises numpy's `LinAlgError`, which each fit turns into its
 own error.
 
-Sums over the rows go through `over_rows` (einsum, not BLAS): OpenBLAS splits
-a long dot product among its threads, so its bits would follow the CPU count.
+Every fit sums over its rows by `over_rows`: `a.T @ b` over blocks of at most
+4,096 and 2**18 // (columns of a × columns of b) rows, added in block order,
+so that OpenBLAS computes each on one thread whatever `OPENBLAS_NUM_THREADS`
+says (it splits even a one-column dot product from about 12,000 rows).  `@`
+warns on overflow, which the fits let run to inf, hence the `errstate`.
 """
 
 from typing import NamedTuple
@@ -27,8 +30,14 @@ _COEF_LIMIT = 15.0
 
 
 def over_rows(a, b):
-    """`a.T @ b`, summed over the rows by einsum."""
-    return np.einsum("ni,n...->i...", a, b)
+    """`a.T @ b`, summed block by block in row order (see the module)."""
+    cells = a.shape[1] * b[:1].size   # columns of a × columns of b (1 for a vector)
+    rows = max(1, min(4096, 2 ** 18 // max(1, cells)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a[:rows].T @ b[:rows]
+        for lo in range(rows, a.shape[0], rows):
+            total += a[lo:lo + rows].T @ b[lo:lo + rows]
+    return total
 
 
 def _norm(v):

@@ -11,12 +11,15 @@ match theirs byte for byte too; the information, now matrix products, is
 held to rounding of the oracle and of exact rational arithmetic.  A dataset
 written from rows picked out of its source's rendered bytes must match the
 writer's oracle too, and SMOTE's partial neighbour selection must pick what
-the full stable sort picked, ties included.  Cox's information and logit's fit keep their bytes
-under one OpenBLAS thread and under two.
+the full stable sort picked, ties included.  `newton.over_rows`, the one row
+sum of every fit, stays within rounding of an exact sum, and it, Cox's
+information, the logit and ann fits and a whole logit-and-ann pipeline run
+keep their bytes under one OpenBLAS thread and under two.
 """
 
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -26,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from survmix import cox, dataset, fileio, resampling
+from survmix import cox, dataset, fileio, newton, resampling
 from survmix.dataset import (MISSING_CODE, MISSING_TOKENS, ColumnSpec, Dataset,
                              SyntheticSpec, generate_synthetic, load_csv, write_csv)
 from survmix.errors import DomainError, ParseError
@@ -606,6 +609,94 @@ def test_logit_fit_does_not_follow_the_blas_thread_count():
     # enough rows that OpenBLAS would share them among two threads
     out = bytes_per_blas_thread_count(_LOGIT_BYTES)
     assert out[0] and out[0] == out[1]
+
+
+# One column against one, a 1-D right-hand side, the fits' own shapes and up
+# to 120 columns, at row counts on both sides of the ~12,000 from which
+# OpenBLAS splits a one-column dot product.  A case holds at most 3.2M cells.
+OVER_ROWS_SHAPES = ((1, 1), (1, None), (2, 2), (5, 5), (10, 10), (20, 20), (40, 40),
+                    (60, 60), (120, 120), (7, 7), (22, 8), (22, 22), (22, None))
+OVER_ROWS_ROWS = (2_751, 11_000, 13_000, 25_000, 100_000, 200_000)
+
+
+def over_rows_cases():
+    for cols_a, cols_b in OVER_ROWS_SHAPES:
+        for n in OVER_ROWS_ROWS:
+            if n * (cols_a + (cols_b or 1)) <= 3_200_000:
+                rng = np.random.default_rng([n, cols_a, cols_b or 0])
+                b_shape = (n,) if cols_b is None else (n, cols_b)
+                yield rng.standard_normal((n, cols_a)), rng.standard_normal(b_shape)
+
+
+_OVER_ROWS_BYTES = """
+import hashlib
+from survmix.newton import over_rows
+from test_blocked_kernels import over_rows_cases
+for a, b in over_rows_cases():
+    print(a.shape, b.shape, hashlib.sha256(over_rows(a, b).tobytes()).hexdigest())
+"""
+
+
+def test_over_rows_does_not_follow_the_blas_thread_count():
+    out = bytes_per_blas_thread_count(_OVER_ROWS_BYTES)
+    assert len(out[0].splitlines()) == 64
+    assert out[0] == out[1]
+
+
+def test_over_rows_is_within_rounding_of_an_exact_sum():
+    # Any order of summing n products is within n·eps·Σ|products| of their
+    # exact sum (Higham 2002, §3.1), and fsum of the rounded products is
+    # within eps/2 of that.  Checked at the corner entries of every case.
+    eps = np.finfo(float).eps
+    for a, b in over_rows_cases():
+        got = newton.over_rows(a, b).reshape(a.shape[1], -1)
+        b = b.reshape(len(b), -1)
+        for i in {0, a.shape[1] - 1}:
+            for j in {0, b.shape[1] - 1}:
+                products = (a[:, i] * b[:, j]).tolist()
+                bound = len(products) * eps * math.fsum(map(abs, products))
+                assert abs(got[i, j] - math.fsum(products)) <= bound, (a.shape, b.shape, i, j)
+
+
+_ANN_BYTES = """
+import json, sys
+from survmix.classifiers.neural import AnnParams, fit_ann
+from survmix.dataset import SyntheticSpec, generate_synthetic
+for seed in range(2):
+    data = generate_synthetic(SyntheticSpec(n_rows=25_000, n_numeric=15, n_categorical=2,
+                                            minority_fraction=0.3, seed=seed))
+    sys.stdout.write(json.dumps(fit_ann(data, AnnParams(epochs=5), seed).to_state()))
+"""
+
+
+def test_ann_fit_does_not_follow_the_blas_thread_count():
+    # 25k rows, 22 inputs, 8 hidden units: both weight gradients reduce over
+    # enough rows that OpenBLAS would share them among two threads
+    out = bytes_per_blas_thread_count(_ANN_BYTES)
+    assert out[0] and out[0] == out[1]
+
+
+_PIPELINE_DIGESTS = """
+import hashlib, sys, tempfile
+from pathlib import Path
+from survmix.cli import main
+with tempfile.TemporaryDirectory() as out:
+    code = main(["pipeline", "--set", "synthetic.rows=25000", "--set", "synthetic.numeric=15",
+                 "--set", "synthetic.minority=0.2", "--set", "train.algorithms=logit,ann",
+                 "--seed", "3", "--out", out])
+    for path in sorted(Path(out).iterdir()):
+        if path.name != "report.json":   # holds the stage timings
+            print(path.name, hashlib.sha256(path.read_bytes()).hexdigest())
+sys.exit(code)
+"""
+
+
+def test_pipeline_artifacts_do_not_follow_the_blas_thread_count():
+    # a 25k-row run (27.8k balanced training rows) fits logit and the ann,
+    # then mixes them and runs KM, log-rank and Cox on the predicted groups
+    out = bytes_per_blas_thread_count(_PIPELINE_DIGESTS)
+    assert len(out[0].splitlines()) == 21
+    assert out[0] == out[1]
 
 
 # -- memory ----------------------------------------------------------------------

@@ -8,11 +8,12 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
-from survmix import cox, mixture, survival
+from survmix import cli, cox, mixture, survival
 from survmix.classifiers import ClassifierSpec, fit, load_model
 from survmix.cli import build_parser, main
 from survmix.dataset import ColumnSpec, Dataset, SyntheticSpec, load_csv, write_dataset
-from survmix.pipeline import PipelineConfig
+from survmix.fileio import text_cells
+from survmix.pipeline import PipelineConfig, row_ids
 from survmix.resampling import SmoteSpec, SplitSpec
 
 
@@ -255,6 +256,18 @@ class TestStageFlow:
                             "--out-dir", tmp_path)
         assert code == 2
         assert message in err
+
+    def test_labels_file_reads_as_str(self, staged, tmp_path):
+        # km and cox get the labels as the pipeline hands them on: a str
+        # array, which np.unique sorts without comparing Python objects
+        data = load_csv(staged / "clean.csv", staged / "clean.schema")
+        labels = (["positive", "unclassified", "negative"] * data.n_rows)[:data.n_rows]
+        ids = text_cells(row_ids(data))
+        (tmp_path / "labels.csv").write_text("id,probability,label\n" + "".join(
+            f"{i},0.5,{label}\n" for i, label in zip(ids, labels)))
+        got = cli._read_labels(tmp_path / "labels.csv", data)
+        assert got.dtype.kind == "U"
+        assert got.tolist() == labels
 
     def test_train_param_override(self, staged, tmp_path):
         code, _, err = call("train", "--data", staged / "bal.csv", "--algo", "rpart",

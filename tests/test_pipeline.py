@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from survmix import dataset, fileio, resampling
+from survmix import cox, dataset, fileio, resampling
 from survmix.classifiers import ClassifierSpec, fit, save_model
 from survmix.cli import main as cli_main
 from survmix.dataset import (ColumnSpec, Dataset, SyntheticSpec, generate_synthetic,
@@ -16,9 +16,11 @@ from survmix.errors import DomainError, ParseError
 from survmix.pipeline import (
     PipelineConfig,
     RunReport,
+    classified_rows,
     cox_suite_formulas,
     parse_config,
     rank_algorithms,
+    run_cox_suite,
     run_pipeline,
     validate_report,
 )
@@ -338,6 +340,18 @@ class TestHelpers:
         assert "predicted_label * cat_01" in suite
         assert len(suite) == 5
 
+    def test_cox_suite_sorts_its_row_set_once(self):
+        # no formula cell is missing, so every model fits the same rows and
+        # the suite sorts them and groups their tied deaths once
+        data = generate_synthetic(SyntheticSpec(n_rows=300, seed=2))
+        data, _ = classified_rows(data, np.where(np.arange(300) % 3, "negative", "positive"))
+        formulas = cox_suite_formulas(data)
+        cox._risk_sets.cache_clear()
+        suite = run_cox_suite(data, formulas, "efron", {})
+        assert len(formulas) == 5 and all("error" not in m for m in suite)
+        info = cox._risk_sets.cache_info()
+        assert (info.misses, info.hits) == (1, len(formulas) - 1)
+
     def test_validate_report_rejects_missing_keys(self):
         with pytest.raises(DomainError, match="missing key"):
             validate_report({"schema_version": 1})
@@ -368,26 +382,27 @@ GOLDEN_ALGORITHMS = ("rpart", "logit", "nb")
 GOLDEN_DIGESTS = {
     "cleaned.csv": "540dfb36ccdcba58",
     "cleaned.schema": "a58736a4e57f2563",
-    # re-pinned when the Cox information became one weighted Gram product:
-    # its last bits moved (at most 4.2e-15 relative in se), cox_summary.txt did not
-    "cox.json": "b8e97e46896f9652",
+    # re-pinned when every fit's row sums became blocked BLAS products
+    # (`newton.over_rows`): its last bits moved (at most 4.6e-15 relative in
+    # se), cox_summary.txt did not
+    "cox.json": "3bb6d88c6d98c022",
     "cox_summary.txt": "a10934345bffa8df",
     "km.csv": "630491e02fdcd7aa",
     "km.svg": "d4017eeda13c55f5",
     # labels.csv, metrics.json, mixture.json, model_logit.json, report.json
-    # and roc_logit.csv re-pinned when logit's score and Hessian left BLAS:
-    # their last bits moved (coefficients by at most 5.8e-12 relative), no
-    # label, alpha or chosen pair did
-    "labels.csv": "ec52690a82c7b79b",
+    # and roc_logit.csv re-pinned with cox.json: logit's last bits moved
+    # (coefficients by at most 5.8e-12 relative), no label, alpha or chosen
+    # pair did
+    "labels.csv": "9edfa91f9d5f63d5",
     "logrank.json": "4975a481e7829976",
-    "metrics.json": "604ff3429c3e5858",
-    "mixture.json": "aee501b139a5e79c",
-    "model_logit.json": "1395bc600d9fe407",
+    "metrics.json": "4e8100d26fec5413",
+    "mixture.json": "d3d82ec186d79a56",
+    "model_logit.json": "329b4b996ca1ac44",
     "model_nb.json": "0ad04049b90f7f0a",
     "model_rpart.json": "6b6eded60f859c3a",
     "mva_report.json": "183988039331554e",
-    "report.json": "407bd5dc7f3aa642",
-    "roc_logit.csv": "1cd6462450c9a1fb",
+    "report.json": "5f38a623a01874cc",
+    "roc_logit.csv": "6a2042d53c1c8af3",
     "roc_nb.csv": "84f05b7bda0815e9",
     "roc_rpart.csv": "d775c68f23b37ca4",
     "test.csv": "5bbce84240f51a3a",
