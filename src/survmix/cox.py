@@ -15,11 +15,11 @@ observed information is a weighted cross-product Xᵀ diag(v) X (Therneau and
 Grambsch 2000, §3), less Efron's correction over the tied deaths (Efron
 1977), so it takes matrix products over the rows and nothing of size n·p².
 `cox_fit` keeps the information at the estimate and the score and
-information at 0 on the fit, for `cox_tests`.
+information at 0 on the fit, for `cox_tests`.  Each fit sorts its rows by
+duration, caching nothing; `pipeline.classified_rows` already sorts them.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -181,23 +181,14 @@ class _Prepared(NamedTuple):
 
 
 def _prepare(matrix, durations, events, ties):
+    """The fit's rows in stable duration order, with their tie groups."""
     durations, events = _check_samples(durations, events)
     if matrix.shape[0] != durations.size:
         raise DomainError("design rows must align with the survival sample")
     if events.sum() == 0:
         raise DomainError("Cox regression needs at least one event")
-    order, starts, death_rows, d_starts, gidx, frac = _risk_sets(
-        durations.tobytes(), events.tobytes(), ties)
-    x = matrix[order]
-    return _Prepared(x, starts, death_rows, d_starts, gidx, frac, x[death_rows])
-
-
-@lru_cache(maxsize=1)
-def _risk_sets(durations: bytes, events: bytes, ties):
-    """Duration order and tie groups, cached on the sample's bytes so that
-    consecutive fits on one row set sort it once."""
-    order = np.argsort(np.frombuffer(durations), kind="stable")
-    t, e = np.frombuffer(durations)[order], np.frombuffer(events, dtype=np.int64)[order]
+    order = np.argsort(durations, kind="stable")
+    t, e, x = durations[order], events[order], matrix[order]
     death_rows = np.flatnonzero(e == 1)
     event_times, d_starts, d_counts = np.unique(t[death_rows], return_index=True,
                                                 return_counts=True)
@@ -205,7 +196,7 @@ def _risk_sets(durations: bytes, events: bytes, ties):
     gidx = np.repeat(np.arange(d_counts.size), d_counts)
     within = np.arange(death_rows.size) - np.repeat(d_starts, d_counts)
     frac = within / np.repeat(d_counts, d_counts) * (ties == "efron")  # Breslow: 0
-    return order, starts, death_rows, d_starts, gidx, frac
+    return _Prepared(x, starts, death_rows, d_starts, gidx, frac, x[death_rows])
 
 
 def _suffix_sums(values, starts):

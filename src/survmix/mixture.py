@@ -99,12 +99,12 @@ def optimize_weight(scores_a, scores_b, labels, grid_step=DEFAULT_GRID_STEP):
     scores at the two ends of the grid (alpha 0, then 1) with the checks and
     messages the per-point functions share.  Once both ends pass, both
     components lie in [0, 1], and so does every row between them, because
-    rounding is monotone.  The grid is then scored in blocks of at most
-    _BLOCK_ELEMENTS mixed scores, split into positives and negatives:
-    separation from a 1-D mean per row, which sums in the order
-    ``separation_score`` does, and then AUC from the integer count of
-    negatives below and tied with each positive, by binary search in the
-    sorted row.
+    rounding is monotone.  Each class is split out of the components once
+    and mixed as ``mix_scores`` mixes it, in blocks of at most
+    _BLOCK_ELEMENTS mixed scores: separation from a 1-D mean per row, which
+    sums in the order ``separation_score`` does, and then AUC from the
+    integer count of negatives below and tied with each positive, by binary
+    search in the sorted row.
     """
     scores_a = np.asarray(scores_a, dtype=float)
     scores_b = np.asarray(scores_b, dtype=float)
@@ -121,12 +121,14 @@ def optimize_weight(scores_a, scores_b, labels, grid_step=DEFAULT_GRID_STEP):
     for alpha in (alphas[0], alphas[-1]):  # the input checks; see above
         separation_score(mix_scores(alpha, scores_a, scores_b), labels)
     positive = labels == 1
+    pos_a, pos_b = scores_a[positive], scores_b[positive]
+    neg_a, neg_b = scores_a[~positive], scores_b[~positive]
     rows = max(1, _BLOCK_ELEMENTS // labels.size)
     auc, separation = [], []
     for start in range(0, alphas.size, rows):
         block = alphas[start:start + rows, None]
-        mixed = block * scores_a + (1.0 - block) * scores_b
-        rows_pos, rows_neg = mixed[:, positive], mixed[:, ~positive]
+        rows_pos = block * pos_a + (1.0 - block) * pos_b
+        rows_neg = block * neg_a + (1.0 - block) * neg_b
         separation.append(_row_separation(rows_pos, rows_neg))
         auc.append(_rank_auc(rows_pos, rows_neg))
     auc = np.concatenate(auc)

@@ -274,17 +274,19 @@ def survival_columns(data: Dataset) -> tuple:
 
 
 def classified_rows(data: Dataset, labels) -> tuple:
-    """The rows given a predicted group, and those groups.
-
+    """The rows given a predicted group, and those groups, in stable duration
+    order (ties in source order), as each Cox fit sorts them: KM, log-rank and
+    the separation screen ignore row order, and a Cox fit sees it only in ties.
     The rows gain the group as the 0/1 column `predicted_label` (1 for
     positive), which the Cox suite uses as its main effect.
     """
     labels = np.asarray(labels)
-    keep = labels != "unclassified"
-    if not keep.any():
+    keep = np.flatnonzero(labels != "unclassified")
+    if keep.size == 0:
         raise DomainError("every row was unclassified")
+    keep = keep[np.argsort(survival_columns(data)[0][keep], kind="stable")]
     groups = labels[keep]
-    kept = data.take_rows(np.flatnonzero(keep)).with_column(
+    kept = data.take_rows(keep).with_column(
         ColumnSpec(PREDICTED_COLUMN, "numeric", "feature"),
         (groups == "positive").astype(float))
     return kept, groups

@@ -3,7 +3,11 @@ import csv
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +71,14 @@ class TestExitCodes:
 
     def test_version_exits_zero(self):
         assert call("--version")[0] == 0
+
+    def test_module_runs_as_a_script(self):
+        # `python -m survmix.cli` runs the CLI from a checkout, not installed
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1])] + sys.path))
+        result = subprocess.run([sys.executable, "-m", "survmix.cli", "--version"],
+                                capture_output=True, text=True, env=env, timeout=60)
+        assert (result.returncode, result.stdout) == (0, "survmix 0.1.0\n")
 
     def test_no_arguments_is_usage_error(self):
         assert call()[0] == 1
@@ -268,6 +280,18 @@ class TestStageFlow:
         got = cli._read_labels(tmp_path / "labels.csv", data)
         assert got.dtype.kind == "U"
         assert got.tolist() == labels
+
+    @pytest.mark.parametrize("command", ["km", "cox"])
+    def test_labels_need_duration_and_event(self, staged, tmp_path, command):
+        data = load_csv(staged / "clean.csv", staged / "clean.schema")
+        data = data.drop_columns([data.role_column("duration")])
+        write_dataset(data, tmp_path / "d.csv")
+        (tmp_path / "labels.csv").write_text("id,probability,label\n" + "".join(
+            f"{i},0.9,positive\n" for i in text_cells(row_ids(data))))
+        code, _, err = call(command, "--data", tmp_path / "d.csv",
+                            "--labels", tmp_path / "labels.csv", "--out-dir", tmp_path)
+        assert code == 2
+        assert "dataset needs duration and event columns" in err
 
     def test_train_param_override(self, staged, tmp_path):
         code, _, err = call("train", "--data", staged / "bal.csv", "--algo", "rpart",

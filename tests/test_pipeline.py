@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from survmix import cox, dataset, fileio, resampling
+from survmix import dataset, fileio, resampling
 from survmix.classifiers import ClassifierSpec, fit, save_model
 from survmix.cli import main as cli_main
 from survmix.dataset import (ColumnSpec, Dataset, SyntheticSpec, generate_synthetic,
@@ -17,10 +17,10 @@ from survmix.pipeline import (
     PipelineConfig,
     RunReport,
     classified_rows,
+    cox_stage,
     cox_suite_formulas,
     parse_config,
     rank_algorithms,
-    run_cox_suite,
     run_pipeline,
     validate_report,
 )
@@ -340,17 +340,39 @@ class TestHelpers:
         assert "predicted_label * cat_01" in suite
         assert len(suite) == 5
 
-    def test_cox_suite_sorts_its_row_set_once(self):
-        # no formula cell is missing, so every model fits the same rows and
-        # the suite sorts them and groups their tied deaths once
+    def test_classified_rows_come_in_stable_duration_order(self):
         data = generate_synthetic(SyntheticSpec(n_rows=300, seed=2))
-        data, _ = classified_rows(data, np.where(np.arange(300) % 3, "negative", "positive"))
-        formulas = cox_suite_formulas(data)
-        cox._risk_sets.cache_clear()
-        suite = run_cox_suite(data, formulas, "efron", {})
-        assert len(formulas) == 5 and all("error" not in m for m in suite)
-        info = cox._risk_sets.cache_info()
-        assert (info.misses, info.hits) == (1, len(formulas) - 1)
+        labels = np.array(["positive", "negative", "unclassified"])[np.arange(300) % 3]
+        kept, groups = classified_rows(data, labels)
+        durations = data.column("duration")
+        expected = sorted(np.flatnonzero(labels != "unclassified"),
+                          key=lambda i: (durations[i], i))
+        assert len(set(durations[expected])) < len(expected)  # the tie rule is used
+        for name in data.names:
+            assert np.array_equal(kept.column(name), data.column(name)[expected])
+        assert groups.tolist() == labels[expected].tolist()
+        assert kept.column("predicted_label").tolist() == \
+            [float(g == "positive") for g in groups]
+
+    def test_cox_stage_ignores_the_order_of_its_rows(self):
+        data = generate_synthetic(SyntheticSpec(n_rows=600, hazard_ratio_true=2.0,
+                                                seed=3))
+        labels = np.array(["positive", "negative", "unclassified"])[np.arange(600) % 3]
+        kept, _ = classified_rows(data, labels)
+        _, artifacts, _ = cox_stage(kept, (), "efron", {})
+        rng = np.random.default_rng(0)
+        shuffled = rng.permutation(kept.n_rows)
+        _, moved, _ = cox_stage(kept.take_rows(shuffled), (), "efron", {})
+        assert moved["cox_summary.txt"] == artifacts["cox_summary.txt"]
+        # Rows of one duration enter the suffix sums in their given order,
+        # which moves cox.json's last digits, so this shuffle keeps each
+        # duration's rows in their order and moves all the rest.
+        _, tie_group = np.unique(kept.column("duration"), return_inverse=True)
+        keys = rng.random(kept.n_rows)
+        keys[np.lexsort((np.arange(kept.n_rows), tie_group))] = \
+            keys[np.lexsort((keys, tie_group))]
+        _, moved, _ = cox_stage(kept.take_rows(np.argsort(keys)), (), "efron", {})
+        assert moved == artifacts
 
     def test_validate_report_rejects_missing_keys(self):
         with pytest.raises(DomainError, match="missing key"):
