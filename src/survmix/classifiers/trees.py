@@ -40,12 +40,13 @@ often as their weights say, and a tree grown among others equals the tree
 grown alone.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..dataset import Dataset
-from ..distributions import chi_square_log_sf, chi_square_sf
+from ..distributions import chi_square_log_sf
 from ..errors import DomainError
 from ._encoding import FeatureSchema
 
@@ -346,25 +347,23 @@ def _ctree_chooser(data, alpha):
     """The feature of smallest Bonferroni-adjusted p-value, the first in
     schema order among equals; none unless that p-value is below `alpha`.
     A feature is tested in a node where it can split it, and the adjustment
-    multiplies by the number of such features.  p-values that underflow to
-    0 are compared by their logs."""
+    multiplies by the number of such features.  p-values are compared by
+    their logs, log p + log(count) against log(alpha), so that one whose p
+    underflows to 0 still ranks by its size."""
+    log_alpha = math.log(alpha)
 
     def choose(frontier, gain):
         testable = gain > -np.inf
         statistic, df = _ctree_statistics(data, frontier.rows, frontier.starts)
         tested = testable.sum(axis=1)
-        # An untested feature keeps p = 1, which no alpha in (0, 1] accepts.
-        adjusted = np.ones(statistic.shape)
+        # An untested feature keeps log p = +inf, which no alpha accepts.
+        log_adjusted = np.full(statistic.shape, np.inf)
         for s, j in zip(*np.nonzero(testable)):
-            adjusted[s, j] = min(1.0, chi_square_sf(statistic[s, j], df[s, j]) * tested[s])
-        feature = np.argmin(adjusted, axis=1)
-        # A node's features share one Bonferroni factor, so among those whose
-        # p-value underflowed the smallest log p-value is the smallest p.
-        for s in np.flatnonzero((adjusted == 0.0).any(axis=1)):
-            tied = np.flatnonzero(adjusted[s] == 0.0)
-            feature[s] = tied[np.argmin([chi_square_log_sf(statistic[s, j], df[s, j])
-                                         for j in tied])]
-        return np.where(adjusted[np.arange(len(feature)), feature] < alpha, feature, -1)
+            log_adjusted[s, j] = (chi_square_log_sf(statistic[s, j], df[s, j])
+                                  + math.log(tested[s]))
+        feature = np.argmin(log_adjusted, axis=1)
+        chosen = log_adjusted[np.arange(len(feature)), feature]
+        return np.where(chosen < log_alpha, feature, -1)
     return choose
 
 

@@ -63,7 +63,9 @@ def _droppable(data: Dataset) -> list:
     return [s.name for s in data.specs if s.role not in _PROTECTED_ROLES]
 
 
-def _label_balance(data: Dataset):
+def label_balance(data: Dataset):
+    """{"negative": n0, "positive": n1}: the label column's present cells
+    equal to 0 and to 1, or None when the dataset has no label column."""
     name = data.role_column("label")
     if name is None:
         return None
@@ -77,7 +79,7 @@ def _stage_record(name, before, after, threshold=None, dropped_columns=None):
         "stage": name,
         "rows_before": before.n_rows, "rows_after": after.n_rows,
         "cols_before": len(before.names), "cols_after": len(after.names),
-        "label_balance": _label_balance(after),
+        "label_balance": label_balance(after),
     }
     if threshold is not None:
         rec["threshold"] = threshold

@@ -20,12 +20,13 @@ duration, caching nothing; `pipeline.classified_rows` already sorts them.
 """
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import Dataset, observed_levels
-from .distributions import chi_square_sf, normal_quantile
+from .distributions import chi_square_sf
 from .errors import DomainError
 from .newton import check_aliased, newton_ascent, over_rows
 from .survival import _check_samples
@@ -355,7 +356,7 @@ def hazard_ratios(fit: CoxFit) -> tuple:
     """exp(beta) with 95% bounds exp(beta +- z se) per coefficient."""
     if not fit.converged:
         raise DomainError("hazard ratios require a converged fit")
-    z = normal_quantile(1.0 - (1.0 - 0.95) / 2.0)
+    z = NormalDist().inv_cdf(1.0 - (1.0 - 0.95) / 2.0)
     out = []
     for name, b, s in zip(fit.names, fit.beta, fit.se):
         out.append(HazardRatio(name=name, ratio=float(np.exp(b)),

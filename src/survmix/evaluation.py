@@ -4,7 +4,9 @@ class-separation score and score histograms.
 Classification is closed on the positive side everywhere: a row is predicted
 positive iff score >= cutoff.  With that rule a cutoff of 1 classifies
 everything negative whenever scores stay below 1, which is the reported
-behavior of degenerate all-negative scorers.
+behavior of degenerate all-negative scorers.  The ROC curve counts the
+positives and negatives at or above every threshold once, and a chosen
+cutoff's confusion matrix is read from those counts.
 """
 
 import math
@@ -24,11 +26,15 @@ class RocCurve:
     thresholds are strictly decreasing; the first one is the sentinel (1.0, or
     +inf when some score reaches 1.0) so the (0, 0) corner is always present,
     and the last threshold equals the minimum score so (1, 1) is present.
-    fpr/tpr are exact count ratios; auc is the trapezoidal area, accumulated
-    in integer arithmetic so it equals the Mann-Whitney statistic bit for bit.
+    tp/fp count the positives and negatives with score >= each threshold
+    (int64), so their last entries are the class sizes; fpr/tpr are their
+    exact ratios; auc is the trapezoidal area, accumulated in integer
+    arithmetic so it equals the Mann-Whitney statistic bit for bit.
     """
 
     thresholds: np.ndarray
+    tp: np.ndarray
+    fp: np.ndarray
     fpr: np.ndarray
     tpr: np.ndarray
     auc: float
@@ -72,7 +78,8 @@ def roc_curve(scores, labels) -> RocCurve:
     # 2*area accumulated exactly in integers: sum of dFP * (TP_i + TP_{i+1})
     twice_area = int(np.sum(np.diff(fp) * (tp[:-1] + tp[1:])))
     auc = twice_area / (2 * pos * neg)
-    return RocCurve(thresholds=thresholds, fpr=fp / neg, tpr=tp / pos, auc=auc)
+    return RocCurve(thresholds=thresholds, tp=tp, fp=fp, fpr=fp / neg, tpr=tp / pos,
+                    auc=auc)
 
 
 @dataclass(frozen=True)
@@ -111,19 +118,6 @@ class ConfusionMatrix:
                 "precision": self.precision, "accuracy": self.accuracy}
 
 
-def confusion(scores, labels, cutoff: float) -> ConfusionMatrix:
-    """Confusion counts for the score >= cutoff rule."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels).astype(np.int64)
-    pred = scores >= cutoff
-    return ConfusionMatrix(
-        tn=int(((labels == 0) & ~pred).sum()),
-        fp=int(((labels == 0) & pred).sum()),
-        fn=int(((labels == 1) & ~pred).sum()),
-        tp=int(((labels == 1) & pred).sum()),
-    )
-
-
 @dataclass(frozen=True)
 class OptimalCutoff:
     criterion: str
@@ -131,6 +125,7 @@ class OptimalCutoff:
     tpr: float
     fpr: float
     value: float
+    confusion: ConfusionMatrix
 
 
 def select_cutoff(curve: RocCurve, criterion: str) -> OptimalCutoff:
@@ -142,6 +137,8 @@ def select_cutoff(curve: RocCurve, criterion: str) -> OptimalCutoff:
 
     Ties are broken toward the larger threshold; with constant scores every
     criterion ties and the sentinel (cutoff 1, everything negative) wins.
+    `confusion` is the confusion matrix of the score >= cutoff rule, taken
+    from the curve's counts at the chosen point.
     """
     if criterion not in CUTOFF_CRITERIA:
         raise DomainError(f"unknown cutoff criterion {criterion!r}")
@@ -153,9 +150,12 @@ def select_cutoff(curve: RocCurve, criterion: str) -> OptimalCutoff:
         values = curve.tpr * (1.0 - curve.fpr)
     best = int(np.argmax(values))  # the first maximum: the larger threshold wins ties
     value = values[best] if criterion != "closest01" else -values[best]
+    tp, fp = int(curve.tp[best]), int(curve.fp[best])
     return OptimalCutoff(criterion=criterion, cutoff=float(curve.thresholds[best]),
                          tpr=float(curve.tpr[best]), fpr=float(curve.fpr[best]),
-                         value=float(value))
+                         value=float(value),
+                         confusion=ConfusionMatrix(tn=int(curve.fp[-1]) - fp, fp=fp,
+                                                   fn=int(curve.tp[-1]) - tp, tp=tp))
 
 
 def separation_score(scores, labels) -> float:

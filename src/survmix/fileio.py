@@ -96,25 +96,17 @@ def atomic_write_text(path: "str | Path", text: str) -> None:
     atomic_write(path, (text,))
 
 
-def jsonable(obj):
-    """Recursively convert numpy scalars/arrays for JSON serialization."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    return obj
+def _json_default(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def json_text(obj: Any) -> str:
-    return json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n"
+    """`obj` as indented JSON with sorted keys and a final newline.  numpy
+    arrays and scalars become their `.tolist()`; a numpy float64 is already a
+    float to `json`, so it keeps `float.__repr__`'s digits like any float."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def write_json(path: "str | Path", obj: Any) -> None:

@@ -25,14 +25,13 @@ import numpy as np
 
 from . import __version__
 from .classifiers import ALGORITHMS, ClassifierSpec, algorithm_of, fit, save_model
-from .cleansing import clean
+from .cleansing import clean, label_balance
 from .cox import (DEFAULT_TIES, TIES_METHODS, build_design, cox_fit, cox_tests,
                   detect_separation, hazard_ratios, parse_formula)
 from .dataset import (ColumnSpec, Dataset, SyntheticSpec, generate_synthetic,
                       load_csv, schema_path, write_dataset)
 from .errors import DomainError, ParseError, SurvmixError
-from .evaluation import (CUTOFF_CRITERIA, confusion, roc_curve, select_cutoff,
-                         separation_score)
+from .evaluation import CUTOFF_CRITERIA, roc_curve, select_cutoff, separation_score
 from .fileio import atomic_write_text, csv_text, json_text, write_json
 from .mixture import (DEFAULT_CUTOFF_HIGH, DEFAULT_CUTOFF_LOW, DEFAULT_GRID_STEP,
                       MixtureModel, classify_scores, mix_scores, optimize_weight)
@@ -415,7 +414,7 @@ def evaluate_stage(models: dict, data: Dataset) -> tuple:
             best = select_cutoff(curve, criterion)
             cutoffs[criterion] = {"cutoff": best.cutoff, "tpr": best.tpr,
                                   "fpr": best.fpr, "value": best.value}
-            matrices[criterion] = confusion(scores, labels, best.cutoff).to_dict()
+            matrices[criterion] = best.confusion.to_dict()
         metrics[name] = {"auc": curve.auc,
                          "separation": separation_score(scores, labels),
                          "cutoffs": cutoffs, "confusion": matrices, "scores": scores}
@@ -528,11 +527,6 @@ def _load_era(config: PipelineConfig, era: str) -> Dataset:
         censoring_horizon=config.synthetic_horizon, seed=seed))
 
 
-def _class_balance(data: Dataset) -> dict:
-    y = data.label_values()
-    return {"negative": int((y == 0).sum()), "positive": int((y == 1).sum())}
-
-
 def _train_one(train: Dataset, algorithm: str, seed: int) -> tuple:
     t0 = time.perf_counter()
     model = fit(train, ClassifierSpec(algorithm, seed=seed))
@@ -564,8 +558,8 @@ def _split(run) -> tuple:
     write_dataset(run.test, run.out / "test.csv", run.rows)
     run.rows = train_rows
     return {}, {"train_rows": run.train.n_rows, "test_rows": run.test.n_rows,
-                "train_balance": _class_balance(run.train),
-                "test_balance": _class_balance(run.test)}
+                "train_balance": label_balance(run.train),
+                "test_balance": label_balance(run.test)}
 
 
 def _smote(run) -> tuple:
@@ -573,8 +567,8 @@ def _smote(run) -> tuple:
     run.balanced = smote(run.train, SmoteSpec(config.smote_k, config.smote_over,
                                               config.smote_under, config.seed))
     detail = {"rows_in": run.train.n_rows, "rows_out": run.balanced.n_rows,
-              "balance_before": _class_balance(run.train),
-              "balance_after": _class_balance(run.balanced)}
+              "balance_before": label_balance(run.train),
+              "balance_after": label_balance(run.balanced)}
     del run.train
     write_dataset(run.balanced, run.out / "train_balanced.csv", run.rows)
     del run.rows

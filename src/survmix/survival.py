@@ -14,10 +14,11 @@ bit for bit.
 """
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
-from .distributions import chi_square_sf, normal_quantile
+from .distributions import chi_square_sf
 from .errors import DomainError
 
 DEFAULT_CONFIDENCE = 0.95   # the level of the KM bands when a run names none
@@ -83,7 +84,7 @@ def km_fit(durations, events, level: float) -> KMCurve:
 
     r = at_risk.astype(float)
     d = deaths.astype(float)
-    z = normal_quantile(1.0 - (1.0 - level) / 2.0)
+    z = NormalDist().inv_cdf(1.0 - (1.0 - level) / 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         # d == r makes a term, and every sum from there on, infinite
         greenwood = np.cumsum(d / (r * (r - d)))

@@ -1,11 +1,16 @@
-"""Checks for the hand-rolled distribution functions.
+"""Checks for the hand-rolled chi-square functions and for the standard
+library's normal quantile, which survival and cox use.
 
 Reference values were computed once with mpmath at 40 decimal digits and
 frozen here as literals; the implementation must reproduce them to well
 inside its advertised 1e-12 absolute tolerance (1e-9 for the quantile).
+The quantile must also give, bit for bit, what Wichura's AS 241 gives:
+`as241_quantile` below is that algorithm as survmix implemented it before
+it used `statistics.NormalDist`, kept here as the oracle.
 """
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -14,9 +19,50 @@ from survmix.distributions import (
     _gamma_p_series,
     chi_square_log_sf,
     chi_square_sf,
-    normal_quantile,
     reg_upper_gamma,
 )
+
+normal_quantile = NormalDist().inv_cdf
+
+
+def as241_quantile(p):
+    """Standard normal quantile by Wichura's AS 241 (PPND16), 0 < p < 1."""
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        num = (((((((2.5090809287301226727e+3 * r + 3.3430575583588128105e+4) * r
+                    + 6.7265770927008700853e+4) * r + 4.5921953931549871457e+4) * r
+                  + 1.3731693765509461125e+4) * r + 1.9715909503065514427e+3) * r
+                + 1.3314166789178437745e+2) * r + 3.3871328727963666080e+0)
+        den = (((((((5.2264952788528545610e+3 * r + 2.8729085735721942674e+4) * r
+                    + 3.9307895800092710610e+4) * r + 2.1213794301586595867e+4) * r
+                  + 5.3941960214247511077e+3) * r + 6.8718700749205790830e+2) * r
+                + 4.2313330701600911252e+1) * r + 1.0)
+        return q * num / den
+    r = p if q < 0.0 else 1.0 - p
+    r = math.sqrt(-math.log(r))
+    if r <= 5.0:
+        r -= 1.6
+        num = (((((((7.74545014278341407640e-4 * r + 2.27238449892691845833e-2) * r
+                    + 2.41780725177450611770e-1) * r + 1.27045825245236838258e+0) * r
+                  + 3.64784832476320460504e+0) * r + 5.76949722146069140550e+0) * r
+                + 4.63033784615654529590e+0) * r + 1.42343711074968357734e+0)
+        den = (((((((1.05075007164441684324e-9 * r + 5.47593808499534494600e-4) * r
+                    + 1.51986665636164571966e-2) * r + 1.48103976427480074590e-1) * r
+                  + 6.89767334985100004550e-1) * r + 1.67638483018380384940e+0) * r
+                + 2.05319162663775882187e+0) * r + 1.0)
+    else:
+        r -= 5.0
+        num = (((((((2.01033439929228813265e-7 * r + 2.71155556874348757815e-5) * r
+                    + 1.24266094738807843860e-3) * r + 2.65321895265761230930e-2) * r
+                  + 2.96560571828504891230e-1) * r + 1.78482653991729133580e+0) * r
+                + 5.46378491116411436990e+0) * r + 6.65790464350110377720e+0)
+        den = (((((((2.04426310338993978564e-15 * r + 1.42151175831644588870e-7) * r
+                    + 1.84631831751005468180e-5) * r + 7.86869131145613259100e-4) * r
+                  + 1.48753612908506148525e-2) * r + 1.36929880922735805310e-1) * r
+                + 5.99832206555887937690e-1) * r + 1.0)
+    z = num / den
+    return -z if q < 0.0 else z
 
 
 def normal_cdf(x):
@@ -91,10 +137,21 @@ class TestNormal:
         for p in np.linspace(0.001, 0.999, 97):
             assert normal_cdf(normal_quantile(p)) == pytest.approx(p, abs=1e-12)
 
-    def test_quantile_domain(self):
-        for p in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                normal_quantile(p)
+    def test_quantile_is_as241_on_random_p(self):
+        rng = np.random.default_rng(2024)
+        uniform = rng.random(100_000)
+        tails = 10.0 ** -rng.uniform(0.0, 300.0, 20_000)
+        for p in np.concatenate((uniform, tails, 1.0 - tails)).tolist():
+            if 0.0 < p < 1.0:
+                assert normal_quantile(p) == as241_quantile(p), p
+
+    def test_quantile_is_as241_in_the_tails_and_at_the_branch_edge(self):
+        lower = [float(f"1e-{k}") for k in range(1, 320)]
+        upper = [1.0 - float(f"1e-{k}") for k in range(1, 17)]
+        edges = [math.nextafter(p, d) for p in (0.075, 0.925)
+                 for d in (0.0, 0.5, 1.0)] + [0.075, 0.925]
+        for p in lower + upper + edges:
+            assert normal_quantile(p) == as241_quantile(p), p
 
 
 class TestChiSquare:

@@ -5,13 +5,27 @@ import pytest
 
 from survmix.errors import DomainError
 from survmix.evaluation import (
+    CUTOFF_CRITERIA,
     ConfusionMatrix,
-    confusion,
     roc_curve,
     score_histogram,
     select_cutoff,
     separation_score,
 )
+
+
+def confusion(scores, labels, cutoff: float) -> ConfusionMatrix:
+    # Counted directly under the score >= cutoff rule: the oracle for the
+    # confusion matrix that select_cutoff reads from the curve's counts.
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels).astype(np.int64)
+    pred = scores >= cutoff
+    return ConfusionMatrix(
+        tn=int(((labels == 0) & ~pred).sum()),
+        fp=int(((labels == 0) & pred).sum()),
+        fn=int(((labels == 1) & ~pred).sum()),
+        tp=int(((labels == 1) & pred).sum()),
+    )
 
 
 def mann_whitney_auc(scores, labels):
@@ -99,13 +113,19 @@ class TestRocCurve:
 
 class TestConfusion:
     def test_cutoff_zero_everything_positive(self):
-        cm = confusion([0.1, 0.5, 0.9], [0, 1, 0], 0.0)
-        assert (cm.tn, cm.fn) == (0, 0)
-        assert (cm.fp, cm.tp) == (2, 1)
+        # The last point's threshold is the smallest score: every row is
+        # positive there, as at a cutoff of 0.
+        curve = roc_curve([0.1, 0.5, 0.9], [0, 1, 0])
+        assert curve.thresholds[-1] == 0.1
+        assert (curve.fp[-1], curve.tp[-1]) == (2, 1)
 
     def test_closed_on_positive_side(self):
-        cm = confusion([0.5, 0.49999], [1, 0], 0.5)
-        assert cm.tp == 1 and cm.tn == 1
+        curve = roc_curve([0.5, 0.49999], [1, 0])
+        assert curve.thresholds.tolist() == [1.0, 0.5, 0.49999]
+        assert (curve.tp[1], curve.fp[1]) == (1, 0)
+        best = select_cutoff(curve, "youden")
+        assert best.cutoff == 0.5
+        assert best.confusion == ConfusionMatrix(tn=1, fp=0, fn=0, tp=1)
 
     def test_reported_recall_anchor(self):
         # confusion row with 118 hits / 32 misses on 150 positives -> 79% recall
@@ -133,6 +153,25 @@ class TestSelectCutoff:
                 got = select_cutoff(curve, criterion).cutoff
                 want = sweep_cutoff(list(scores), list(labels), criterion)
                 assert got == want, (criterion, scores, labels)
+
+    def test_confusion_equals_the_count_at_the_cutoff(self):
+        rng = np.random.default_rng(31)
+        for case in range(300):
+            n = int(rng.integers(2, 50))
+            scores = np.round(rng.random(n), int(rng.integers(1, 4)))
+            if case % 5 == 0:
+                scores[:] = scores[0]                           # constant
+            if case % 3 == 0:
+                scores[rng.random(n) < 0.3] = 1.0               # exactly 1.0
+            labels = rng.integers(0, 2, n)
+            if labels.min() == labels.max():
+                labels[0] = 1 - labels[0]
+            curve = roc_curve(scores, labels)
+            assert curve.tp.dtype == curve.fp.dtype == np.int64
+            for criterion in CUTOFF_CRITERIA:
+                best = select_cutoff(curve, criterion)
+                assert best.confusion == confusion(scores, labels, best.cutoff), (
+                    criterion, scores, labels)
 
     def test_constant_scores_choose_all_negative_corner(self):
         curve = roc_curve([0.4] * 6, [0, 1, 0, 1, 0, 1])

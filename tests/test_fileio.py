@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -95,6 +96,56 @@ class TestCsvText:
 def test_json_text_converts_numpy_values():
     text = json_text({"b": np.int64(2), "a": np.array([0.5, 1.0]), "c": np.bool_(True)})
     assert text == '{\n  "a": [\n    0.5,\n    1.0\n  ],\n  "b": 2,\n  "c": true\n}\n'
+
+
+def jsonable(obj):
+    # The recursive copy json_text made before it used json.dumps' `default`
+    # hook, kept as the oracle.
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    return obj
+
+
+def copied_json_text(obj):
+    return json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonText:
+    DOCUMENTS = [
+        {"b": np.float64(0.1), "a": [np.int64(-3), (np.bool_(False), np.bool_(True))]},
+        {"grid": np.array([[0.5, np.nan], [np.inf, -np.inf]]),
+         "ids": np.arange(4, dtype=np.int32), "flags": np.array([True, False]),
+         "empty": np.array([]), "nested": ({"x": np.float32(0.1)}, [np.uint8(7)])},
+        [float("nan"), math.inf, -math.inf, np.float64(np.nan), np.float64(-np.inf),
+         np.float64(5e-324), np.float64(-0.0), 1e16, None, "text", True, 2],
+        ({"deep": {"deeper": [np.float64(1) / 3, (np.int64(2 ** 62),)]}},),
+        {},
+    ]
+
+    @pytest.mark.parametrize("document", DOCUMENTS)
+    def test_equals_the_recursive_copy(self, document):
+        assert json_text(document) == copied_json_text(document)
+
+    def test_zero_dimensional_array_is_its_scalar(self):
+        # The copy failed here: it iterated over the scalar that .tolist()
+        # gives for a 0-d array.
+        document = {"a": np.array(2.5), "b": [np.array(7), np.array(True)]}
+        scalars = {"a": np.float64(2.5), "b": [np.int64(7), np.bool_(True)]}
+        assert json_text(document) == copied_json_text(scalars)
+
+    def test_other_objects_raise(self):
+        with pytest.raises(TypeError):
+            json_text({"a": {1, 2}})
 
 
 class TestReadingText:
