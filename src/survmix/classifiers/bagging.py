@@ -52,9 +52,7 @@ class BaggingModel:
         self.seed = seed
 
     def predict_proba(self, data: Dataset) -> np.ndarray:
-        if data.n_rows < 2:   # numpy sums a one-column stack pairwise
-            return np.vstack([tree.predict_proba(data) for tree in self.trees]).mean(axis=0)
-        # member by member, as mean(axis=0) sums the rows of the stack
+        # member by member, so that a row's sum does not depend on the batch
         total = self.trees[0].predict_proba(data)
         for tree in self.trees[1:]:
             total += tree.predict_proba(data)

@@ -15,7 +15,7 @@ duration, event or id are never dropped, whatever their missingness.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,15 +32,6 @@ class MissingnessProfile:
     column_counts: dict
     row_quartiles: Optional[tuple]     # None for an empty dataset
     column_quartiles: Optional[tuple]  # None for a column-free dataset
-
-
-@dataclass
-class CleansingReport:
-    stages: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"stages": self.stages, "warnings": self.warnings}
 
 
 def _missing_matrix(data: Dataset) -> np.ndarray:
@@ -113,16 +104,17 @@ def drop_sparse_columns(data: Dataset) -> tuple:
                                threshold=q1, dropped_columns=drop)
 
 
-def harmonize_columns(data: Dataset, threshold: float = HARMONIZE_THRESHOLD) -> tuple:
-    """Drop droppable columns with strictly more than `threshold` missing share."""
+def harmonize_columns(data: Dataset) -> tuple:
+    """Drop droppable columns with strictly more than HARMONIZE_THRESHOLD
+    missing share."""
     if data.n_rows == 0:
         return data, _stage_record("harmonize_columns", data, data,
-                                   threshold=threshold, dropped_columns=[])
+                                   threshold=HARMONIZE_THRESHOLD, dropped_columns=[])
     drop = [n for n in _droppable(data)
-            if data.missing_mask(n).sum() / data.n_rows > threshold]
+            if data.missing_mask(n).sum() / data.n_rows > HARMONIZE_THRESHOLD]
     kept = data.drop_columns(drop) if drop else data
     return kept, _stage_record("harmonize_columns", data, kept,
-                               threshold=threshold, dropped_columns=drop)
+                               threshold=HARMONIZE_THRESHOLD, dropped_columns=drop)
 
 
 def drop_incomplete_rows(data: Dataset) -> tuple:
@@ -143,20 +135,16 @@ def drop_incomplete_rows(data: Dataset) -> tuple:
 
 
 def clean(data: Dataset) -> tuple:
-    """Run the full cleansing chain; returns (clean dataset, CleansingReport)."""
-    report = CleansingReport()
-    report.stages.append(_stage_record("input", data, data))
+    """Run the full cleansing chain; returns (clean dataset, report), the
+    report as mva_report.json holds it: {stages, warnings}, one stage record
+    per pass after the input's, and the message of every warning raised."""
+    stages = [_stage_record("input", data, data)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        data, rec = drop_sparse_rows(data)
-        report.stages.append(rec)
-        data, rec = drop_sparse_columns(data)
-        report.stages.append(rec)
-        data, rec = harmonize_columns(data)
-        report.stages.append(rec)
-        data, rec = drop_incomplete_rows(data)
-        report.stages.append(rec)
+        for step in (drop_sparse_rows, drop_sparse_columns, harmonize_columns,
+                     drop_incomplete_rows):
+            data, rec = step(data)
+            stages.append(rec)
     for w in caught:
-        report.warnings.append(str(w.message))
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return data, report
+    return data, {"stages": stages, "warnings": [str(w.message) for w in caught]}

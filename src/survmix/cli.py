@@ -120,7 +120,7 @@ def _cmd_simulate(args):
 def _cmd_clean(args):
     cleaned, report = clean(_load(args))
     write_dataset(cleaned, args.out)
-    write_json(args.report, report.to_dict())
+    write_json(args.report, report)
 
 
 def _cmd_split(args):

@@ -105,11 +105,13 @@ def build_design(data: Dataset, formula, references=None) -> DesignMatrix:
 
     Categorical columns are dummy-coded over their observed levels against
     the reference level (supplied per column, else the most frequent, ties to
-    vocabulary order: `dataset.observed_levels`); interactions are elementwise
-    products of their parents' columns.  All-zero columns and columns linearly
-    dependent on an intercept plus their predecessors are removed and reported.
+    vocabulary order: `dataset.observed_levels`; a reference for a column
+    outside the formula is unused, so one mapping serves a whole suite);
+    interactions are elementwise products of their parents' columns.  All-zero
+    columns and columns linearly dependent on an intercept plus their
+    predecessors are removed and reported.
     """
-    references = dict(references or {})
+    references = references or {}
     terms = list(formula)
     if not terms:
         raise DomainError("formula must name at least one term")
@@ -121,9 +123,6 @@ def build_design(data: Dataset, formula, references=None) -> DesignMatrix:
     for name in base:
         if name not in data.names:
             raise DomainError(f"formula column {name!r} not in dataset")
-    for name in references:
-        if name not in base:
-            raise DomainError(f"reference given for column {name!r} not in formula")
 
     keep = ~np.any([data.missing_mask(name) for name in base], axis=0)
     row_index = np.flatnonzero(keep)
@@ -302,79 +301,45 @@ def cox_fit(design: DesignMatrix, durations, events, ties: str = DEFAULT_TIES) -
 
 # -- inference -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChiSquareTest:
-    statistic: float
-    df: int
-    p_value: float
-
-    def to_dict(self) -> dict:
-        return {"statistic": self.statistic, "df": self.df, "p_value": self.p_value}
+def _chi_square(statistic: float, df: int) -> dict:
+    return {"statistic": statistic, "df": df, "p_value": chi_square_sf(statistic, df)}
 
 
-@dataclass(frozen=True)
-class CoxTests:
-    wald: ChiSquareTest
-    lr: ChiSquareTest
-    score: "ChiSquareTest | None"   # None when the information at 0 is singular
-
-    def to_dict(self) -> dict:
-        return {"wald": self.wald.to_dict(), "lr": self.lr.to_dict(),
-                "score": None if self.score is None else self.score.to_dict()}
-
-
-def cox_tests(fit: CoxFit) -> CoxTests:
+def cox_tests(fit: CoxFit) -> dict:
     """Wald, likelihood-ratio, and score chi-square tests for the fitted
-    model, from the information and null score that `cox_fit` kept."""
+    model, from the information and null score that `cox_fit` kept, as
+    cox.json holds them: {wald, lr, score}, each {statistic, df, p_value},
+    and score None when the information at 0 is singular."""
     if not fit.converged:
         raise DomainError("tests require a converged fit")
     p = len(fit.names)
     if p == 0:
         raise DomainError("no coefficients to test")
-    wald_stat = float(fit.beta @ fit.information @ fit.beta)
-    wald = ChiSquareTest(wald_stat, p, chi_square_sf(wald_stat, p))
-    lr_stat = max(0.0, 2.0 * (fit.loglik_fit - fit.loglik_null))
-    lr = ChiSquareTest(lr_stat, p, chi_square_sf(lr_stat, p))
+    tests = {"wald": _chi_square(float(fit.beta @ fit.information @ fit.beta), p),
+             "lr": _chi_square(max(0.0, 2.0 * (fit.loglik_fit - fit.loglik_null)), p)}
     try:
         solved = np.linalg.solve(fit.information_null, fit.score_null)
-        score_stat = float(fit.score_null @ solved)
-        score = ChiSquareTest(score_stat, p, chi_square_sf(score_stat, p))
+        tests["score"] = _chi_square(float(fit.score_null @ solved), p)
     except np.linalg.LinAlgError:
-        score = None
-    return CoxTests(wald=wald, lr=lr, score=score)
+        tests["score"] = None
+    return tests
 
 
-@dataclass(frozen=True)
-class HazardRatio:
-    name: str
-    ratio: float
-    ci_lower: float
-    ci_upper: float
-
-
-def hazard_ratios(fit: CoxFit) -> tuple:
-    """exp(beta) with 95% bounds exp(beta +- z se) per coefficient."""
+def hazard_ratios(fit: CoxFit) -> list:
+    """exp(beta) with 95% bounds exp(beta +- z se), one {hazard_ratio,
+    ci_lower, ci_upper} record per coefficient."""
     if not fit.converged:
         raise DomainError("hazard ratios require a converged fit")
     z = NormalDist().inv_cdf(1.0 - (1.0 - 0.95) / 2.0)
-    out = []
-    for name, b, s in zip(fit.names, fit.beta, fit.se):
-        out.append(HazardRatio(name=name, ratio=float(np.exp(b)),
-                               ci_lower=float(np.exp(b - z * s)),
-                               ci_upper=float(np.exp(b + z * s))))
-    return tuple(out)
+    return [{"hazard_ratio": float(np.exp(b)), "ci_lower": float(np.exp(b - z * s)),
+             "ci_upper": float(np.exp(b + z * s))} for b, s in zip(fit.beta, fit.se)]
 
 
 # -- separation screen ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeparationFlag:
-    column: str
-    reason: str
-
-
-def detect_separation(design: DesignMatrix, durations, events) -> tuple:
-    """Flag dummy columns whose event pattern implies a monotone likelihood.
+def detect_separation(design: DesignMatrix, durations, events) -> list:
+    """Flag dummy columns whose event pattern implies a monotone likelihood,
+    one {column, reason} record per flagged column.
 
     A screen, not a proof: flagged columns are the ones worth dropping before
     a fit that would otherwise chase an infinite coefficient.
@@ -391,13 +356,14 @@ def detect_separation(design: DesignMatrix, durations, events) -> tuple:
         carrier_events = durations[carriers & (events == 1)]
         other_events = durations[~carriers & (events == 1)]
         if carrier_events.size == 0:
-            flags.append(SeparationFlag(name, "carriers have no events"))
+            reason = "carriers have no events"
         elif other_events.size == 0:
-            flags.append(SeparationFlag(name, "no events outside carriers"))
+            reason = "no events outside carriers"
         elif carrier_events.max() < other_events.min():
-            flags.append(SeparationFlag(
-                name, "carriers' events all precede the others'"))
+            reason = "carriers' events all precede the others'"
         elif carrier_events.min() > other_events.max():
-            flags.append(SeparationFlag(
-                name, "carriers' events all follow the others'"))
-    return tuple(flags)
+            reason = "carriers' events all follow the others'"
+        else:
+            continue
+        flags.append({"column": name, "reason": reason})
+    return flags

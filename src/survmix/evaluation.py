@@ -82,53 +82,7 @@ def roc_curve(scores, labels) -> RocCurve:
                     auc=auc)
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tn: int
-    fp: int
-    fn: int
-    tp: int
-
-    @property
-    def total(self) -> int:
-        return self.tn + self.fp + self.fn + self.tp
-
-    def _ratio(self, num, den) -> float:
-        return num / den if den else 0.0
-
-    @property
-    def sensitivity(self) -> float:  # a.k.a. recall / TPR
-        return self._ratio(self.tp, self.tp + self.fn)
-
-    @property
-    def specificity(self) -> float:
-        return self._ratio(self.tn, self.tn + self.fp)
-
-    @property
-    def precision(self) -> float:
-        return self._ratio(self.tp, self.tp + self.fp)
-
-    @property
-    def accuracy(self) -> float:
-        return self._ratio(self.tp + self.tn, self.total)
-
-    def to_dict(self) -> dict:
-        return {"tn": self.tn, "fp": self.fp, "fn": self.fn, "tp": self.tp,
-                "sensitivity": self.sensitivity, "specificity": self.specificity,
-                "precision": self.precision, "accuracy": self.accuracy}
-
-
-@dataclass(frozen=True)
-class OptimalCutoff:
-    criterion: str
-    cutoff: float
-    tpr: float
-    fpr: float
-    value: float
-    confusion: ConfusionMatrix
-
-
-def select_cutoff(curve: RocCurve, criterion: str) -> OptimalCutoff:
+def select_cutoff(curve: RocCurve, criterion: str) -> tuple:
     """Best operating point under one of three criteria.
 
     youden     maximize TPR - FPR
@@ -137,8 +91,13 @@ def select_cutoff(curve: RocCurve, criterion: str) -> OptimalCutoff:
 
     Ties are broken toward the larger threshold; with constant scores every
     criterion ties and the sentinel (cutoff 1, everything negative) wins.
-    `confusion` is the confusion matrix of the score >= cutoff rule, taken
-    from the curve's counts at the chosen point.
+
+    Returns (point, confusion) as metrics.json holds them: point is
+    {cutoff, tpr, fpr, value}, and confusion is {tn, fp, fn, tp,
+    sensitivity, specificity, precision, accuracy} for the score >= cutoff
+    rule, taken from the curve's counts at the chosen point.  Both classes
+    are present, so only precision can lack a denominator, at a cutoff that
+    predicts no row positive; it is 0 there.
     """
     if criterion not in CUTOFF_CRITERIA:
         raise DomainError(f"unknown cutoff criterion {criterion!r}")
@@ -151,11 +110,14 @@ def select_cutoff(curve: RocCurve, criterion: str) -> OptimalCutoff:
     best = int(np.argmax(values))  # the first maximum: the larger threshold wins ties
     value = values[best] if criterion != "closest01" else -values[best]
     tp, fp = int(curve.tp[best]), int(curve.fp[best])
-    return OptimalCutoff(criterion=criterion, cutoff=float(curve.thresholds[best]),
-                         tpr=float(curve.tpr[best]), fpr=float(curve.fpr[best]),
-                         value=float(value),
-                         confusion=ConfusionMatrix(tn=int(curve.fp[-1]) - fp, fp=fp,
-                                                   fn=int(curve.tp[-1]) - tp, tp=tp))
+    tn, fn = int(curve.fp[-1]) - fp, int(curve.tp[-1]) - tp
+    point = {"cutoff": float(curve.thresholds[best]), "tpr": float(curve.tpr[best]),
+             "fpr": float(curve.fpr[best]), "value": float(value)}
+    confusion = {"tn": tn, "fp": fp, "fn": fn, "tp": tp,
+                 "sensitivity": tp / (tp + fn), "specificity": tn / (tn + fp),
+                 "precision": tp / (tp + fp) if tp + fp else 0.0,
+                 "accuracy": (tp + tn) / (tp + tn + fp + fn)}
+    return point, confusion
 
 
 def separation_score(scores, labels) -> float:
@@ -164,12 +126,11 @@ def separation_score(scores, labels) -> float:
     return float(abs(scores[labels == 1].mean() - scores[labels == 0].mean()))
 
 
-def score_histogram(scores, labels, bins: int = 20) -> dict:
-    """Per-class score histograms over [0, 1] for external plotting."""
+def score_histogram(scores, labels) -> dict:
+    """Per-class score histograms over 20 equal bins of [0, 1], for external
+    plotting."""
     scores, labels = _check_scores_labels(scores, labels)
-    if bins < 1:
-        raise DomainError("bins must be positive")
-    edges = np.linspace(0.0, 1.0, bins + 1)
+    edges = np.linspace(0.0, 1.0, 21)
     neg, _ = np.histogram(scores[labels == 0], bins=edges)
     pos, _ = np.histogram(scores[labels == 1], bins=edges)
     return {"bin_edges": edges.tolist(),

@@ -33,18 +33,6 @@ _BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
-class GridPoint:
-    alpha: float
-    auc: float
-    separation: float
-    objective: float
-
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "auc": self.auc,
-                "separation": self.separation, "objective": self.objective}
-
-
-@dataclass(frozen=True)
 class AbstentionResult:
     """Per-row labels plus the three group counts and fractions."""
 
@@ -89,11 +77,12 @@ def mix_scores(alpha, scores_a, scores_b) -> np.ndarray:
 def optimize_weight(scores_a, scores_b, labels, grid_step=DEFAULT_GRID_STEP):
     """Best mixture weight on the alpha grid, with the full objective trace.
 
-    Returns (alpha, trace); the trace holds one GridPoint per alpha in grid
-    order, and the returned alpha is the largest grid point attaining the
+    Returns (alpha, trace); the trace is a list, in grid order, of one
+    {alpha, auc, separation, objective} record per alpha, as mixture.json
+    holds it, and the returned alpha is the largest grid point attaining the
     maximal objective.
 
-    Each GridPoint equals, bit for bit, what ``roc_curve`` and
+    Each record equals, bit for bit, what ``roc_curve`` and
     ``separation_score`` give on ``mix_scores(alpha, scores_a, scores_b)``.
     The inputs are validated once: ``separation_score`` checks the mixed
     scores at the two ends of the grid (alpha 0, then 1) with the checks and
@@ -136,8 +125,9 @@ def optimize_weight(scores_a, scores_b, labels, grid_step=DEFAULT_GRID_STEP):
     objective = auc * separation
     # the last index of the maximum: ties go to the larger alpha
     best = objective.size - 1 - int(np.argmax(objective[::-1]))
-    trace = [GridPoint(*point) for point in zip(
-        alphas.tolist(), auc.tolist(), separation.tolist(), objective.tolist())]
+    trace = [{"alpha": a, "auc": u, "separation": s, "objective": o}
+             for a, u, s, o in zip(alphas.tolist(), auc.tolist(),
+                                   separation.tolist(), objective.tolist())]
     return float(alphas[best]), trace
 
 

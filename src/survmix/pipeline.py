@@ -315,10 +315,7 @@ def run_cox_suite(data: Dataset, formulas, ties: str, references: dict) -> list:
     for formula in formulas:
         entry = {"formula": formula}
         try:
-            terms = parse_formula(formula)
-            refs = {k: v for k, v in references.items()
-                    if any(k in t.split(":") for t in terms)}
-            design = build_design(data, terms, references=refs)
+            design = build_design(data, parse_formula(formula), references)
             durations = all_durations[design.row_index]
             events = all_events[design.row_index]
             flags = detect_separation(design, durations, events)
@@ -329,17 +326,14 @@ def run_cox_suite(data: Dataset, formulas, ties: str, references: dict) -> list:
                 "n": int(design.n_rows),
                 "events": int(events.sum()),
                 "coefficients": [
-                    {"name": n, "beta": float(b), "se": float(s),
-                     "hazard_ratio": r.ratio, "ci_lower": r.ci_lower,
-                     "ci_upper": r.ci_upper}
+                    {"name": n, "beta": float(b), "se": float(s), **r}
                     for n, b, s, r in zip(fit_.names, fit_.beta, fit_.se, ratios)],
-                "tests": tests.to_dict(),
+                "tests": tests,
                 "iterations": fit_.iterations,
                 "converged": fit_.converged,
                 "reference_levels": dict(design.reference_levels),
                 "dropped_columns": [list(d) for d in design.dropped_columns],
-                "separation_flags": [{"column": f.column, "reason": f.reason}
-                                     for f in flags],
+                "separation_flags": flags,
             })
         except SurvmixError as exc:
             entry["error"] = str(exc)
@@ -411,10 +405,7 @@ def evaluate_stage(models: dict, data: Dataset) -> tuple:
         curve = roc_curve(scores, labels)
         cutoffs, matrices = {}, {}
         for criterion in CUTOFF_CRITERIA:
-            best = select_cutoff(curve, criterion)
-            cutoffs[criterion] = {"cutoff": best.cutoff, "tpr": best.tpr,
-                                  "fpr": best.fpr, "value": best.value}
-            matrices[criterion] = best.confusion.to_dict()
+            cutoffs[criterion], matrices[criterion] = select_cutoff(curve, criterion)
         metrics[name] = {"auc": curve.auc,
                          "separation": separation_score(scores, labels),
                          "cutoffs": cutoffs, "confusion": matrices, "scores": scores}
@@ -441,13 +432,13 @@ def mix_stage(model_a, model_b, scores_a, scores_b, labels, grid_step,
     mixture = MixtureModel(alpha, model_a, model_b, cutoff_low, cutoff_high)
     mixed = mix_scores(alpha, scores_a, scores_b)
     test_auc = roc_curve(mixed, labels).auc
-    best = max(gp.objective for gp in trace)
+    best = max(point["objective"] for point in trace)
     components = [algorithm_of(model_a), algorithm_of(model_b)]
     artifacts = {"mixture.json": json_text({
         "component_a": components[0], "component_b": components[1],
         "alpha": alpha, "cutoff_low": cutoff_low, "cutoff_high": cutoff_high,
         "grid_step": grid_step, "objective": best, "test_auc": test_auc,
-        "trace": [gp.to_dict() for gp in trace]})}
+        "trace": trace})}
     detail = {"components": components, "alpha": alpha, "objective": best,
               "test_auc": test_auc}
     return mixture, mixed, artifacts, detail
@@ -472,7 +463,7 @@ def km_stage(data: Dataset, groups, confidence: float) -> tuple:
         mask = groups == value
         curves[str(value)] = km_fit(durations[mask], events[mask], confidence)
     if len(curves) == 2 and events.sum() > 0:
-        logrank = logrank_test(durations, events, groups).to_dict()
+        logrank = logrank_test(durations, events, groups)
     else:
         logrank = {"error": "log-rank needs two groups with at least one event"}
     artifacts = {"km.csv": km_csv(curves), "km.svg": km_svg(curves),
@@ -540,8 +531,7 @@ def _load(run) -> tuple:
 
 
 def _clean(run) -> tuple:
-    run.cleaned, cleaning = clean(run.raw)
-    mva = cleaning.to_dict()
+    run.cleaned, mva = clean(run.raw)
     detail = {"rows_in": run.raw.n_rows, "rows_out": run.cleaned.n_rows,
               "stages": mva["stages"]}
     del run.raw

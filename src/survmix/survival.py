@@ -97,22 +97,11 @@ def km_fit(durations, events, level: float) -> KMCurve:
                    ci_lower=np.minimum(a, b), ci_upper=np.maximum(a, b))
 
 
-@dataclass(frozen=True)
-class LogrankResult:
-    chi_square: float
-    df: int
-    p_value: float
-    observed: dict  # group label -> observed deaths
-    expected: dict  # group label -> expected deaths under the null
-
-    def to_dict(self) -> dict:
-        return {"chi_square": self.chi_square, "df": self.df,
-                "p_value": self.p_value, "observed": dict(self.observed),
-                "expected": dict(self.expected)}
-
-
-def logrank_test(durations, events, groups) -> LogrankResult:
-    """Two-group log-rank test with hypergeometric variance."""
+def logrank_test(durations, events, groups) -> dict:
+    """Two-group log-rank test with hypergeometric variance, as logrank.json
+    holds it: {chi_square, df, p_value, observed, expected}, where observed
+    and expected map each group label to its observed deaths and its
+    expected deaths under the null."""
     durations, events = _check_samples(durations, events)
     groups = np.asarray(groups)
     if groups.shape != durations.shape:
@@ -147,7 +136,6 @@ def logrank_test(durations, events, groups) -> LogrankResult:
     else:
         chi_square, p_value = 0.0, 1.0
     a, b = str(labels[0]), str(labels[1])
-    return LogrankResult(
-        chi_square=float(chi_square), df=1, p_value=float(p_value),
-        observed={a: observed_a, b: total_deaths - observed_a},
-        expected={a: float(expected_a), b: float(total_deaths - expected_a)})
+    return {"chi_square": float(chi_square), "df": 1, "p_value": float(p_value),
+            "observed": {a: observed_a, b: total_deaths - observed_a},
+            "expected": {a: float(expected_a), b: float(total_deaths - expected_a)}}

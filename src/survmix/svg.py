@@ -5,7 +5,6 @@ re-rendering the same series yields identical bytes.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,14 +17,7 @@ MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 64, 20, 34, 48
 TICKS = 5
 
 
-@dataclass(frozen=True)
-class Series:
-    name: str
-    x: np.ndarray
-    y: np.ndarray
-
-
-def _as_series(name, x, y) -> Series:
+def _as_series(name, x, y) -> tuple:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
@@ -34,7 +26,7 @@ def _as_series(name, x, y) -> Series:
         raise DomainError(f"series {name!r} is empty")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DomainError(f"series {name!r} contains non-finite values")
-    return Series(str(name), x, y)
+    return str(name), x, y
 
 
 def _axis_range(lo: float, hi: float, label: str) -> tuple:
@@ -63,18 +55,17 @@ def render_svg(series, title: str = "",
                x_label: str = "", y_label: str = "") -> str:
     """Render named series to SVG text.
 
-    `series` is a sequence of (name, x, y) triples or Series objects.  Each
-    holds its y flat until the next x, then drops — the survival-curve
-    convention.
+    `series` is a sequence of (name, x, y) triples.  Each holds its y flat
+    until the next x, then drops — the survival-curve convention.
     """
-    named = [s if isinstance(s, Series) else _as_series(*s) for s in series]
+    named = [_as_series(*s) for s in series]
     if not named:
         raise DomainError("render_svg needs at least one series")
 
-    x_lo, x_hi = _axis_range(min(s.x.min() for s in named),
-                             max(s.x.max() for s in named), "x")
-    y_lo, y_hi = _axis_range(min(s.y.min() for s in named),
-                             max(s.y.max() for s in named), "y")
+    x_lo, x_hi = _axis_range(min(x.min() for _, x, _ in named),
+                             max(x.max() for _, x, _ in named), "x")
+    y_lo, y_hi = _axis_range(min(y.min() for _, _, y in named),
+                             max(y.max() for _, _, y in named), "y")
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
@@ -119,26 +110,26 @@ def render_svg(series, title: str = "",
                    f'font-family="sans-serif" font-size="12" '
                    f'transform="rotate(-90 16 {cy})">{_escape(y_label)}</text>')
 
-    for idx, s in enumerate(named):
+    for idx, (_, x, y) in enumerate(named):
         color = PALETTE[idx % len(PALETTE)]
-        parts = [f"M {_fmt(sx(s.x[0]))} {_fmt(sy(s.y[0]))}"]
-        for j in range(1, s.x.size):
-            parts.append(f"H {_fmt(sx(s.x[j]))}")
-            parts.append(f"V {_fmt(sy(s.y[j]))}")
+        parts = [f"M {_fmt(sx(x[0]))} {_fmt(sy(y[0]))}"]
+        for j in range(1, x.size):
+            parts.append(f"H {_fmt(sx(x[j]))}")
+            parts.append(f"V {_fmt(sy(y[j]))}")
         out.append(f'<path d="{" ".join(parts)}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"/>')
-        if s.x.size == 1:  # a path with no segments is invisible; mark the point
-            out.append(f'<circle cx="{_fmt(sx(s.x[0]))}" cy="{_fmt(sy(s.y[0]))}" '
+        if x.size == 1:  # a path with no segments is invisible; mark the point
+            out.append(f'<circle cx="{_fmt(sx(x[0]))}" cy="{_fmt(sy(y[0]))}" '
                        f'r="3" fill="{color}"/>')
 
     # legend, top-right inside the plot box
-    for idx, s in enumerate(named):
+    for idx, (name, _, _) in enumerate(named):
         lx = MARGIN_LEFT + plot_w - 150
         ly = MARGIN_TOP + 14 + idx * 16
         color = PALETTE[idx % len(PALETTE)]
         out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" '
                    f'stroke="{color}" stroke-width="1.5"/>')
         out.append(f'<text x="{lx + 28}" y="{ly + 4}" font-family="sans-serif" '
-                   f'font-size="11">{_escape(s.name)}</text>')
+                   f'font-size="11">{_escape(name)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

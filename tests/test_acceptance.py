@@ -151,7 +151,7 @@ def test_04_score_test_equals_logrank():
         if groups.min() == groups.max() or events.sum() == 0:
             continue
         done += 1
-        chi_logrank = logrank_test(durations, events, groups).chi_square
+        chi_logrank = logrank_test(durations, events, groups)["chi_square"]
         _, score, info = cox_evaluation(groups.astype(float)[:, None],
                                         durations, events, np.zeros(1))
         chi_score = float(score[0] ** 2 / info[0, 0]) if info[0, 0] > 0 else 0.0
@@ -165,7 +165,7 @@ def test_05_hazard_ratio_anchor():
                  loglik_null=0.0, loglik_fit=0.0, iterations=1,
                  converged=True, information=np.eye(1), score_null=np.zeros(1),
                  information_null=np.eye(1))
-    ratio = hazard_ratios(fit)[0].ratio
+    ratio = hazard_ratios(fit)[0]["hazard_ratio"]
     assert f"{ratio:.4f}" == "0.6518"
     assert f"{ratio:.2f}" == "0.65"
 
@@ -261,14 +261,14 @@ def test_07_cutoff_criteria_match_exhaustive_sweep():
             labels[0] = 1 - labels[0]
         curve = roc_curve(scores, labels)
         for name, value_of in criteria.items():
-            assert select_cutoff(curve, name).cutoff == sweep(scores, labels,
-                                                              value_of)
+            assert select_cutoff(curve, name)[0]["cutoff"] == sweep(scores, labels,
+                                                                    value_of)
 
     constant = np.full(30, 0.7)
     labels = np.concatenate([np.ones(10, dtype=int), np.zeros(20, dtype=int)])
     curve = roc_curve(constant, labels)
     for name in criteria:
-        assert select_cutoff(curve, name).cutoff == 1.0
+        assert select_cutoff(curve, name)[0]["cutoff"] == 1.0
     assert time.perf_counter() - t0 < 2.0
 
 
@@ -350,12 +350,11 @@ def test_10_null_calibration():
         durations = data.column("duration")
         events = data.column("event").astype(int)
         groups = data.column("label").astype(int)
-        p_values["logrank"].append(logrank_test(durations, events, groups).p_value)
+        p_values["logrank"].append(logrank_test(durations, events, groups)["p_value"])
         design = single_column_design(groups)
         tests = cox_tests(cox_fit(design, durations, events))
-        p_values["wald"].append(tests.wald.p_value)
-        p_values["lr"].append(tests.lr.p_value)
-        p_values["score"].append(tests.score.p_value)
+        for name in ("wald", "lr", "score"):
+            p_values[name].append(tests[name]["p_value"])
     for name, p in p_values.items():
         assert ks_distance(p) < 0.1, f"{name} p-values are not uniform"
     assert time.perf_counter() - t0 < 120.0
@@ -397,7 +396,7 @@ def test_11_mva_chain():
     assert profile.column_quartiles == (0.75, 1.5, 2.25)
 
     _, report = clean(fixture)
-    stages = {rec["stage"]: rec for rec in report.to_dict()["stages"]}
+    stages = {rec["stage"]: rec for rec in report["stages"]}
     # rows: drop NA count > Q3 = 2.25, so only the 3-NA row goes
     assert stages["drop_sparse_rows"]["threshold"] == 2.25
     assert stages["drop_sparse_rows"]["rows_after"] == 3

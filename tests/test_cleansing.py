@@ -145,7 +145,7 @@ class TestIncompleteRows:
 class TestFullChain:
     def test_stage_order_recorded(self):
         _, report = clean(staircase_4x4())
-        assert [s["stage"] for s in report.stages] == [
+        assert [s["stage"] for s in report["stages"]] == [
             "input", "drop_sparse_rows", "drop_sparse_columns",
             "harmonize_columns", "drop_incomplete_rows"]
 
@@ -153,7 +153,7 @@ class TestFullChain:
         d = numeric_dataset(np.arange(12, dtype=float).reshape(4, 3))
         out, report = clean(d)
         assert datasets_equal(out, d)
-        assert report.warnings == []
+        assert report["warnings"] == []
 
     def test_chain_output_has_no_feature_missing(self):
         rng = np.random.default_rng(5)
@@ -168,7 +168,7 @@ class TestFullChain:
         d = Dataset(specs, {"x": np.array([1.0, np.nan, 3.0, 4.0]),
                             "label": np.array([0.0, 1.0, 1.0, 0.0])})
         _, report = clean(d)
-        assert report.stages[0]["label_balance"] == {"negative": 2, "positive": 2}
+        assert report["stages"][0]["label_balance"] == {"negative": 2, "positive": 2}
 
     def test_class_ratio_roughly_preserved_under_random_missingness(self):
         rng = np.random.default_rng(17)

@@ -140,8 +140,6 @@ class TestFormulaAndDesign:
         with pytest.raises(DomainError):
             build_design(data, ["nope"])
         with pytest.raises(DomainError):
-            build_design(data, ["x"], references={"g": "a"})
-        with pytest.raises(DomainError):
             build_design(data, ["x", "g"], references={"g": "zzz"})
         with pytest.raises(DomainError):
             build_design(data, [])
@@ -248,8 +246,8 @@ class TestCoxFit:
         events = [1, 1, 1, 1]
         design = design_of(x, names=("early",))
         flags = detect_separation(design, durations, events)
-        assert [f.column for f in flags] == ["early"]
-        assert "precede" in flags[0].reason
+        assert [f["column"] for f in flags] == ["early"]
+        assert "precede" in flags[0]["reason"]
         with pytest.raises(SeparationError, match="early"):
             cox_fit(design, durations, events)
 
@@ -271,17 +269,18 @@ class TestInference:
         fit = cox_fit(design, durations, events)
         tests = cox_tests(fit)
         _, _, info_hat = cox_evaluation(x, durations, events, fit.beta, "efron")
-        assert tests.wald.statistic == pytest.approx(
+        assert tests["wald"]["statistic"] == pytest.approx(
             float(fit.beta @ info_hat @ fit.beta), rel=1e-12)
-        assert tests.lr.statistic == pytest.approx(
+        assert tests["lr"]["statistic"] == pytest.approx(
             2.0 * (fit.loglik_fit - fit.loglik_null), rel=1e-12)
         _, score0, info0 = cox_evaluation(x, durations, events, np.zeros(2), "efron")
         want_score = float(score0 @ np.linalg.solve(info0, score0))
-        assert tests.score.statistic == pytest.approx(want_score, rel=1e-10)
-        for t in (tests.wald, tests.lr, tests.score):
-            assert t.df == 2
-            assert t.p_value == pytest.approx(chi_square_sf(t.statistic, 2), rel=1e-12)
-            assert t.statistic >= 0.0
+        assert tests["score"]["statistic"] == pytest.approx(want_score, rel=1e-10)
+        for t in tests.values():
+            assert t["df"] == 2
+            assert t["p_value"] == pytest.approx(chi_square_sf(t["statistic"], 2),
+                                                 rel=1e-12)
+            assert t["statistic"] >= 0.0
 
     def test_fit_keeps_the_evaluations_the_tests_read(self):
         rng = np.random.default_rng(23)
@@ -306,8 +305,8 @@ class TestInference:
             fit = cox_fit(design, durations, events)
             tests = cox_tests(fit)
             reference = logrank_test(durations, events, groups)
-            assert tests.score.statistic == pytest.approx(
-                reference.chi_square, abs=1e-8)
+            assert tests["score"]["statistic"] == pytest.approx(
+                reference["chi_square"], abs=1e-8)
 
     def test_unconverged_fit_is_rejected(self):
         design = design_of([[1.0], [0.0], [1.0], [0.0]], names=("x",))
@@ -324,33 +323,32 @@ class TestInference:
         for beta, want in [(0.0, 1.0), (math.log(2.0), 2.0), (-0.428, 0.6518)]:
             shaped = dataclasses.replace(fit, beta=np.array([beta]))
             ratio = hazard_ratios(shaped)[0]
-            assert ratio.ratio == pytest.approx(want, abs=1e-4)
-        ratio = hazard_ratios(fit)[0]
+            assert ratio["hazard_ratio"] == pytest.approx(want, abs=1e-4)
+        ratios = hazard_ratios(fit)
+        assert len(ratios) == len(fit.names) == 1
         z = 1.959964
-        assert ratio.ci_lower == pytest.approx(
+        assert ratios[0]["ci_lower"] == pytest.approx(
             math.exp(fit.beta[0] - z * fit.se[0]), rel=1e-6)
-        assert ratio.ci_upper == pytest.approx(
+        assert ratios[0]["ci_upper"] == pytest.approx(
             math.exp(fit.beta[0] + z * fit.se[0]), rel=1e-6)
-        assert ratio.name == "x"
 
 
 class TestSeparationScreen:
     def test_zero_event_carriers_flagged(self):
         design = design_of([[1.0], [1.0], [0.0], [0.0]], names=("d",))
         flags = detect_separation(design, [1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
-        assert [(f.column, f.reason) for f in flags] == \
-            [("d", "carriers have no events")]
+        assert flags == [{"column": "d", "reason": "carriers have no events"}]
 
     def test_balanced_dummy_not_flagged(self):
         design = design_of([[1.0], [0.0], [1.0], [0.0]], names=("d",))
-        assert detect_separation(design, [1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1]) == ()
+        assert detect_separation(design, [1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1]) == []
 
     def test_non_dummy_columns_skipped(self):
         design = design_of([[0.5], [1.5], [2.5]], names=("z",))
-        assert detect_separation(design, [1.0, 2.0, 3.0], [1, 0, 0]) == ()
+        assert detect_separation(design, [1.0, 2.0, 3.0], [1, 0, 0]) == []
 
     def test_following_events_flagged(self):
         design = design_of([[0.0], [0.0], [1.0], [1.0]], names=("d",))
         flags = detect_separation(design, [1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1])
-        assert [f.column for f in flags] == ["d"]
-        assert "follow" in flags[0].reason
+        assert [f["column"] for f in flags] == ["d"]
+        assert "follow" in flags[0]["reason"]

@@ -6,7 +6,6 @@ import pytest
 from survmix.errors import DomainError
 from survmix.evaluation import (
     CUTOFF_CRITERIA,
-    ConfusionMatrix,
     roc_curve,
     score_histogram,
     select_cutoff,
@@ -14,18 +13,20 @@ from survmix.evaluation import (
 )
 
 
-def confusion(scores, labels, cutoff: float) -> ConfusionMatrix:
+def confusion(scores, labels, cutoff: float) -> dict:
     # Counted directly under the score >= cutoff rule: the oracle for the
-    # confusion matrix that select_cutoff reads from the curve's counts.
+    # confusion counts that select_cutoff reads from the curve's counts.
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels).astype(np.int64)
     pred = scores >= cutoff
-    return ConfusionMatrix(
-        tn=int(((labels == 0) & ~pred).sum()),
-        fp=int(((labels == 0) & pred).sum()),
-        fn=int(((labels == 1) & ~pred).sum()),
-        tp=int(((labels == 1) & pred).sum()),
-    )
+    return {"tn": int(((labels == 0) & ~pred).sum()),
+            "fp": int(((labels == 0) & pred).sum()),
+            "fn": int(((labels == 1) & ~pred).sum()),
+            "tp": int(((labels == 1) & pred).sum())}
+
+
+def counts(cm: dict) -> dict:
+    return {k: cm[k] for k in ("tn", "fp", "fn", "tp")}
 
 
 def mann_whitney_auc(scores, labels):
@@ -45,8 +46,8 @@ def sweep_cutoff(scores, labels, criterion):
     best_c, best_v = None, -math.inf
     for c in candidates:
         cm = confusion(scores, labels, c)
-        tpr = cm.tp / (cm.tp + cm.fn)
-        fpr = cm.fp / (cm.fp + cm.tn)
+        tpr = cm["tp"] / (cm["tp"] + cm["fn"])
+        fpr = cm["fp"] / (cm["fp"] + cm["tn"])
         v = {"youden": tpr - fpr,
              "closest01": -math.hypot(1.0 - tpr, fpr),
              "product": tpr * (1.0 - fpr)}[criterion]
@@ -123,20 +124,27 @@ class TestConfusion:
         curve = roc_curve([0.5, 0.49999], [1, 0])
         assert curve.thresholds.tolist() == [1.0, 0.5, 0.49999]
         assert (curve.tp[1], curve.fp[1]) == (1, 0)
-        best = select_cutoff(curve, "youden")
-        assert best.cutoff == 0.5
-        assert best.confusion == ConfusionMatrix(tn=1, fp=0, fn=0, tp=1)
+        point, cm = select_cutoff(curve, "youden")
+        assert point["cutoff"] == 0.5
+        assert counts(cm) == {"tn": 1, "fp": 0, "fn": 0, "tp": 1}
 
     def test_reported_recall_anchor(self):
         # confusion row with 118 hits / 32 misses on 150 positives -> 79% recall
-        cm = ConfusionMatrix(tn=6612, fp=2413, fn=32, tp=118)
-        assert cm.sensitivity == pytest.approx(118 / 150)
-        assert round(cm.sensitivity, 2) == 0.79
+        scores = np.repeat([0.9, 0.1, 0.9, 0.1], [118, 32, 2413, 6612])
+        labels = np.repeat([1, 1, 0, 0], [118, 32, 2413, 6612])
+        point, cm = select_cutoff(roc_curve(scores, labels), "youden")
+        assert point["cutoff"] == 0.9
+        assert counts(cm) == {"tn": 6612, "fp": 2413, "fn": 32, "tp": 118}
+        assert cm["sensitivity"] == pytest.approx(118 / 150)
+        assert round(cm["sensitivity"], 2) == 0.79
 
     def test_degenerate_ratios_are_zero(self):
-        cm = ConfusionMatrix(tn=5, fp=0, fn=0, tp=0)
-        assert cm.sensitivity == 0.0 and cm.precision == 0.0
-        assert cm.specificity == 1.0
+        # constant scores pick the sentinel: no row is predicted positive
+        curve = roc_curve([0.4] * 6, [0, 1, 0, 1, 0, 1])
+        _, cm = select_cutoff(curve, "youden")
+        assert counts(cm) == {"tn": 3, "fp": 0, "fn": 3, "tp": 0}
+        assert cm["sensitivity"] == 0.0 and cm["precision"] == 0.0
+        assert cm["specificity"] == 1.0
 
 
 class TestSelectCutoff:
@@ -150,7 +158,7 @@ class TestSelectCutoff:
                 labels[0] = 1 - labels[0]
             curve = roc_curve(scores, labels)
             for criterion in ("youden", "closest01", "product"):
-                got = select_cutoff(curve, criterion).cutoff
+                got = select_cutoff(curve, criterion)[0]["cutoff"]
                 want = sweep_cutoff(list(scores), list(labels), criterion)
                 assert got == want, (criterion, scores, labels)
 
@@ -169,19 +177,19 @@ class TestSelectCutoff:
             curve = roc_curve(scores, labels)
             assert curve.tp.dtype == curve.fp.dtype == np.int64
             for criterion in CUTOFF_CRITERIA:
-                best = select_cutoff(curve, criterion)
-                assert best.confusion == confusion(scores, labels, best.cutoff), (
+                point, cm = select_cutoff(curve, criterion)
+                assert counts(cm) == confusion(scores, labels, point["cutoff"]), (
                     criterion, scores, labels)
 
     def test_constant_scores_choose_all_negative_corner(self):
         curve = roc_curve([0.4] * 6, [0, 1, 0, 1, 0, 1])
         for criterion in ("youden", "closest01", "product"):
-            assert select_cutoff(curve, criterion).cutoff == 1.0
+            assert select_cutoff(curve, criterion)[0]["cutoff"] == 1.0
 
     def test_perfect_scorer(self):
         curve = roc_curve([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
-        best = select_cutoff(curve, "youden")
-        assert best.cutoff == 0.8 and best.value == 1.0
+        point, _ = select_cutoff(curve, "youden")
+        assert point["cutoff"] == 0.8 and point["value"] == 1.0
 
     def test_unknown_criterion(self):
         curve = roc_curve([0.2, 0.8], [0, 1])
@@ -204,11 +212,11 @@ class TestHistogram:
         scores = rng.random(200)
         labels = rng.integers(0, 2, 200)
         labels[:2] = [0, 1]
-        h = score_histogram(scores, labels, bins=10)
+        h = score_histogram(scores, labels)
         assert sum(h["negative"]) == int((labels == 0).sum())
         assert sum(h["positive"]) == int((labels == 1).sum())
-        assert len(h["bin_edges"]) == 11
+        assert len(h["bin_edges"]) == 21
 
     def test_score_of_one_lands_in_last_bin(self):
-        h = score_histogram([1.0, 0.0], [1, 0], bins=4)
+        h = score_histogram([1.0, 0.0], [1, 0])
         assert h["positive"][-1] == 1 and h["negative"][0] == 1

@@ -10,7 +10,6 @@ from survmix.errors import DomainError
 from survmix.evaluation import roc_curve, separation_score
 from survmix.mixture import (
     AbstentionResult,
-    GridPoint,
     MixtureModel,
     classify_scores,
     mix_scores,
@@ -46,14 +45,15 @@ def per_point_optimize_weight(scores_a, scores_b, labels, grid_step):
         auc = roc_curve(mixed, labels).auc
         separation = separation_score(mixed, labels)
         objective = auc * separation
-        trace.append(GridPoint(float(alpha), auc, separation, objective))
+        trace.append({"alpha": float(alpha), "auc": auc, "separation": separation,
+                      "objective": objective})
         if objective >= best:
             best_alpha, best = float(alpha), objective
     return best_alpha, trace
 
 
 def trace_bits(trace):
-    return [tuple(float(value).hex() for value in point.to_dict().values())
+    return [tuple(float(value).hex() for value in point.values())
             for point in trace]
 
 
@@ -100,7 +100,7 @@ class TestOptimizeWeight:
         random = rng.random(50)
         alpha, trace = optimize_weight(perfect, random, labels)
         assert alpha == 1.0
-        assert trace[-1].objective == pytest.approx(1.0, abs=1e-12)
+        assert trace[-1]["objective"] == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_components_give_symmetric_trace(self):
         # component b scores are component a's swapped within label groups,
@@ -109,7 +109,7 @@ class TestOptimizeWeight:
         scores_a = np.array([0.2, 0.4, 0.6, 0.9])
         scores_b = np.array([0.4, 0.2, 0.9, 0.6])
         _, trace = optimize_weight(scores_a, scores_b, labels, grid_step=0.01)
-        objectives = [point.objective for point in trace]
+        objectives = [point["objective"] for point in trace]
         assert len(objectives) == 101
         np.testing.assert_allclose(objectives, objectives[::-1], atol=1e-12)
 
@@ -119,25 +119,25 @@ class TestOptimizeWeight:
             a, b, labels = random_scores(rng, 50)
             alpha, trace = optimize_weight(a, b, labels, grid_step=0.001)
             assert alpha == exhaustive_best_alpha(a, b, labels, 0.001)
-            best = max(point.objective for point in trace)
-            chosen = [point for point in trace if point.alpha == alpha]
-            assert chosen[0].objective == best
+            best = max(point["objective"] for point in trace)
+            chosen = [point for point in trace if point["alpha"] == alpha]
+            assert chosen[0]["objective"] == best
 
     def test_returned_alpha_attains_trace_maximum(self):
         rng = np.random.default_rng(9)
         a, b, labels = random_scores(rng, 80)
         alpha, trace = optimize_weight(a, b, labels)
-        best = max(point.objective for point in trace)
-        by_alpha = {point.alpha: point.objective for point in trace}
+        best = max(point["objective"] for point in trace)
+        by_alpha = {point["alpha"]: point["objective"] for point in trace}
         assert by_alpha[alpha] == best
-        assert all(point.alpha <= alpha for point in trace
-                   if point.objective == best)
+        assert all(point["alpha"] <= alpha for point in trace
+                   if point["objective"] == best)
 
     def test_grid_includes_both_boundaries(self):
         rng = np.random.default_rng(10)
         a, b, labels = random_scores(rng, 40)
         _, trace = optimize_weight(a, b, labels, grid_step=0.3)
-        alphas = [point.alpha for point in trace]
+        alphas = [point["alpha"] for point in trace]
         assert alphas[0] == 0.0 and alphas[-1] == 1.0
 
     @pytest.mark.parametrize("grid_step", [0.3, 0.02, 0.001])

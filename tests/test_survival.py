@@ -206,9 +206,9 @@ class TestLogrank:
         events = [1, 1, 1, 0] * 2
         groups = ["a"] * 4 + ["b"] * 4
         result = logrank_test(durations, events, groups)
-        assert result.chi_square == 0.0
-        assert result.p_value == 1.0
-        assert result.df == 1
+        assert result["chi_square"] == 0.0
+        assert result["p_value"] == 1.0
+        assert result["df"] == 1
 
     def test_hand_hypergeometric_fixture(self):
         durations = [1.0, 3.0, 2.0, 4.0]
@@ -221,11 +221,11 @@ class TestLogrank:
         variance = (2 / 4) * (2 / 4) * (3 / 3) + (1 / 3) * (2 / 3) * (2 / 2) \
             + (1 / 2) * (1 / 2) * (1 / 1)
         want = (observed - expected) ** 2 / variance
-        assert result.chi_square == pytest.approx(want, rel=1e-12)
-        assert result.p_value == pytest.approx(chi_square_sf(want, 1), rel=1e-12)
-        assert result.observed == {"a": 2.0, "b": 1.0}
-        assert result.expected["a"] == pytest.approx(expected, rel=1e-12)
-        assert result.expected["b"] == pytest.approx(3.0 - expected, rel=1e-12)
+        assert result["chi_square"] == pytest.approx(want, rel=1e-12)
+        assert result["p_value"] == pytest.approx(chi_square_sf(want, 1), rel=1e-12)
+        assert result["observed"] == {"a": 2.0, "b": 1.0}
+        assert result["expected"]["a"] == pytest.approx(expected, rel=1e-12)
+        assert result["expected"]["b"] == pytest.approx(3.0 - expected, rel=1e-12)
 
     def test_group_relabel_invariance(self):
         rng = np.random.default_rng(7)
@@ -233,10 +233,10 @@ class TestLogrank:
         groups = rng.integers(0, 2, 120)
         first = logrank_test(durations, events, groups)
         second = logrank_test(durations, events, 1 - groups)
-        assert first.chi_square == pytest.approx(second.chi_square, rel=1e-12)
-        assert first.p_value == second.p_value
-        assert first.observed["0"] == second.observed["1"]
-        assert first.expected["0"] == pytest.approx(second.expected["1"], rel=1e-12)
+        assert first["chi_square"] == pytest.approx(second["chi_square"], rel=1e-12)
+        assert first["p_value"] == second["p_value"]
+        assert first["observed"]["0"] == second["observed"]["1"]
+        assert first["expected"]["0"] == pytest.approx(second["expected"]["1"], rel=1e-12)
 
     def test_planted_hazard_ratio_is_detected(self):
         data = generate_synthetic(SyntheticSpec(
@@ -244,13 +244,13 @@ class TestLogrank:
             class_separation=0.0, hazard_ratio_true=3.0, seed=5))
         result = logrank_test(data.column("duration"), data.column("event"),
                               data.column("label"))
-        assert result.p_value < 1e-6
+        assert result["p_value"] < 1e-6
 
     def test_single_event_group_against_censored_group(self):
         result = logrank_test([1.0, 2.0, 3.0, 4.0], [1, 1, 0, 0],
                               ["a", "a", "b", "b"])
-        assert math.isfinite(result.chi_square)
-        assert 0.0 <= result.p_value <= 1.0
+        assert math.isfinite(result["chi_square"])
+        assert 0.0 <= result["p_value"] <= 1.0
 
     def test_input_validation(self):
         with pytest.raises(DomainError):

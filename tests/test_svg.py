@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from survmix.errors import DomainError
-from survmix.svg import HEIGHT, PALETTE, WIDTH, Series, render_svg
+from survmix.svg import HEIGHT, PALETTE, WIDTH, render_svg
 
 
 def path_commands(svg_text):
@@ -50,10 +50,6 @@ class TestRendering:
         assert "x &amp; &quot;y&quot;" in text
         assert "t&lt;" in text and "&gt;s" in text
         assert "a<b" not in text
-
-    def test_series_objects_accepted(self):
-        s = Series("a", np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-        assert render_svg([s]) == render_svg([("a", [0, 1], [1, 0])])
 
 
 class TestDegenerateInput:
