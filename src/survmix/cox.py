@@ -15,8 +15,9 @@ observed information is a weighted cross-product Xᵀ diag(v) X (Therneau and
 Grambsch 2000, §3), less Efron's correction over the tied deaths (Efron
 1977), so it takes matrix products over the rows and nothing of size n·p².
 `cox_fit` keeps the information at the estimate and the score and
-information at 0 on the fit, for `cox_tests`.  Each fit sorts its rows by
-duration, caching nothing; `pipeline.classified_rows` already sorts them.
+information at 0 on the fit, for `cox_tests`.  Each fit puts its rows in
+one order of its own, by duration, event and design row, so the order it
+is given them moves no bit.
 """
 
 from dataclasses import dataclass
@@ -169,7 +170,7 @@ def build_design(data: Dataset, formula, references=None) -> DesignMatrix:
 # -- partial likelihood --------------------------------------------------------
 
 class _Prepared(NamedTuple):
-    """The beta-free parts of the partial likelihood, rows in duration order."""
+    """The beta-free parts of the partial likelihood, rows in `_prepare`'s order."""
 
     x: np.ndarray           # design rows
     starts: np.ndarray      # first row at risk at each event time
@@ -181,13 +182,15 @@ class _Prepared(NamedTuple):
 
 
 def _prepare(matrix, durations, events, ties):
-    """The fit's rows in stable duration order, with their tie groups."""
+    """The fit's rows ordered by duration, then event, then design row, with
+    their tie groups.  Rows equal in all of these add identical terms, so
+    the order the rows come in moves no sum."""
     durations, events = _check_samples(durations, events)
     if matrix.shape[0] != durations.size:
         raise DomainError("design rows must align with the survival sample")
     if events.sum() == 0:
         raise DomainError("Cox regression needs at least one event")
-    order = np.argsort(durations, kind="stable")
+    order = np.lexsort((*matrix.T[::-1], events, durations))
     t, e, x = durations[order], events[order], matrix[order]
     death_rows = np.flatnonzero(e == 1)
     event_times, d_starts, d_counts = np.unique(t[death_rows], return_index=True,

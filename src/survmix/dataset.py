@@ -26,12 +26,13 @@ to no memory.
 `load_csv` streams the file through `fileio.csv_blocks`, one block of at
 most `fileio._BLOCK_CELLS` cells at a time, so besides the dataset it holds
 one block's cells, whatever the row count.  A plain block is parsed by
-numpy into float64 and fixed-width str fields.  Any other, such as one
-with a missing or bad number, is left to `csv.reader`, whose numeric cells
-go through `float` column by column.  Either way one coder
-(`_Column._code`) codes a block's categorical cells with `np.unique` and
-reports an undeclared or unstorable level, so the errors and their rows
-do not depend on the path.
+numpy into float64 and object fields, an object field's cells the Python
+str that csv would give.  Any other, such as one with a missing or bad
+number, is left to `csv.reader`, whose numeric cells go through `float`
+column by column.  Either way one coder (`_Column._code`) numbers a
+block's categorical cells with one dict, in order of first appearance, and
+reports an undeclared or unstorable level, so the errors and their rows do
+not depend on the path.
 """
 
 from dataclasses import dataclass
@@ -53,7 +54,6 @@ _SINGLETON_ROLES = ("label", "duration", "event", "id")
 MISSING_TOKENS = ("", "NA")
 _MISSING = frozenset(MISSING_TOKENS)
 MISSING_CODE = -1
-_STR_WIDTH = 64   # widest str field numpy reads a categorical cell into
 
 
 @dataclass(frozen=True)
@@ -343,9 +343,7 @@ def load_csv(data_path: "str | Path", schema: "Sequence[ColumnSpec] | str | Path
         schema = read_schema(schema)
     specs = list(schema)
     columns = [_Column(s) for s in specs]
-    dtype = None
-    if specs and all(c.field for c in columns):
-        dtype = np.dtype([("", c.field) for c in columns])
+    dtype = np.dtype([("", "f8" if s.kind == "numeric" else "O") for s in specs])
     with open_text(data_path) as fh:
         header = next(csv_records(fh, data_path, DELIMITER), None)
         if header is None:
@@ -398,12 +396,6 @@ class _Column:
     The first bad cell is kept in `bad` as (error class, file row, message)
     and ends the column's parsing.  `load_csv` raises it only once every row
     has been read, since a ragged row anywhere in the file is reported first.
-
-    `field` is the column's type in the table `np.loadtxt` reads a plain
-    block into: float64, or a str one char wider than the longest declared
-    level (at most `_STR_WIDTH`), so a cell that fills it is not a level.
-    It is None where numpy's str cannot hold a declared level (it drops
-    trailing NULs); then no block of the file is read by numpy.
     """
 
     def __init__(self, spec: ColumnSpec):
@@ -411,17 +403,11 @@ class _Column:
         self.bad = None
         self.parts = []
         self.index = {v: i for i, v in enumerate(spec.vocabulary)}
-        if spec.kind == "numeric":
-            self.field = "f8"
-        elif "\x00" in "".join(spec.vocabulary):
-            self.field = None
-        else:
-            longest = max(map(len, spec.vocabulary), default=_STR_WIDTH)
-            self.field = f"U{min(_STR_WIDTH, longest + 1)}"
 
     def add(self, cells, first_row: int) -> None:
         """Parse one block of cells, the first on file row `first_row`:
-        csv's tokens, or the float64 or str column of a block numpy parsed."""
+        csv's tokens, or the float64 or object column of a block numpy
+        parsed."""
         if self.bad is not None:
             return
         if self.spec.kind == "categorical":
@@ -437,27 +423,24 @@ class _Column:
             self.bad = (error, first_row + i, message)
 
     def _code(self, cells) -> tuple:
-        """(int32 codes, None), or (None, bad cell).  Empty and "NA" cells
-        are missing.  New levels are numbered in order of first appearance;
-        one is bad where a vocabulary was declared or a sidecar cannot
-        store it."""
-        if not isinstance(cells, np.ndarray):   # csv's tokens; object keeps a trailing NUL
-            cells = np.array(cells, dtype=object)
-        levels, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
-        levels = levels.tolist()
+        """(int32 codes, None), or (None, bad cell), for a block of str
+        cells.  Empty and "NA" cells are missing.  New levels are numbered
+        in order of first appearance; one is bad where a vocabulary was
+        declared or a sidecar cannot store it."""
         index = self.index
-        for i, level in sorted((i, level) for level, i in zip(levels, first.tolist())
-                               if level not in index and level not in _MISSING):
+        for level in dict.fromkeys(cells):   # first appearance first
+            if level in index or level in _MISSING:
+                continue
             if self.spec.vocabulary:
-                return None, (DomainError, i,
+                return None, (DomainError, list(cells).index(level),
                               f"value {level!r} is not in the declared vocabulary")
             if _unstorable(level):
-                return None, (DomainError, i,
+                return None, (DomainError, list(cells).index(level),
                               f"value {level!r} holds '|' or a line break, which a "
                               f"schema sidecar cannot store")
             index[level] = len(index)
-        codes = [MISSING_CODE if level in _MISSING else index[level] for level in levels]
-        return np.array(codes, np.int32)[inverse], None
+        return np.array([MISSING_CODE if c in _MISSING else index[c] for c in cells],
+                        np.int32), None
 
     def values(self) -> np.ndarray:
         """The parsed cells as one array; the blocks are let go."""

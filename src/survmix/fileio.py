@@ -34,12 +34,12 @@ after the header a block at a time.  A plain block, one that csv would
 split at each delimiter and nowhere else, goes to `np.loadtxt`, whose C
 reader hands each number to CPython's own correctly rounded
 `PyOS_string_to_double` and so gives `float`'s bits, in less time than
-`csv.reader` and `float` take.  Its caller gets the table, missing and bad
-categorical cells included, and codes them as it codes csv's tokens.  A
-block with a quote, a blank line, a line over csv's field limit or a NUL,
-and one numpy rejects, go to `csv.reader` instead, as every block did
-before; so csv's rules and the loader's error messages hold whichever path
-a block takes.
+`csv.reader` and `float` take.  Its caller gets the table, each categorical
+cell in an object field as the Python str csv would give, missing and bad
+ones included, and codes them as it codes csv's tokens.  A block with a
+quote, a blank line, a line over csv's field limit or a NUL, and one numpy
+rejects, go to `csv.reader` instead, as every block did before; so csv's
+rules and the loader's error messages hold whichever path a block takes.
 """
 
 import contextlib
@@ -326,7 +326,7 @@ def csv_blocks(fh, path: "str | Path", delimiter: str, dtype, block_rows: int):
 
     Each block is yielded as (number of its first record, its records): a
     plain block (`_plain_table`) as the structured array of `dtype` that
-    `np.loadtxt` parses it into (None: no block is), any other as a lazy
+    `np.loadtxt` parses it into, any other as a lazy
     `csv_records` of its lines.  From the first block that holds a quote,
     the rest of the file is yielded as one such record stream, since a
     quoted field may span lines.
@@ -337,7 +337,7 @@ def csv_blocks(fh, path: "str | Path", delimiter: str, dtype, block_rows: int):
         if '"' in text:
             yield first, csv_records(itertools.chain(lines, fh), path, delimiter, first)
             return
-        table = None if dtype is None else _plain_table(lines, text, delimiter, dtype)
+        table = _plain_table(lines, text, delimiter, dtype)
         yield first, csv_records(lines, path, delimiter, first) if table is None else table
         first += len(lines)
 
@@ -348,26 +348,21 @@ def _plain_table(lines: list, text: str, delimiter: str, dtype):
 
     Before numpy reads them, these leave them to csv: a blank line (csv
     reads an empty record, numpy skips it), a line longer than csv's field
-    limit (csv raises) and a NUL (numpy's str drops trailing ones).  numpy
-    itself raises `ValueError` on a ragged row and on a number that `float`
-    reads another way or alone (`''`, `NA`, `1_0`, `١٢`).  After it, a str
-    cell that fills its field may have been cut short.  A str cell is taken
-    as it is, an empty or "NA" one too: the caller judges it as csv's token.
+    limit (csv raises) and a NUL (numpy's object fields keep it, but csv
+    must decide on it: Python 3.10's reader rejects a line that holds one).
+    numpy itself raises `ValueError` on a ragged row and on a number that
+    `float` reads another way or alone (`''`, `NA`, `1_0`, `١٢`).  An object
+    field's cell is the Python str csv gives, verbatim, an empty or "NA" one
+    too: the caller judges it as csv's token.
     """
     if ("\n" in lines or "\x00" in text
             or max(map(len, lines)) > csv.field_size_limit()):
         return None
     try:
-        table = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None,
-                           ndmin=1)
+        return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None,
+                          ndmin=1)
     except ValueError:
         return None
-    raw = table.view(np.uint8).reshape(len(table), dtype.itemsize)
-    for field, offset in dtype.fields.values():
-        end = offset + field.itemsize
-        if field.kind == "U" and raw[:, end - 4:end].any():
-            return None
-    return table
 
 
 @contextlib.contextmanager

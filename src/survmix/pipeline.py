@@ -264,18 +264,20 @@ def row_ids(data: Dataset) -> list:
 
 
 def survival_columns(data: Dataset) -> tuple:
-    """(durations, events as int) from the dataset's duration and event roles."""
+    """(durations, events as int) from the dataset's duration and event
+    roles; a missing cell in either is rejected before the cast."""
     duration_col = data.role_column("duration")
     event_col = data.role_column("event")
     if duration_col is None or event_col is None:
         raise DomainError("dataset needs duration and event columns")
+    for name in (duration_col, event_col):
+        if data.missing_mask(name).any():
+            raise DomainError(f"column {name!r} has missing cells")
     return data.column(duration_col), data.column(event_col).astype(int)
 
 
 def classified_rows(data: Dataset, labels) -> tuple:
-    """The rows given a predicted group, and those groups, in stable duration
-    order (ties in source order), as each Cox fit sorts them: KM, log-rank and
-    the separation screen ignore row order, and a Cox fit sees it only in ties.
+    """The rows given a predicted group, and those groups, in source order.
     The rows gain the group as the 0/1 column `predicted_label` (1 for
     positive), which the Cox suite uses as its main effect.
     """
@@ -283,7 +285,6 @@ def classified_rows(data: Dataset, labels) -> tuple:
     keep = np.flatnonzero(labels != "unclassified")
     if keep.size == 0:
         raise DomainError("every row was unclassified")
-    keep = keep[np.argsort(survival_columns(data)[0][keep], kind="stable")]
     groups = labels[keep]
     kept = data.take_rows(keep).with_column(
         ColumnSpec(PREDICTED_COLUMN, "numeric", "feature"),

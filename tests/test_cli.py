@@ -293,6 +293,37 @@ class TestStageFlow:
         assert code == 2
         assert "dataset needs duration and event columns" in err
 
+    @pytest.mark.parametrize("role", ["duration", "event"])
+    @pytest.mark.parametrize("command", ["km", "cox"])
+    def test_missing_survival_cell_is_exit_two(self, staged, tmp_path, command, role):
+        data = load_csv(staged / "clean.csv", staged / "clean.schema")
+        name = data.role_column(role)
+        cells = data.column(name).copy()
+        cells[7] = np.nan
+        data = Dataset(data.specs, {n: cells if n == name else data.column(n)
+                                    for n in data.names})
+        write_dataset(data, tmp_path / "d.csv")
+        (tmp_path / "labels.csv").write_text("id,probability,label\n" + "".join(
+            f"{i},0.5,{('positive', 'negative')[k % 2]}\n"
+            for k, i in enumerate(text_cells(row_ids(data)))))
+        code, _, err = call(command, "--data", tmp_path / "d.csv",
+                            "--labels", tmp_path / "labels.csv", "--out-dir", tmp_path)
+        assert code == 2
+        assert f"column {name!r} has missing cells" in err
+
+    def test_cox_reads_reference_levels_from_a_file(self, staged, tmp_path):
+        (tmp_path / "refs.txt").write_text("# reference levels\n\ncat_00 = b\n")
+        assert call("cox", "--data", staged / "clean.csv", "--formula", "num_00 + cat_00",
+                    "--references", tmp_path / "refs.txt", "--out-dir", tmp_path)[0] == 0
+        payload = json.loads((tmp_path / "cox.json").read_text())
+        assert payload["models"][0]["reference_levels"] == {"cat_00": "b"}
+        (tmp_path / "bad.txt").write_text("cat_00 b\n")
+        code, _, err = call("cox", "--data", staged / "clean.csv",
+                            "--formula", "num_00 + cat_00",
+                            "--references", tmp_path / "bad.txt", "--out-dir", tmp_path)
+        assert code == 2
+        assert "bad.txt:1: expected 'column = level'" in err
+
     def test_train_param_override(self, staged, tmp_path):
         code, _, err = call("train", "--data", staged / "bal.csv", "--algo", "rpart",
                             "--seed", 4, "--param", "max_depth=2",

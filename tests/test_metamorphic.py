@@ -4,9 +4,7 @@ layout must give the same analyses.
 Each relation rewrites the predict era's files, runs the pipeline from
 files again, and compares the artifacts that the rewrite must not move with
 those of the untouched run (Chen, Cheung & Yiu 1998; Segura et al. 2016).
-Only relations that hold today are pinned.  Shuffling rows moves `cox.json`
-in its last bits, because the Cox likelihood adds tied rows in the order the
-fit gets them, so Cox is not compared under a shuffle.
+Only relations that hold today are pinned.
 """
 
 import csv
@@ -69,7 +67,7 @@ def test_columns_reversed_keep_cox_and_km(eras):
     assert (out / "km.csv").read_bytes() == (base / "km.csv").read_bytes()
 
 
-def test_rows_shuffled_keep_labels_and_km(eras):
+def test_rows_shuffled_keep_labels_km_and_cox(eras):
     root, base, header, rows, schema = eras
     order = np.random.default_rng(13).permutation(len(rows))
     write_era(root, "shuffled", header, [rows[i] for i in order], schema)
@@ -79,3 +77,4 @@ def test_rows_shuffled_keep_labels_and_km(eras):
     assert got[0] == want[0] and got[1:] != want[1:]
     assert sorted(got[1:]) == sorted(want[1:])
     assert (out / "km.csv").read_bytes() == (base / "km.csv").read_bytes()
+    assert cox_models(out) == cox_models(base)

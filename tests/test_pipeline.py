@@ -262,6 +262,25 @@ class TestRunPipeline:
         validate_report(payload)
         assert payload["error"] == report.error
 
+    def test_missing_event_cell_fails_the_km_stage(self, tmp_path):
+        for stem, rows, seed in (("train", 600, 5), ("predict", 400, 6)):
+            data = generate_synthetic(SyntheticSpec(
+                n_rows=rows, n_numeric=4, minority_fraction=0.2, class_separation=1.5,
+                seed=seed))
+            if stem == "predict":   # every tenth event blank
+                events = data.column("event").copy()
+                events[::10] = np.nan
+                data = Dataset(data.specs, {name: events if name == "event"
+                                            else data.column(name) for name in data.names})
+            write_csv(data, tmp_path / f"{stem}.csv")
+            write_schema(data.specs, tmp_path / f"{stem}.schema")
+        report = run_pipeline(PipelineConfig(
+            output_dir=str(tmp_path / "out"), train_path=str(tmp_path / "train.csv"),
+            predict_path=str(tmp_path / "predict.csv"), algorithms=("logit", "nb"),
+            seed=5))
+        assert report.error == {"stage": "km", "kind": "data",
+                                "message": "column 'event' has missing cells"}
+
     def test_explicit_components_respected(self, tmp_path):
         with pytest.warns(UserWarning):
             report = run_pipeline(small_config(
@@ -340,14 +359,11 @@ class TestHelpers:
         assert "predicted_label * cat_01" in suite
         assert len(suite) == 5
 
-    def test_classified_rows_come_in_stable_duration_order(self):
+    def test_classified_rows_keep_source_order(self):
         data = generate_synthetic(SyntheticSpec(n_rows=300, seed=2))
         labels = np.array(["positive", "negative", "unclassified"])[np.arange(300) % 3]
         kept, groups = classified_rows(data, labels)
-        durations = data.column("duration")
-        expected = sorted(np.flatnonzero(labels != "unclassified"),
-                          key=lambda i: (durations[i], i))
-        assert len(set(durations[expected])) < len(expected)  # the tie rule is used
+        expected = np.flatnonzero(labels != "unclassified")
         for name in data.names:
             assert np.array_equal(kept.column(name), data.column(name)[expected])
         assert groups.tolist() == labels[expected].tolist()
@@ -359,20 +375,30 @@ class TestHelpers:
                                                 seed=3))
         labels = np.array(["positive", "negative", "unclassified"])[np.arange(600) % 3]
         kept, _ = classified_rows(data, labels)
+        assert len(set(kept.column("duration"))) < kept.n_rows   # ties are met
         _, artifacts, _ = cox_stage(kept, (), "efron", {})
-        rng = np.random.default_rng(0)
-        shuffled = rng.permutation(kept.n_rows)
+        shuffled = np.random.default_rng(0).permutation(kept.n_rows)
         _, moved, _ = cox_stage(kept.take_rows(shuffled), (), "efron", {})
-        assert moved["cox_summary.txt"] == artifacts["cox_summary.txt"]
-        # Rows of one duration enter the suffix sums in their given order,
-        # which moves cox.json's last digits, so this shuffle keeps each
-        # duration's rows in their order and moves all the rest.
-        _, tie_group = np.unique(kept.column("duration"), return_inverse=True)
-        keys = rng.random(kept.n_rows)
-        keys[np.lexsort((np.arange(kept.n_rows), tie_group))] = \
-            keys[np.lexsort((keys, tie_group))]
-        _, moved, _ = cox_stage(kept.take_rows(np.argsort(keys)), (), "efron", {})
         assert moved == artifacts
+
+    def test_cox_summary_lists_the_flags_of_a_converged_model(self):
+        # The b carriers' events all come before the others', but half of
+        # them are censored late, so the fit converges and is still flagged.
+        rows = np.arange(200)
+        carrier = rows < 100
+        late = carrier & (rows % 2 == 1)
+        data = Dataset(
+            [ColumnSpec("x", "categorical", "feature", ("a", "b")),
+             ColumnSpec("duration", "numeric", "duration"),
+             ColumnSpec("event", "numeric", "event")],
+            {"x": carrier.astype(np.int32),
+             "duration": np.where(carrier, np.where(late, 500.0, rows / 2 + 1.0),
+                                  rows + 0.5),
+             "event": (~late).astype(float)})
+        suite, artifacts, _ = cox_stage(data, ("x",), "efron", {})
+        assert suite[0]["converged"]
+        assert "  flagged: x=b (carriers' events all precede the others')\n" in \
+            artifacts["cox_summary.txt"]
 
     def test_validate_report_rejects_missing_keys(self):
         with pytest.raises(DomainError, match="missing key"):
@@ -406,8 +432,12 @@ GOLDEN_DIGESTS = {
     "cleaned.schema": "a58736a4e57f2563",
     # re-pinned when every fit's row sums became blocked BLAS products
     # (`newton.over_rows`): its last bits moved (at most 4.6e-15 relative in
-    # se), cox_summary.txt did not
-    "cox.json": "3bb6d88c6d98c022",
+    # se), cox_summary.txt did not; and again when each Cox fit came to order
+    # its rows by duration, event and design row rather than take them in
+    # duration order with ties as given: the tied rows' sums moved its last
+    # bits (at most 2.5e-13 relative in beta, 5.2e-15 in se), and
+    # cox_summary.txt did not
+    "cox.json": "986b858ab38c8d49",
     "cox_summary.txt": "a10934345bffa8df",
     "km.csv": "630491e02fdcd7aa",
     "km.svg": "d4017eeda13c55f5",
