@@ -29,7 +29,7 @@ from typing import Callable, Mapping
 
 from ..dataset import Dataset
 from ..errors import DataError, DomainError
-from ..fileio import atomic_write, read_text
+from ..fileio import atomic_write, read_json_object
 from ._encoding import DummyEncoder, FeatureSchema
 from .bagging import BaggingModel, BagParams, fit_bagging
 from .logistic import LogitModel, LogitParams, fit_logit
@@ -131,11 +131,8 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    try:
-        document = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model file {path} is not valid JSON: {exc}") from None
-    if not isinstance(document, dict) or document.get("format") != _FORMAT:
+    document = read_json_object(path)
+    if document.get("format") != _FORMAT:
         raise DataError(f"model file {path} is not a classifier document")
     if document.get("version") != _VERSION:
         raise DataError(f"model file {path} has unsupported version "
@@ -143,4 +140,8 @@ def load_model(path):
     algorithm = document.get("algorithm")
     if algorithm not in ALGORITHMS:
         raise DataError(f"model file {path} names unknown algorithm {algorithm!r}")
-    return _REGISTRY[algorithm].load(document.get("state"))
+    try:
+        return _REGISTRY[algorithm].load(document.get("state"))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"model file {path} has a malformed {algorithm} state "
+                        f"({type(exc).__name__}: {exc})") from None

@@ -14,9 +14,7 @@ values), 3 numerical failure (non-convergence, separation, divergence).
 """
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -30,10 +28,10 @@ from .dataset import (Dataset, SyntheticSpec, generate_synthetic, load_csv,
 from .errors import (DataError, DomainError, NumericError, ParseError,
                      SurvmixError)
 from .evaluation import score_histogram
-from .fileio import (atomic_write_text, csv_records, json_text, open_text, read_text,
-                     text_cells, write_json)
+from .fileio import (atomic_write_text, csv_records, json_text, open_text,
+                     read_json_object, read_text, text_cells, write_json)
 from .mixture import (ABSTENTION_LABELS, DEFAULT_CUTOFF_HIGH, DEFAULT_CUTOFF_LOW,
-                      DEFAULT_GRID_STEP, MixtureModel)
+                      DEFAULT_GRID_STEP, MixtureModel, mix_scores)
 from .pipeline import (PipelineConfig, classified_rows, cox_stage,
                        evaluate_stage, km_stage, mix_stage, parse_config,
                        predict_stage, row_ids, run_pipeline, write_artifacts)
@@ -53,8 +51,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(args) -> Dataset:
-    if not Path(args.data).exists():  # name the flag's own path, not the sidecar
-        raise DataError(f"input file not found: {args.data}")
     return load_csv(args.data, args.schema or schema_path(args.data))
 
 
@@ -162,23 +158,29 @@ def _cmd_evaluate(args):
 def _cmd_mix(args):
     data = _load(args)
     model_a, model_b = load_model(args.model_a), load_model(args.model_b)
-    _, mixed, artifacts, _ = mix_stage(
-        model_a, model_b, model_a.predict_proba(data), model_b.predict_proba(data),
-        data.label_values(), args.alpha_grid_step, args.cutoff_low, args.cutoff_high)
-    _, labelled, _ = predict_stage(data, mixed, args.cutoff_low, args.cutoff_high)
+    scores_a, scores_b = model_a.predict_proba(data), model_b.predict_proba(data)
+    mixture, artifacts, _ = mix_stage(
+        model_a, model_b, scores_a, scores_b, data.label_values(),
+        args.alpha_grid_step, args.cutoff_low, args.cutoff_high)
+    _, labelled, _ = predict_stage(data, mix_scores(mixture.alpha, scores_a, scores_b),
+                                   args.cutoff_low, args.cutoff_high)
     write_artifacts(args.out_dir, {**artifacts, **labelled})
 
 
 def _cmd_predict(args):
-    document = json.loads(read_text(args.mixture))
+    document = read_json_object(args.mixture)
     model_a, model_b = load_model(args.model_a), load_model(args.model_b)
     for key, model in (("component_a", model_a), ("component_b", model_b)):
         if document.get(key) != algorithm_of(model):
             raise DomainError(
                 f"{args.mixture}: {key} is {document.get(key)!r} but the "
                 f"supplied model is {algorithm_of(model)!r}")
-    mixture = MixtureModel(document["alpha"], model_a, model_b,
-                           document["cutoff_low"], document["cutoff_high"])
+    try:
+        mixture = MixtureModel(document["alpha"], model_a, model_b,
+                               document["cutoff_low"], document["cutoff_high"])
+    except (KeyError, TypeError) as exc:  # a field missing or ill-typed
+        raise DataError(f"{args.mixture}: malformed mixture "
+                        f"({type(exc).__name__}: {exc})") from None
     data = _load(args)
     _, artifacts, _ = predict_stage(data, mixture.predict_proba(data),
                                     mixture.cutoff_low, mixture.cutoff_high)

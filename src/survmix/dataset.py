@@ -339,12 +339,12 @@ def load_csv(data_path: "str | Path", schema: "Sequence[ColumnSpec] | str | Path
     faults, the first ragged row is reported, else the first bad cell of the
     first faulty column in schema order.
     """
-    if isinstance(schema, (str, Path)):
-        schema = read_schema(schema)
-    specs = list(schema)
-    columns = [_Column(s) for s in specs]
-    dtype = np.dtype([("", "f8" if s.kind == "numeric" else "O") for s in specs])
-    with open_text(data_path) as fh:
+    with open_text(data_path) as fh:   # a missing data file is named before its sidecar
+        if isinstance(schema, (str, Path)):
+            schema = read_schema(schema)
+        specs = list(schema)
+        columns = [_Column(s) for s in specs]
+        dtype = np.dtype([("", "f8" if s.kind == "numeric" else "O") for s in specs])
         header = next(csv_records(fh, data_path, DELIMITER), None)
         if header is None:
             raise ParseError(f"{data_path}: empty file (missing header row)")

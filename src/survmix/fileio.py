@@ -26,8 +26,9 @@ them as `csv_text` would render the picked rows.
 
 `open_text` is the one place a file is opened for reading: a missing,
 unreadable or non-UTF-8 file is a `DataError`, also when the bad bytes are
-met while the caller streams the file.  `csv_records` reads its records and
-turns a record csv cannot read into a `ParseError` that names it.
+met while the caller streams the file.  `read_json_object` reads a JSON
+object through it, and `csv_records` reads its records and turns a record
+csv cannot read into a `ParseError` that names it.
 
 `csv_blocks` is the dataset loader's block reader.  It reads the lines
 after the header a block at a time.  A plain block, one that csv would
@@ -387,3 +388,15 @@ def open_text(path: "str | Path"):
 def read_text(path: "str | Path") -> str:
     with open_text(path) as fh:
         return fh.read()
+
+
+def read_json_object(path: "str | Path") -> dict:
+    """The JSON object the file holds; text that is not JSON, or a document
+    that is not an object, is a `DataError` naming the file."""
+    try:
+        document = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(document, dict):
+        raise DataError(f"{path} does not hold a JSON object")
+    return document

@@ -12,7 +12,6 @@ including scores exactly at a cutoff — stays unclassified.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,16 +29,6 @@ DEFAULT_GRID_STEP = 0.01
 # so its temporaries stay near 2 MB however many rows and alphas there are:
 # 1,001 alphas over 10k rows at once would take 80 MB per array.
 _BLOCK_ELEMENTS = 1 << 15
-
-
-@dataclass(frozen=True)
-class AbstentionResult:
-    """Per-row labels plus the three group counts and fractions."""
-
-    probabilities: np.ndarray
-    labels: tuple
-    counts: dict
-    fractions: dict
 
 
 class MixtureModel:
@@ -155,8 +144,8 @@ def _row_separation(rows_pos, rows_neg):
 
 
 def classify_scores(scores, cutoff_low=DEFAULT_CUTOFF_LOW,
-                    cutoff_high=DEFAULT_CUTOFF_HIGH) -> AbstentionResult:
-    """Split scores into negative / positive / unclassified by strict cutoffs."""
+                    cutoff_high=DEFAULT_CUTOFF_HIGH) -> tuple:
+    """Each score's label, negative / positive / unclassified by strict cutoffs."""
     scores = np.asarray(scores, dtype=float)
     if not (0.0 <= cutoff_low < cutoff_high <= 1.0):
         raise DomainError("cutoffs must satisfy 0 <= low < high <= 1")
@@ -165,8 +154,4 @@ def classify_scores(scores, cutoff_low=DEFAULT_CUTOFF_LOW,
         raise DomainError("scores must be a vector of probabilities in [0, 1]")
     labels = np.where(scores < cutoff_low, "negative",
                       np.where(scores > cutoff_high, "positive", "unclassified"))
-    n = len(scores)
-    counts = {name: int((labels == name).sum()) for name in ABSTENTION_LABELS}
-    fractions = {name: counts[name] / n if n else 0.0 for name in ABSTENTION_LABELS}
-    return AbstentionResult(probabilities=scores, labels=tuple(labels.tolist()),
-                            counts=counts, fractions=fractions)
+    return tuple(labels.tolist())

@@ -33,8 +33,8 @@ from .dataset import (ColumnSpec, Dataset, SyntheticSpec, generate_synthetic,
 from .errors import DomainError, ParseError, SurvmixError
 from .evaluation import CUTOFF_CRITERIA, roc_curve, select_cutoff, separation_score
 from .fileio import atomic_write_text, csv_text, json_text, write_json
-from .mixture import (DEFAULT_CUTOFF_HIGH, DEFAULT_CUTOFF_LOW, DEFAULT_GRID_STEP,
-                      MixtureModel, classify_scores, mix_scores, optimize_weight)
+from .mixture import (ABSTENTION_LABELS, DEFAULT_CUTOFF_HIGH, DEFAULT_CUTOFF_LOW,
+                      DEFAULT_GRID_STEP, MixtureModel, classify_scores, optimize_weight)
 from .resampling import SmoteSpec, SplitSpec, smote, split
 from .survival import DEFAULT_CONFIDENCE, km_fit, logrank_test
 from .svg import render_svg
@@ -309,40 +309,6 @@ def cox_suite_formulas(data: Dataset) -> list:
     return suite
 
 
-def run_cox_suite(data: Dataset, formulas, ties: str, references: dict) -> list:
-    """Fit each model independently; an error in one model never blocks the rest."""
-    all_durations, all_events = survival_columns(data)
-    models = []
-    for formula in formulas:
-        entry = {"formula": formula}
-        try:
-            design = build_design(data, parse_formula(formula), references)
-            durations = all_durations[design.row_index]
-            events = all_events[design.row_index]
-            flags = detect_separation(design, durations, events)
-            fit_ = cox_fit(design, durations, events, ties=ties)
-            tests = cox_tests(fit_)
-            ratios = hazard_ratios(fit_)
-            entry.update({
-                "n": int(design.n_rows),
-                "events": int(events.sum()),
-                "coefficients": [
-                    {"name": n, "beta": float(b), "se": float(s), **r}
-                    for n, b, s, r in zip(fit_.names, fit_.beta, fit_.se, ratios)],
-                "tests": tests,
-                "iterations": fit_.iterations,
-                "converged": fit_.converged,
-                "reference_levels": dict(design.reference_levels),
-                "dropped_columns": [list(d) for d in design.dropped_columns],
-                "separation_flags": flags,
-            })
-        except SurvmixError as exc:
-            entry["error"] = str(exc)
-            entry["error_kind"] = exc.kind
-        models.append(entry)
-    return models
-
-
 def cox_summary_text(suite: list, ties: str) -> str:
     """Fixed-width per-model summary table."""
     lines = [f"Cox proportional hazards (ties: {ties})", ""]
@@ -391,9 +357,9 @@ def km_svg(curves: dict) -> str:
 
 # -- stage bodies shared with the CLI subcommands -----------------------------------
 #
-# Each takes in-memory inputs and returns the values that later stages need,
-# then its artifacts as {file name: text}, then the detail dict that the run
-# report records for the stage.
+# Each takes in-memory inputs and returns the values later stages need (the
+# metrics, mixture, labels or Cox suite; km has none), then its artifacts as
+# {file name: text}, then the detail dict the run report records for it.
 
 def evaluate_stage(models: dict, data: Dataset) -> tuple:
     """(metrics, artifacts, detail): per-model AUC, separation, optimal
@@ -424,16 +390,17 @@ def evaluate_stage(models: dict, data: Dataset) -> tuple:
 
 def mix_stage(model_a, model_b, scores_a, scores_b, labels, grid_step,
               cutoff_low, cutoff_high) -> tuple:
-    """(mixture, mixed scores, artifacts, detail) for mixture.json.
+    """(mixture, artifacts, detail) for mixture.json.
 
     `scores_a` and `scores_b` are the components' scores on the labelled
-    rows, so no model is run here.
+    rows, so no model is run here.  The objective and the test AUC are the
+    trace's record at the chosen alpha, which `optimize_weight` makes equal
+    to `roc_curve`'s on the mixed scores.
     """
     alpha, trace = optimize_weight(scores_a, scores_b, labels, grid_step)
     mixture = MixtureModel(alpha, model_a, model_b, cutoff_low, cutoff_high)
-    mixed = mix_scores(alpha, scores_a, scores_b)
-    test_auc = roc_curve(mixed, labels).auc
-    best = max(point["objective"] for point in trace)
+    chosen = next(point for point in reversed(trace) if point["alpha"] == alpha)
+    best, test_auc = chosen["objective"], chosen["auc"]
     components = [algorithm_of(model_a), algorithm_of(model_b)]
     artifacts = {"mixture.json": json_text({
         "component_a": components[0], "component_b": components[1],
@@ -442,17 +409,18 @@ def mix_stage(model_a, model_b, scores_a, scores_b, labels, grid_step,
         "trace": trace})}
     detail = {"components": components, "alpha": alpha, "objective": best,
               "test_auc": test_auc}
-    return mixture, mixed, artifacts, detail
+    return mixture, artifacts, detail
 
 
 def predict_stage(data: Dataset, scores, cutoff_low, cutoff_high) -> tuple:
-    """(abstention result, artifacts, detail) for labels.csv."""
-    result = classify_scores(scores, cutoff_low, cutoff_high)
+    """(labels, artifacts, detail) for labels.csv; detail counts each label."""
+    labels = classify_scores(scores, cutoff_low, cutoff_high)
     artifacts = {"labels.csv": csv_text(("id", "probability", "label"), (
-        row_ids(data), result.probabilities, result.labels), ",")}
-    detail = {"rows": data.n_rows, "counts": dict(result.counts),
-              "fractions": dict(result.fractions)}
-    return result, artifacts, detail
+        row_ids(data), scores, labels), ",")}
+    counts = {name: labels.count(name) for name in ABSTENTION_LABELS}
+    fractions = {name: n / len(labels) if labels else 0.0 for name, n in counts.items()}
+    detail = {"rows": data.n_rows, "counts": counts, "fractions": fractions}
+    return labels, artifacts, detail
 
 
 def km_stage(data: Dataset, groups, confidence: float) -> tuple:
@@ -480,9 +448,37 @@ def km_stage(data: Dataset, groups, confidence: float) -> tuple:
 
 def cox_stage(data: Dataset, formulas, ties: str, references: dict) -> tuple:
     """(suite, artifacts, detail) for cox.json and cox_summary.txt; no
-    formulas means the default suite (`cox_suite_formulas`)."""
-    suite = run_cox_suite(data, list(formulas) or cox_suite_formulas(data),
-                          ties, references)
+    formulas means the default suite (`cox_suite_formulas`).  Each model is
+    fitted on its own, so an error in one never blocks the rest."""
+    all_durations, all_events = survival_columns(data)
+    suite = []
+    for formula in list(formulas) or cox_suite_formulas(data):
+        entry = {"formula": formula}
+        try:
+            design = build_design(data, parse_formula(formula), references)
+            durations = all_durations[design.row_index]
+            events = all_events[design.row_index]
+            flags = detect_separation(design, durations, events)
+            fit_ = cox_fit(design, durations, events, ties=ties)
+            tests = cox_tests(fit_)
+            ratios = hazard_ratios(fit_)
+            entry.update({
+                "n": int(design.n_rows),
+                "events": int(events.sum()),
+                "coefficients": [
+                    {"name": n, "beta": float(b), "se": float(s), **r}
+                    for n, b, s, r in zip(fit_.names, fit_.beta, fit_.se, ratios)],
+                "tests": tests,
+                "iterations": fit_.iterations,
+                "converged": fit_.converged,
+                "reference_levels": dict(design.reference_levels),
+                "dropped_columns": [list(d) for d in design.dropped_columns],
+                "separation_flags": flags,
+            })
+        except SurvmixError as exc:
+            entry["error"] = str(exc)
+            entry["error_kind"] = exc.kind
+        suite.append(entry)
     artifacts = {"cox.json": json_text({"ties": ties, "models": suite}),
                  "cox_summary.txt": cox_summary_text(suite, ties)}
     detail = {"models": [{k: m.get(k) for k in ("formula", "n", "converged", "error")
@@ -587,7 +583,7 @@ def _evaluate(run) -> tuple:
 def _mix(run) -> tuple:
     config = run.config
     a, b = config.mix_components or run.ranking[:2]
-    run.mixture, _, artifacts, detail = mix_stage(
+    run.mixture, artifacts, detail = mix_stage(
         run.models[a], run.models[b], run.metrics[a]["scores"],
         run.metrics[b]["scores"], run.test.label_values(),
         config.alpha_grid_step, config.cutoff_low, config.cutoff_high)
@@ -596,14 +592,14 @@ def _mix(run) -> tuple:
 
 def _predict(run) -> tuple:
     mixture = run.mixture
-    run.result, artifacts, detail = predict_stage(
+    run.labels, artifacts, detail = predict_stage(
         run.era, mixture.predict_proba(run.era),
         mixture.cutoff_low, mixture.cutoff_high)
     return artifacts, detail
 
 
 def _km(run) -> tuple:
-    run.classified, groups = classified_rows(run.era, run.result.labels)
+    run.classified, groups = classified_rows(run.era, run.labels)
     return km_stage(run.classified, groups, run.config.km_confidence)
 
 

@@ -224,6 +224,52 @@ class TestStageFlow:
         assert code == 2
         assert "component_a" in err
 
+    @pytest.mark.parametrize("command, text", [
+        ("predict", '{"alpha": 0.5'),
+        ("predict", "[1]"),
+        ("predict", json.dumps({"component_a": "bag", "component_b": "logit",
+                                "cutoff_low": 0.2, "cutoff_high": 0.8})),
+        ("evaluate", json.dumps({"format": "survmix-classifier", "version": 1,
+                                 "algorithm": "nb", "state": {}})),
+        ("evaluate", json.dumps({"format": "survmix-classifier", "version": 1,
+                                 "algorithm": "nb"})),
+    ], ids=["truncated", "not_an_object", "no_alpha", "empty_state", "no_state"])
+    def test_malformed_json_input_is_exit_two(self, staged, tmp_path, command, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        if command == "predict":
+            argv = ["--mixture", bad, "--model-a", staged / "m_bag.json",
+                    "--model-b", staged / "m_logit.json", "--out", tmp_path / "labels.csv"]
+        else:
+            argv = ["--model", bad, "--out-dir", tmp_path]
+        code, _, err = call(command, "--data", staged / "test.csv", *argv)
+        assert code == 2
+        assert str(bad) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["km", "--data", "{data}"], None, "km needs --labels or --group-column"),
+        (["cox", "--data", "{data}"], None,
+         "cox needs --formula (or --labels for the default suite)"),
+        (["pipeline", "--set", "smote.k"], None, "--set expects key=value, got 'smote.k'"),
+        (["pipeline", "--config", "{cfg}"], "[ ]\n", "e.cfg:1: empty section name"),
+        (["pipeline", "--config", "{cfg}"], "x = 1\n", "e.cfg:1: key outside any [section]"),
+        (["pipeline", "--config", "{cfg}"], "novalue\n",
+         "e.cfg:1: expected 'key = value', got 'novalue'"),
+        (["pipeline", "--config", "{cfg}"], "[s]\n= 1\n", "e.cfg:2: empty key"),
+        (["pipeline", "--set", "nope.key=1"], None, "unknown config key 'nope.key'"),
+    ], ids=["km_no_groups", "cox_no_formula", "set_no_value", "empty_section",
+            "key_outside_section", "no_equals", "empty_key", "unknown_key"])
+    def test_usage_and_config_errors_are_exit_two(self, staged, tmp_path, argv,
+                                                   config, message):
+        cfg = tmp_path / "e.cfg"
+        if config is not None:
+            cfg.write_text(config)
+        code, _, err = call(*(arg.format(data=staged / "test.csv", cfg=cfg) for arg in argv))
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+
     def test_km_by_dataset_column(self, staged, tmp_path):
         code, _, err = call("km", "--data", staged / "clean.csv",
                             "--group-column", "cat_00",

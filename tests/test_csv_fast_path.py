@@ -494,7 +494,7 @@ def test_benchmark_shaped_file_never_takes_the_csv_path(tmp_path, monkeypatch):
     loaded = load_csv(tmp_path / "era.csv", tmp_path / "era.schema")
     assert datasets_equal(loaded, data)
     labels = _read_labels(tmp_path / "labels.csv", loaded)
-    assert labels.tolist() == list(predict_stage(data, scores, 0.2, 0.8)[0].labels)
+    assert labels.tolist() == list(predict_stage(data, scores, 0.2, 0.8)[0])
 
 
 def test_missing_categorical_cells_never_take_the_csv_path(tmp_path, monkeypatch):

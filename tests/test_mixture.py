@@ -9,7 +9,7 @@ from survmix.dataset import ColumnSpec, Dataset
 from survmix.errors import DomainError
 from survmix.evaluation import roc_curve, separation_score
 from survmix.mixture import (
-    AbstentionResult,
+    ABSTENTION_LABELS,
     MixtureModel,
     classify_scores,
     mix_scores,
@@ -203,25 +203,12 @@ class TestOptimizeWeight:
 
 class TestClassifyScores:
     def test_rule_application(self):
-        result = classify_scores(np.array([0.1, 0.9, 0.5]))
-        assert result.labels == ("negative", "positive", "unclassified")
+        labels = classify_scores(np.array([0.1, 0.9, 0.5]))
+        assert labels == ("negative", "positive", "unclassified")
 
     def test_cutoff_equality_is_unclassified(self):
-        result = classify_scores(np.array([0.2, 0.8]))
-        assert result.labels == ("unclassified", "unclassified")
-
-    def test_counts_and_fractions(self):
-        scores = np.array([0.05, 0.1, 0.95, 0.5, 0.5])
-        result = classify_scores(scores)
-        assert result.counts == {"negative": 2, "positive": 1, "unclassified": 2}
-        assert sum(result.counts.values()) == 5
-        assert result.fractions["negative"] == pytest.approx(0.4)
-        assert sum(result.fractions.values()) == pytest.approx(1.0)
-
-    def test_degenerate_band_leaves_nothing_unclassified(self):
-        scores = np.array([0.1, 0.3, 0.9, 0.05])
-        result = classify_scores(scores, cutoff_low=0.5 - 1e-9, cutoff_high=0.5)
-        assert result.counts["unclassified"] == 0
+        labels = classify_scores(np.array([0.2, 0.8]))
+        assert labels == ("unclassified", "unclassified")
 
     def test_invalid_cutoffs_rejected(self):
         with pytest.raises(DomainError, match="cutoffs"):
@@ -254,10 +241,9 @@ class TestMixtureModel:
     def test_classify_returns_partition(self):
         data, model_a, model_b = self.make_components()
         mixture = MixtureModel(0.5, model_a, model_b)
-        result = classify_scores(mixture.predict_proba(data))
-        assert isinstance(result, AbstentionResult)
-        assert len(result.labels) == data.n_rows
-        assert sum(result.counts.values()) == data.n_rows
+        labels = classify_scores(mixture.predict_proba(data))
+        assert len(labels) == data.n_rows
+        assert sum(labels.count(name) for name in ABSTENTION_LABELS) == data.n_rows
 
     def test_invalid_alpha_rejected(self):
         data, model_a, model_b = self.make_components()

@@ -20,6 +20,7 @@ from survmix.pipeline import (
     cox_stage,
     cox_suite_formulas,
     parse_config,
+    predict_stage,
     rank_algorithms,
     run_pipeline,
     validate_report,
@@ -91,6 +92,14 @@ class TestParseConfig:
     def test_error_names_source_and_line(self):
         with pytest.raises(ParseError, match=r"my\.cfg:3"):
             parse_config("[a]\nx = 1\noops\n", source="my.cfg")
+
+    def test_readme_sample_config_parses_as_documented(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        text = readme.split("```ini\n", 1)[1].split("\n```", 1)[0]
+        config = PipelineConfig.from_mapping(parse_config(text, "README.md"))
+        assert config.mix_components == ()
+        assert (config.train_path, config.predict_path) == ("cohort.csv", "era.csv")
+        assert config.algorithms == ("bag", "ann", "logit")
 
 
 class TestPipelineConfig:
@@ -281,6 +290,13 @@ class TestRunPipeline:
         assert report.error == {"stage": "km", "kind": "data",
                                 "message": "column 'event' has missing cells"}
 
+    def test_missing_data_file_is_named_before_its_sidecar(self, tmp_path):
+        report = run_pipeline(PipelineConfig(
+            output_dir=str(tmp_path / "out"), train_path=str(tmp_path / "nope.csv"),
+            predict_path=str(tmp_path / "nope2.csv")))
+        assert report.error == {"stage": "load", "kind": "data",
+                                "message": f"input file not found: {tmp_path / 'nope.csv'}"}
+
     def test_explicit_components_respected(self, tmp_path):
         with pytest.warns(UserWarning):
             report = run_pipeline(small_config(
@@ -399,6 +415,21 @@ class TestHelpers:
         assert suite[0]["converged"]
         assert "  flagged: x=b (carriers' events all precede the others')\n" in \
             artifacts["cox_summary.txt"]
+
+    def test_predict_stage_counts_and_fractions(self):
+        scores = np.array([0.05, 0.1, 0.95, 0.5, 0.5])
+        data = Dataset([ColumnSpec("x", "numeric", "feature")], {"x": scores})
+        labels, _, detail = predict_stage(data, scores, 0.2, 0.8)
+        assert detail["counts"] == {"negative": 2, "positive": 1, "unclassified": 2}
+        assert sum(detail["counts"].values()) == len(labels) == 5
+        assert detail["fractions"]["negative"] == pytest.approx(0.4)
+        assert sum(detail["fractions"].values()) == pytest.approx(1.0)
+
+    def test_predict_stage_degenerate_band_leaves_nothing_unclassified(self):
+        scores = np.array([0.1, 0.3, 0.9, 0.05])
+        data = Dataset([ColumnSpec("x", "numeric", "feature")], {"x": scores})
+        _, _, detail = predict_stage(data, scores, 0.5 - 1e-9, 0.5)
+        assert detail["counts"]["unclassified"] == 0
 
     def test_validate_report_rejects_missing_keys(self):
         with pytest.raises(DomainError, match="missing key"):
