@@ -31,7 +31,7 @@ from .evaluation import score_histogram
 from .fileio import (atomic_write_text, csv_records, json_text, open_text,
                      read_json_object, read_text, text_cells, write_json)
 from .mixture import (ABSTENTION_LABELS, DEFAULT_CUTOFF_HIGH, DEFAULT_CUTOFF_LOW,
-                      DEFAULT_GRID_STEP, MixtureModel, mix_scores)
+                      DEFAULT_GRID_STEP, MixtureModel)
 from .pipeline import (PipelineConfig, classified_rows, cox_stage,
                        evaluate_stage, km_stage, mix_stage, parse_config,
                        predict_stage, row_ids, run_pipeline, write_artifacts)
@@ -159,11 +159,10 @@ def _cmd_mix(args):
     data = _load(args)
     model_a, model_b = load_model(args.model_a), load_model(args.model_b)
     scores_a, scores_b = model_a.predict_proba(data), model_b.predict_proba(data)
-    mixture, artifacts, _ = mix_stage(
+    _, mixed, artifacts, _ = mix_stage(
         model_a, model_b, scores_a, scores_b, data.label_values(),
         args.alpha_grid_step, args.cutoff_low, args.cutoff_high)
-    _, labelled, _ = predict_stage(data, mix_scores(mixture.alpha, scores_a, scores_b),
-                                   args.cutoff_low, args.cutoff_high)
+    _, labelled, _ = predict_stage(data, mixed, args.cutoff_low, args.cutoff_high)
     write_artifacts(args.out_dir, {**artifacts, **labelled})
 
 

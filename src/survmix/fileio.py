@@ -391,8 +391,7 @@ def read_text(path: "str | Path") -> str:
 
 
 def read_json_object(path: "str | Path") -> dict:
-    """The JSON object the file holds; text that is not JSON, or a document
-    that is not an object, is a `DataError` naming the file."""
+    """The JSON object in the file; bad JSON or a non-object is a `DataError` naming it."""
     try:
         document = json.loads(read_text(path))
     except json.JSONDecodeError as exc:

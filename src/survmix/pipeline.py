@@ -34,7 +34,8 @@ from .errors import DomainError, ParseError, SurvmixError
 from .evaluation import CUTOFF_CRITERIA, roc_curve, select_cutoff, separation_score
 from .fileio import atomic_write_text, csv_text, json_text, write_json
 from .mixture import (ABSTENTION_LABELS, DEFAULT_CUTOFF_HIGH, DEFAULT_CUTOFF_LOW,
-                      DEFAULT_GRID_STEP, MixtureModel, classify_scores, optimize_weight)
+                      DEFAULT_GRID_STEP, MixtureModel, classify_scores, mix_scores,
+                      optimize_weight)
 from .resampling import SmoteSpec, SplitSpec, smote, split
 from .survival import DEFAULT_CONFIDENCE, km_fit, logrank_test
 from .svg import render_svg
@@ -357,9 +358,9 @@ def km_svg(curves: dict) -> str:
 
 # -- stage bodies shared with the CLI subcommands -----------------------------------
 #
-# Each takes in-memory inputs and returns the values later stages need (the
-# metrics, mixture, labels or Cox suite; km has none), then its artifacts as
-# {file name: text}, then the detail dict the run report records for it.
+# Each takes in-memory inputs and returns what later stages need (metrics,
+# mixture and mixed scores, labels or Cox suite; km has none), then its
+# artifacts as {file name: text}, then the detail dict the run report records.
 
 def evaluate_stage(models: dict, data: Dataset) -> tuple:
     """(metrics, artifacts, detail): per-model AUC, separation, optimal
@@ -390,17 +391,18 @@ def evaluate_stage(models: dict, data: Dataset) -> tuple:
 
 def mix_stage(model_a, model_b, scores_a, scores_b, labels, grid_step,
               cutoff_low, cutoff_high) -> tuple:
-    """(mixture, artifacts, detail) for mixture.json.
+    """(mixture, mixed scores, artifacts, detail) for mixture.json.
 
     `scores_a` and `scores_b` are the components' scores on the labelled
-    rows, so no model is run here.  The objective and the test AUC are the
-    trace's record at the chosen alpha, which `optimize_weight` makes equal
-    to `roc_curve`'s on the mixed scores.
+    rows, so no model is run here.  The objective is the trace's record at
+    the chosen alpha; the test AUC is `roc_curve`'s on the mixed scores,
+    which that record's AUC equals bit for bit.
     """
     alpha, trace = optimize_weight(scores_a, scores_b, labels, grid_step)
     mixture = MixtureModel(alpha, model_a, model_b, cutoff_low, cutoff_high)
-    chosen = next(point for point in reversed(trace) if point["alpha"] == alpha)
-    best, test_auc = chosen["objective"], chosen["auc"]
+    mixed = mix_scores(alpha, scores_a, scores_b)
+    best = next(point["objective"] for point in reversed(trace) if point["alpha"] == alpha)
+    test_auc = roc_curve(mixed, labels).auc
     components = [algorithm_of(model_a), algorithm_of(model_b)]
     artifacts = {"mixture.json": json_text({
         "component_a": components[0], "component_b": components[1],
@@ -409,7 +411,7 @@ def mix_stage(model_a, model_b, scores_a, scores_b, labels, grid_step,
         "trace": trace})}
     detail = {"components": components, "alpha": alpha, "objective": best,
               "test_auc": test_auc}
-    return mixture, artifacts, detail
+    return mixture, mixed, artifacts, detail
 
 
 def predict_stage(data: Dataset, scores, cutoff_low, cutoff_high) -> tuple:
@@ -583,7 +585,7 @@ def _evaluate(run) -> tuple:
 def _mix(run) -> tuple:
     config = run.config
     a, b = config.mix_components or run.ranking[:2]
-    run.mixture, artifacts, detail = mix_stage(
+    run.mixture, _, artifacts, detail = mix_stage(
         run.models[a], run.models[b], run.metrics[a]["scores"],
         run.metrics[b]["scores"], run.test.label_values(),
         config.alpha_grid_step, config.cutoff_low, config.cutoff_high)
